@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench-baseline bench-check docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
+.PHONY: build test test-short fuzz bench bench-baseline bench-check docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ test:
 
 test-short:
 	$(GO) test -short -race ./...
+
+# Fuzz the serve delta codec past its committed seed corpus
+# (internal/serve/testdata/fuzz/FuzzDelta, which plain `go test` runs):
+# the size bound, NewEntry's bytes and hostile delta bytes. A failing
+# input is written to that directory; commit it as a regression seed.
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

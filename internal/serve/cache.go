@@ -52,11 +52,21 @@ func NewEntry(snap stream.Snapshot, prev *stream.Snapshot, deltaRatio float64) (
 		ETag:     ETag(snap.Version),
 		JSON:     body,
 	}
-	if prev != nil {
-		if data := EncodeDelta(*prev, snap, len(body), deltaRatio); data != nil {
-			e.DeltaFrom = prev.Version
-			e.Delta = data
-		}
+	if prev == nil {
+		return e, nil // a chain head has no delta base
+	}
+	// Size the delta from the body before building it: a publication
+	// that moved most coordinates (every interval close on a gravity-
+	// only tenant) cannot beat the ratio, and building its delta only to
+	// drop it cost more than encoding the body. The bound never exceeds
+	// the delta's real size, so the skip changes no entry's bytes.
+	limit := deltaLimit(len(body), deltaRatio)
+	if float64(deltaSizeBound(body, *prev, snap, limit)) > limit {
+		return e, nil
+	}
+	if data := EncodeDelta(*prev, snap, len(body), deltaRatio); data != nil {
+		e.DeltaFrom = prev.Version
+		e.Delta = data
 	}
 	return e, nil
 }

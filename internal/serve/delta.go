@@ -14,8 +14,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/linalg"
@@ -81,13 +83,25 @@ type Delta struct {
 	ResolveNil bool `json:"resolve_nil,omitempty"`
 }
 
+// carried reports whether coordinate i of next must be carried by a
+// patch over prev: its bits differ from prev's (0 past prev's end).
+// Bits, not ==, so that 0 → -0 is carried and a patched vector
+// marshals to the same bytes as next.
+func carried(prev, next linalg.Vector, i int) bool {
+	var base float64
+	if i < len(prev) {
+		base = prev[i]
+	}
+	return math.Float64bits(next[i]) != math.Float64bits(base)
+}
+
 // diffVec computes the sparse patch turning prev into next, nil when
 // they are identical (same length, same values).
 func diffVec(prev, next linalg.Vector) *VecPatch {
 	if len(prev) == len(next) {
 		same := true
 		for i := range next {
-			if prev[i] != next[i] {
+			if carried(prev, next, i) {
 				same = false
 				break
 			}
@@ -98,17 +112,19 @@ func diffVec(prev, next linalg.Vector) *VecPatch {
 	}
 	p := &VecPatch{Len: len(next)}
 	for i := range next {
-		var base float64
-		if i < len(prev) {
-			base = prev[i]
-		}
-		if next[i] != base {
+		if carried(prev, next, i) {
 			p.I = append(p.I, i)
 			p.V = append(p.V, next[i])
 		}
 	}
 	return p
 }
+
+// MaxPatchLen caps the vector length a delta may resize to, so a
+// hostile or corrupt delta cannot make Apply allocate without bound. It
+// is four times the pair count of the largest scenario backbone (500
+// PoPs, 249,500 pairs).
+const MaxPatchLen = 1 << 20
 
 // applyVec executes one patch on a (possibly nil) base vector,
 // returning a fresh vector — the base is never mutated.
@@ -119,11 +135,14 @@ func applyVec(base linalg.Vector, p *VecPatch) (linalg.Vector, error) {
 		}
 		return base.Clone(), nil
 	}
-	out := linalg.NewVector(p.Len)
-	copy(out, base) // copy stops at min(len(base), p.Len)
+	if p.Len < 0 || p.Len > MaxPatchLen {
+		return nil, fmt.Errorf("serve: vector patch length %d outside [0,%d]", p.Len, MaxPatchLen)
+	}
 	if len(p.I) != len(p.V) {
 		return nil, fmt.Errorf("serve: vector patch has %d indices but %d values", len(p.I), len(p.V))
 	}
+	out := linalg.NewVector(p.Len)
+	copy(out, base) // copy stops at min(len(base), p.Len)
 	for k, i := range p.I {
 		if i < 0 || i >= p.Len {
 			return nil, fmt.Errorf("serve: vector patch index %d out of range [0,%d)", i, p.Len)
@@ -245,17 +264,87 @@ func Apply(base stream.Snapshot, d *Delta) (stream.Snapshot, error) {
 // moved) or a topology swap resized the vectors. Callers then fall back
 // to the full snapshot, which is the correct wire choice exactly then.
 func EncodeDelta(prev, next stream.Snapshot, fullSize int, ratio float64) []byte {
-	if ratio <= 0 {
-		ratio = DefaultDeltaRatio
-	}
 	data, err := json.Marshal(ComputeDelta(prev, next))
 	if err != nil {
 		return nil // a snapshot that fails to marshal never got here
 	}
-	if float64(len(data)) > ratio*float64(fullSize) {
+	if float64(len(data)) > deltaLimit(fullSize, ratio) {
 		return nil
 	}
 	return data
+}
+
+// deltaLimit is the largest encoded delta worth sending against a full
+// encoding of fullSize bytes (ratio <= 0 selects DefaultDeltaRatio).
+func deltaLimit(fullSize int, ratio float64) float64 {
+	if ratio <= 0 {
+		ratio = DefaultDeltaRatio
+	}
+	return ratio * float64(fullSize)
+}
+
+// deltaSizeBound is a lower bound on len(json.Marshal(ComputeDelta(prev,
+// next))), read off body, the json.Marshal(next) encoding, without
+// building the delta. Each coordinate the delta carries costs at least
+// its value's bytes exactly as body spells them, its index's digits and
+// two commas (one in each of the patch's "i" and "v" arrays); a patch's
+// own framing covers the commas its last coordinate lacks. Counting
+// stops once the bound exceeds limit. A body laid out other than
+// expected bounds at 0, which never skips a delta.
+func deltaSizeBound(body []byte, prev, next stream.Snapshot, limit float64) int {
+	vecs := [...]struct {
+		key        string
+		prev, next linalg.Vector
+	}{
+		{`"gravity":`, prev.Gravity, next.Gravity},
+		{`"mean":`, prev.Mean, next.Mean},
+		{`"fanouts":`, prev.Fanouts, next.Fanouts},
+		{`"resolve":`, prev.Resolve, next.Resolve},
+	}
+	bound, at := 0, 0
+	for _, v := range vecs {
+		if len(v.next) == 0 {
+			continue // null, [], or omitted (an empty resolve): no coordinates
+		}
+		// Encoded keys cannot occur inside the body's string values (an
+		// embedded quote is escaped there), so the first match is the key.
+		k := bytes.Index(body[at:], []byte(v.key))
+		if k < 0 {
+			return 0
+		}
+		at += k + len(v.key)
+		if at >= len(body) || body[at] != '[' {
+			return 0
+		}
+		at++
+		for i := range v.next {
+			sep := byte(',')
+			if i == len(v.next)-1 {
+				sep = ']'
+			}
+			n := bytes.IndexByte(body[at:], sep)
+			if n < 0 {
+				return 0
+			}
+			if carried(v.prev, v.next, i) {
+				bound += n + digits(i) + 2
+				if float64(bound) > limit {
+					return bound
+				}
+			}
+			at += n + 1
+		}
+	}
+	return bound
+}
+
+// digits counts the decimal digits of a non-negative index.
+func digits(i int) int {
+	d := 1
+	for ; i >= 10; i /= 10 {
+		d++
+	}
+	return d
 }
 
 // DecodeDelta parses one encoded delta.

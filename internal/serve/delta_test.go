@@ -131,7 +131,9 @@ func TestDeltaDimensionChange(t *testing.T) {
 }
 
 // TestApplyRejects pins the guardrails: wrong format, wrong base
-// version, and corrupt patches must all fail loudly.
+// version, and corrupt patches must all fail loudly — with an error,
+// never a panic or an unbounded allocation, since clients apply
+// whatever bytes the server sends.
 func TestApplyRejects(t *testing.T) {
 	v := linalg.NewVector(3)
 	prev := demandSnapshot(1, v, nil)
@@ -146,14 +148,22 @@ func TestApplyRejects(t *testing.T) {
 	if _, err := Apply(next, d); err == nil {
 		t.Error("wrong base version accepted")
 	}
-	corrupt := *d
-	corrupt.Gravity = &VecPatch{Len: 2, I: []int{5}, V: []float64{1}}
-	if _, err := Apply(prev, &corrupt); err == nil {
-		t.Error("out-of-range patch index accepted")
-	}
-	corrupt.Gravity = &VecPatch{Len: 2, I: []int{0, 1}, V: []float64{1}}
-	if _, err := Apply(prev, &corrupt); err == nil {
-		t.Error("index/value length mismatch accepted")
+	for _, c := range []struct {
+		name string
+		p    *VecPatch
+		want string
+	}{
+		{"index past length", &VecPatch{Len: 2, I: []int{5}, V: []float64{1}}, "vector patch index 5 out of range [0,2)"},
+		{"negative index", &VecPatch{Len: 2, I: []int{-3}, V: []float64{1}}, "vector patch index -3 out of range [0,2)"},
+		{"values short", &VecPatch{Len: 2, I: []int{0, 1}, V: []float64{1}}, "vector patch has 2 indices but 1 values"},
+		{"negative length", &VecPatch{Len: -1}, "vector patch length -1 outside [0,1048576]"},
+		{"length past cap", &VecPatch{Len: MaxPatchLen + 1}, "vector patch length 1048577 outside [0,1048576]"},
+	} {
+		corrupt := *d
+		corrupt.Gravity = c.p
+		if _, err := Apply(prev, &corrupt); err == nil || err.Error() != "serve: gravity: serve: "+c.want {
+			t.Errorf("%s: Apply error %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -99,10 +99,12 @@ type Hub struct {
 	waiters map[*waiter]struct{}
 	subs    map[*Subscription]struct{}
 
-	servedWaits atomic.Uint64 // WaitMin calls answered (fast path + parked)
-	broadcasts  atomic.Uint64 // publications fanned out
-	droppedSubs atomic.Uint64 // subscribers closed for falling behind
-	shedWaiters atomic.Uint64 // WaitMin/Subscribe refusals at the waiter cap
+	servedWaits    atomic.Uint64 // WaitMin calls answered (fast path + parked)
+	broadcasts     atomic.Uint64 // publications fanned out
+	droppedSubs    atomic.Uint64 // subscribers closed for falling behind
+	shedWaiters    atomic.Uint64 // WaitMin/Subscribe refusals at the waiter cap
+	encodeFailures atomic.Uint64 // publications NewEntry could not encode
+	deltaSkipped   atomic.Uint64 // publications cached with a base but no delta
 }
 
 // NewHub creates a hub over a source. Drive it with Run (usually one
@@ -164,7 +166,11 @@ func (h *Hub) installLocked(snap stream.Snapshot) *Entry {
 	}
 	e, err := NewEntry(snap, h.prev, h.cfg.DeltaRatio)
 	if err != nil {
-		return nil // unmarshalable snapshot: nothing to serve
+		h.encodeFailures.Add(1)
+		return nil // unmarshalable snapshot (a NaN, say): nothing to serve
+	}
+	if h.prev != nil && e.Delta == nil {
+		h.deltaSkipped.Add(1)
 	}
 	h.prev = &snap
 	h.cache.Add(e)
@@ -210,9 +216,10 @@ func (h *Hub) Current() *Entry {
 
 // WaitMin returns the newest entry with Version >= min, blocking until
 // one is published or ctx is done. It is the multiplexed long poll:
-// the fast path is two atomic loads and no allocation; a parked wait
-// costs one pooled waiter registration, not a goroutine or a snapshot
-// copy. Returns ErrTooManyWaiters when the hub is at its waiter cap.
+// the fast path takes the Cache's read lock once and allocates
+// nothing; a parked wait costs one pooled waiter registration, not a
+// goroutine or a snapshot copy. Returns ErrTooManyWaiters when the hub
+// is at its waiter cap.
 func (h *Hub) WaitMin(ctx context.Context, min uint64) (*Entry, error) {
 	if e := h.Current(); e != nil && e.Version >= min {
 		h.servedWaits.Add(1)
@@ -285,6 +292,14 @@ type HubStats struct {
 	ShedWaiters        uint64 `json:"shed_waiters"`
 	CachedVersions     int    `json:"cached_versions"`
 	MaxWaiters         int    `json:"max_waiters"`
+	// EncodeFailures counts publications that failed to encode (a
+	// non-finite value): they are never served, and waiters parked for
+	// them keep waiting for the next one.
+	EncodeFailures uint64 `json:"encode_failures"`
+	// DeltaSkipped counts publications cached without a delta from
+	// their predecessor because it could not beat the size ratio,
+	// whether the size bound or the encoded delta showed it.
+	DeltaSkipped uint64 `json:"delta_skipped"`
 }
 
 // Stats reports the hub's current serving counters.
@@ -309,5 +324,7 @@ func (h *Hub) Stats() HubStats {
 		ShedWaiters:        h.shedWaiters.Load(),
 		CachedVersions:     h.cache.Len(),
 		MaxWaiters:         h.cfg.MaxWaiters,
+		EncodeFailures:     h.encodeFailures.Load(),
+		DeltaSkipped:       h.deltaSkipped.Load(),
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fleet"
+	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/stream"
 )
@@ -43,6 +45,8 @@ func TestMetricsPromEndpoint(t *testing.T) {
 		`tm_snapshot_broadcasts_total{tenant="default"}`,
 		`tm_dropped_subscribers_total{tenant="default"}`,
 		`tm_shed_waiters_total{tenant="default"}`,
+		`tm_snapshot_encode_failures_total{tenant="default"}`,
+		`tm_snapshot_delta_skipped_total{tenant="default"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape is missing %s:\n%s", want, body)
@@ -166,6 +170,47 @@ func TestHubShedWaiters(t *testing.T) {
 	}
 	if got := h.Stats().ShedWaiters; got != 2 {
 		t.Fatalf("ShedWaiters = %d, want 2", got)
+	}
+}
+
+// TestHubCountsSkippedDeltasAndEncodeFailures: a publication cached
+// without a delta from its predecessor counts as skipped (a chain head
+// does not), and one that fails to encode counts as a failure instead
+// of vanishing — the signals behind tm_snapshot_delta_skipped_total and
+// tm_snapshot_encode_failures_total.
+func TestHubCountsSkippedDeltasAndEncodeFailures(t *testing.T) {
+	h := NewHub(newFakeSource(), HubConfig{})
+	base := linalg.NewVector(200)
+	for i := range base {
+		base[i] = float64(i) + 0.25
+	}
+	snap := func(version uint64, v linalg.Vector) stream.Snapshot {
+		return stream.Snapshot{Version: version, Gravity: v, Mean: v.Clone(), Fanouts: v.Clone()}
+	}
+	drift := base.Clone()
+	drift[17]++
+	moved := base.Clone()
+	moved.Scale(1.7)
+	broken := moved.Clone()
+	broken[3] = math.NaN()
+	for _, c := range []struct {
+		snap           stream.Snapshot
+		skipped, fails uint64
+	}{
+		{snap(1, base), 0, 0},   // chain head: no base, not a skip
+		{snap(2, drift), 0, 0},  // one pair moved: delta kept
+		{snap(3, moved), 1, 0},  // every pair moved: no delta
+		{snap(4, broken), 1, 1}, // NaN: nothing to serve
+	} {
+		h.observe(c.snap)
+		st := h.Stats()
+		if st.DeltaSkipped != c.skipped || st.EncodeFailures != c.fails {
+			t.Fatalf("after v%d: DeltaSkipped %d, EncodeFailures %d; want %d, %d",
+				c.snap.Version, st.DeltaSkipped, st.EncodeFailures, c.skipped, c.fails)
+		}
+	}
+	if st := h.Stats(); st.Version != 3 || st.Broadcasts != 3 {
+		t.Fatalf("hub at v%d after %d broadcasts, want v3 after 3", st.Version, st.Broadcasts)
 	}
 }
 

@@ -172,6 +172,10 @@ func (s *Server) registerMetrics() {
 			func(st HubStats) float64 { return float64(st.DroppedSubscribers) }},
 		{"tm_shed_waiters_total", "Long-polls and subscriptions refused at the waiter cap (HTTP 429s).",
 			func(st HubStats) float64 { return float64(st.ShedWaiters) }},
+		{"tm_snapshot_encode_failures_total", "Snapshot publications the tenant's hub failed to encode and never served.",
+			func(st HubStats) float64 { return float64(st.EncodeFailures) }},
+		{"tm_snapshot_delta_skipped_total", "Snapshot publications cached without a delta because it could not beat the size ratio.",
+			func(st HubStats) float64 { return float64(st.DeltaSkipped) }},
 	}
 	for _, c := range counters {
 		field := c.field
