@@ -14,13 +14,16 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
-# Fuzz the serve delta codec past its committed seed corpus
-# (internal/serve/testdata/fuzz/FuzzDelta, which plain `go test` runs):
-# the size bound, NewEntry's bytes and hostile delta bytes. A failing
-# input is written to that directory; commit it as a regression seed.
+# Fuzz past the committed seed corpora (testdata/fuzz/<Target>, which
+# plain `go test` runs): the serve delta codec (FuzzDelta: the size
+# bound, NewEntry's bytes and hostile delta bytes), then the four
+# estimators (FuzzEstimate: hostile loads and mis-sized priors and warm
+# starts). A failing input is written to the target's corpus directory;
+# commit it as a regression seed.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

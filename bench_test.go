@@ -140,7 +140,7 @@ func BenchmarkAblationBayesSolvers(b *testing.B) {
 	prior := core.Gravity(s.InstEU)
 	b.Run("fista", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Bayesian(s.InstEU, prior, 1000); err != nil {
+			if _, _, err := core.Bayesian(s.InstEU, prior, 1000, core.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -162,7 +162,7 @@ func BenchmarkAblationEntropySolvers(b *testing.B) {
 	prior := core.Gravity(s.InstEU)
 	b.Run("forward-backward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Entropy(s.InstEU, prior, 1000); err != nil {
+			if _, _, err := core.Entropy(s.InstEU, prior, 1000, core.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -216,11 +216,10 @@ func BenchmarkAblationFanoutConstraint(b *testing.B) {
 		unconstrained bool
 	}{{"simplex", false}, {"unconstrained", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.DefaultFanoutConfig()
-			cfg.Unconstrained = tc.unconstrained
+			cfg := core.FanoutConfig{Unconstrained: tc.unconstrained}
 			var mre float64
 			for i := 0; i < b.N; i++ {
-				est, err := core.EstimateFanouts(s.EU.Rt, loads, cfg)
+				est, err := core.EstimateFanouts(s.EU.Rt, loads, cfg, core.SolveOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -415,7 +414,7 @@ func streamResolveSetup(b *testing.B) (in *core.Instance, prior, prev linalg.Vec
 			streamResolveErr = err
 			return
 		}
-		prev, _, err := core.EntropyFrom(in0, core.Gravity(in0), streamReg, nil, streamIter, streamTol)
+		prev, _, err := core.Entropy(in0, core.Gravity(in0), streamReg, core.SolveOptions{MaxIter: streamIter, Tol: streamTol})
 		if err != nil {
 			streamResolveErr = err
 			return
@@ -452,7 +451,7 @@ func benchStreamResolve(b *testing.B, warm bool) {
 	b.ResetTimer()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		_, n, err := core.EntropyFrom(in, prior, streamReg, x0, streamIter, streamTol)
+		_, n, err := core.Entropy(in, prior, streamReg, core.SolveOptions{X0: x0, MaxIter: streamIter, Tol: streamTol})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -83,13 +83,13 @@ func run(ctx context.Context, path, methods string, reg float64, window int, sig
 		case "kruithof":
 			out.est, err = core.Kruithof(inst, core.Gravity(inst))
 		case "entropy":
-			out.est, err = core.Entropy(inst, core.Gravity(inst), reg)
+			out.est, _, err = core.Entropy(inst, core.Gravity(inst), reg, core.SolveOptions{})
 		case "bayes":
-			out.est, err = core.Bayesian(inst, core.Gravity(inst), reg)
+			out.est, _, err = core.Bayesian(inst, core.Gravity(inst), reg, core.SolveOptions{})
 		case "bayes-wcb":
 			var b *core.Bounds
 			if b, err = core.WorstCaseBounds(inst); err == nil {
-				out.est, err = core.Bayesian(inst, b.Midpoint(), reg)
+				out.est, _, err = core.Bayesian(inst, b.Midpoint(), reg, core.SolveOptions{})
 			}
 		case "wcb":
 			var b *core.Bounds
@@ -99,16 +99,14 @@ func run(ctx context.Context, path, methods string, reg float64, window int, sig
 		case "fanout":
 			var fe *core.FanoutEstimate
 			loads := sc.LoadSeries(start, window)
-			if fe, err = core.EstimateFanouts(sc.Rt, loads, core.DefaultFanoutConfig()); err == nil {
+			if fe, err = core.EstimateFanouts(sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{}); err == nil {
 				out.est = fe.MeanDemand
 				out.truth = sc.Series.MeanDemand(start, window)
 				out.thresh = core.ShareThreshold(out.truth, 0.9)
 			}
 		case "vardi":
 			loads := sc.LoadSeries(start, window)
-			out.est, err = core.Vardi(sc.Rt, loads, core.VardiConfig{
-				SigmaInv2: sigmaInv2, MaxIter: 30000, Tol: 1e-9,
-			})
+			out.est, _, err = core.Vardi(sc.Rt, loads, core.VardiConfig{SigmaInv2: sigmaInv2}, core.SolveOptions{})
 		default:
 			return out, fmt.Errorf("unknown method %q", method)
 		}

@@ -5,6 +5,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -161,7 +162,9 @@ func TestAPIDocDrift(t *testing.T) {
 
 // TestMETHODSCoverage fails when METHODS.md stops covering an estimation
 // entry point or an experiment driver ID — the "paper-to-code map covers
-// all estimation methods evaluated by the suite" acceptance criterion.
+// all estimation methods evaluated by the suite" acceptance criterion —
+// or when METHODS.md or README.md names a core.X or solver.X identifier
+// the package does not export (a renamed or deleted entry point).
 func TestMETHODSCoverage(t *testing.T) {
 	methods, err := os.ReadFile("METHODS.md")
 	if err != nil {
@@ -185,6 +188,72 @@ func TestMETHODSCoverage(t *testing.T) {
 			t.Errorf("METHODS.md does not mention experiment ID %s (%s)", d.ID, d.Title)
 		}
 	}
+
+	exported := map[string]map[string]bool{
+		"core":   exportedNames(t, "internal/core"),
+		"solver": exportedNames(t, "internal/solver"),
+	}
+	nameRe := regexp.MustCompile(`\b(core|solver)\.([A-Z][A-Za-z0-9_]*)`)
+	for _, file := range []string{"METHODS.md", "README.md"} {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range nameRe.FindAllStringSubmatch(string(text), -1) {
+			if !exported[m[1]][m[2]] {
+				t.Errorf("%s names %s.%s, which internal/%s does not export", file, m[1], m[2], m[1])
+			}
+		}
+	}
+}
+
+// exportedNames returns the exported package-level identifiers (funcs,
+// types, vars and consts; not methods) declared by the non-test Go files
+// in dir.
+func exportedNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							names[sp.Name.Name] = true
+						}
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							if n.IsExported() {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("no exported identifiers found in %s", dir)
+	}
+	return names
 }
 
 // TestMetricsDocDrift fails when docs/METRICS.md and the live metric

@@ -53,25 +53,25 @@ func run(region string) error {
 	wcb := bounds.Midpoint()
 	fmt.Printf("%-28s MRE %.3f\n", "worst-case-bound prior", score(wcb))
 
-	entropy, err := core.Entropy(inst, gravity, 1000)
+	entropy, _, err := core.Entropy(inst, gravity, 1000, core.SolveOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-28s MRE %.3f\n", "entropy w. gravity prior", score(entropy))
 
-	bayes, err := core.Bayesian(inst, gravity, 1000)
+	bayes, _, err := core.Bayesian(inst, gravity, 1000, core.SolveOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-28s MRE %.3f\n", "bayes w. gravity prior", score(bayes))
 
-	bayesWCB, err := core.Bayesian(inst, wcb, 1000)
+	bayesWCB, _, err := core.Bayesian(inst, wcb, 1000, core.SolveOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-28s MRE %.3f\n", "bayes w. WCB prior", score(bayesWCB))
 
-	fan, err := core.EstimateFanouts(sc.Rt, sc.LoadSeries(start, 20), core.DefaultFanoutConfig())
+	fan, err := core.EstimateFanouts(sc.Rt, sc.LoadSeries(start, 20), core.FanoutConfig{}, core.SolveOptions{})
 	if err != nil {
 		return err
 	}
@@ -79,7 +79,7 @@ func run(region string) error {
 	fmt.Printf("%-28s MRE %.3f\n", "fanout (window 20)",
 		core.MRE(fan.MeanDemand, mean20, core.ShareThreshold(mean20, 0.9)))
 
-	vardi, err := core.Vardi(sc.Rt, sc.LoadSeries(start, 50), core.DefaultVardiConfig())
+	vardi, _, err := core.Vardi(sc.Rt, sc.LoadSeries(start, 50), core.DefaultVardiConfig(), core.SolveOptions{})
 	if err != nil {
 		return err
 	}

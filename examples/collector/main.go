@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	estimate, err := core.Entropy(inst, core.Gravity(inst), 1000)
+	estimate, _, err := core.Entropy(inst, core.Gravity(inst), 1000, core.SolveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

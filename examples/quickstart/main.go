@@ -32,7 +32,7 @@ func main() {
 	// 3. A gravity prior from the access-link loads only, then the
 	//    entropy-regularized estimate (eq. 6 of the paper).
 	prior := core.Gravity(inst)
-	estimate, err := core.Entropy(inst, prior, 1000)
+	estimate, _, err := core.Entropy(inst, prior, 1000, core.SolveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

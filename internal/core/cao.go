@@ -139,7 +139,7 @@ func Cao(rt *topology.Routing, loads []linalg.Vector, cfg CaoConfig) (linalg.Vec
 		// Each round's linearized system is a different matrix, so the
 		// cached operator norm never applies — drop it explicitly.
 		ws.InvalidateOperator()
-		nextLam, res := solver.LeastSquaresNonnegWS(&ws, sys, rhs, nil, 0, lam, cfg.MaxIter, cfg.Tol)
+		nextLam, res := solver.LeastSquaresNonneg(&ws, sys, rhs, nil, 0, lam, cfg.MaxIter, cfg.Tol)
 		if !nextLam.AllFinite() {
 			return nil, fmt.Errorf("core: Cao diverged at round %d (%d iters)", round, res.Iterations)
 		}

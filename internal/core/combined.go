@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/linalg"
-	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -71,9 +70,9 @@ func DirectMeasurementCurve(in *Instance, truth linalg.Vector, prior linalg.Vect
 		if len(measured) > 0 {
 			inst = MeasuredInstance(in, measured)
 		}
-		s, res := solver.EntropyRegularizedFrom(inst.Rt.R, inst.Loads, prior, 1/reg, warm, searchIter, searchTol)
-		if !s.AllFinite() {
-			return nil, fmt.Errorf("core: entropy solve diverged (%d iters)", res.Iterations)
+		s, _, err := Entropy(inst, prior, reg, SolveOptions{X0: warm, MaxIter: searchIter, Tol: searchTol})
+		if err != nil {
+			return nil, err
 		}
 		// Measured demands are known exactly; pin them (the solver drives
 		// them to the constraint, pinning removes residual solver error

@@ -260,7 +260,7 @@ func TestKruithofGeneralReachesConsistency(t *testing.T) {
 func TestBayesianImprovesOnPrior(t *testing.T) {
 	for _, f := range []*fixture{europe(t), america(t)} {
 		prior := Gravity(f.inst)
-		est, err := Bayesian(f.inst, prior, 1000)
+		est, _, err := Bayesian(f.inst, prior, 1000, SolveOptions{})
 		if err != nil {
 			t.Fatalf("Bayesian: %v", err)
 		}
@@ -276,7 +276,7 @@ func TestBayesianImprovesOnPrior(t *testing.T) {
 func TestEntropyImprovesOnPrior(t *testing.T) {
 	for _, f := range []*fixture{europe(t), america(t)} {
 		prior := Gravity(f.inst)
-		est, err := Entropy(f.inst, prior, 1000)
+		est, _, err := Entropy(f.inst, prior, 1000, SolveOptions{})
 		if err != nil {
 			t.Fatalf("Entropy: %v", err)
 		}
@@ -295,11 +295,11 @@ func TestRegularizationSweepShape(t *testing.T) {
 	f := europe(t)
 	prior := Gravity(f.inst)
 	mrePrior := MRE(prior, f.truth, f.thresh)
-	smallEst, err := Bayesian(f.inst, prior, 1e-5)
+	smallEst, _, err := Bayesian(f.inst, prior, 1e-5, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	largeEst, err := Bayesian(f.inst, prior, 1e4)
+	largeEst, _, err := Bayesian(f.inst, prior, 1e4, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +315,10 @@ func TestRegularizationSweepShape(t *testing.T) {
 
 func TestBayesianRejectsBadReg(t *testing.T) {
 	f := europe(t)
-	if _, err := Bayesian(f.inst, Gravity(f.inst), 0); err == nil {
+	if _, _, err := Bayesian(f.inst, Gravity(f.inst), 0, SolveOptions{}); err == nil {
 		t.Fatal("expected error for reg=0")
 	}
-	if _, err := Entropy(f.inst, Gravity(f.inst), -1); err == nil {
+	if _, _, err := Entropy(f.inst, Gravity(f.inst), -1, SolveOptions{}); err == nil {
 		t.Fatal("expected error for negative reg")
 	}
 }
@@ -330,7 +330,7 @@ func TestBayesianNNLSAgreesWithFISTA(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BayesianNNLS: %v", err)
 	}
-	approx, err := Bayesian(f.inst, prior, 100)
+	approx, _, err := Bayesian(f.inst, prior, 100, SolveOptions{})
 	if err != nil {
 		t.Fatalf("Bayesian: %v", err)
 	}

@@ -14,7 +14,7 @@ func TestIterativeBayesianConverges(t *testing.T) {
 	if rounds < 1 {
 		t.Fatalf("rounds = %d", rounds)
 	}
-	base, err := Bayesian(f.inst, prior, 1000)
+	base, _, err := Bayesian(f.inst, prior, 1000, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCaoRunsAndBeatsOrMatchesVardi(t *testing.T) {
 			t.Fatal("negative Cao estimate")
 		}
 	}
-	vardi, err := Vardi(f.rt, loads, DefaultVardiConfig())
+	vardi, _, err := Vardi(f.rt, loads, DefaultVardiConfig(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

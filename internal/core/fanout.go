@@ -11,18 +11,11 @@ import (
 // FanoutConfig tunes the constant-fanout estimator (§4.2.4), the paper's
 // novel method.
 type FanoutConfig struct {
-	MaxIter int
-	Tol     float64
 	// Unconstrained drops the per-source simplex constraint (Σ_m α_nm = 1,
 	// α >= 0), solving the plain least-squares problem instead. Kept for
 	// the constraint-ablation benchmark; the constrained form is the
 	// paper's.
 	Unconstrained bool
-}
-
-// DefaultFanoutConfig returns the settings used in the paper reproduction.
-func DefaultFanoutConfig() FanoutConfig {
-	return FanoutConfig{MaxIter: 20000, Tol: 1e-9}
 }
 
 // FanoutEstimate holds the result of the constant-fanout estimation.
@@ -31,7 +24,7 @@ type FanoutEstimate struct {
 	// source PoP's ingress traffic destined to its destination PoP.
 	Alpha linalg.Vector
 	// MeanDemand[p] is the estimated average demand over the window:
-	// mean_k( te(src(p))[k] · α_p ).
+	// mean_k( te(src(p))[k] · α_p ), clamped at zero.
 	MeanDemand linalg.Vector
 	// Iterations used by the projected-gradient solve.
 	Iterations int
@@ -47,17 +40,16 @@ type FanoutEstimate struct {
 // PoP's total ingress traffic during interval k (read off the ingress
 // access-link loads). The constraint set is a product of per-source
 // simplices; the problem is solved with accelerated projected gradient.
-func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, cfg FanoutConfig) (*FanoutEstimate, error) {
-	return EstimateFanoutsFrom(rt, loads, cfg, nil)
-}
-
-// EstimateFanoutsFrom is EstimateFanouts with an explicit starting fanout
-// iterate alpha0 (nil starts from uniform fanouts). The paper's Figs. 4–5
-// point is precisely that fanouts drift slowly, so the previous window's
-// solved alpha is an excellent warm start for the next one
-// (internal/stream); the constrained objective's solution set does not
-// depend on the start.
-func EstimateFanoutsFrom(rt *topology.Routing, loads []linalg.Vector, cfg FanoutConfig, alpha0 linalg.Vector) (*FanoutEstimate, error) {
+//
+// opt.X0 is the starting fanout iterate (nil starts from uniform fanouts).
+// The paper's Figs. 4–5 point is precisely that fanouts drift slowly, so
+// the previous window's solved alpha is an excellent warm start for the
+// next one (internal/stream); the constrained objective's solution set
+// does not depend on the start. The per-interval scalings, gradient
+// staging, source groups and simplex-projection scratch are drawn from the
+// workspace; the returned Alpha and MeanDemand are freshly allocated.
+func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, cfg FanoutConfig, opt SolveOptions) (*FanoutEstimate, error) {
+	ws, maxIter, tol := opt.budget(defaultMaxIter)
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("core: EstimateFanouts needs at least one sample")
 	}
@@ -65,31 +57,47 @@ func EstimateFanoutsFrom(rt *topology.Routing, loads []linalg.Vector, cfg Fanout
 	p := net.NumPairs()
 	n := net.NumPoPs()
 	k := len(loads)
+	if opt.X0 != nil && len(opt.X0) != p {
+		return nil, fmt.Errorf("core: fanout warm start has %d entries, want %d", len(opt.X0), p)
+	}
 
-	// Per-interval source scalings te(src(p))[k].
-	scales := make([]linalg.Vector, k)
+	// Per-interval source scalings te(src(p))[k], vectors reused across
+	// re-solves (the window length is stable in steady state).
+	if cap(ws.scales) >= k {
+		ws.scales = ws.scales[:k]
+	} else {
+		ws.scales = append(ws.scales[:cap(ws.scales)], make([]linalg.Vector, k-cap(ws.scales))...)
+	}
 	for i, t := range loads {
 		if len(t) != rt.R.Rows() {
 			return nil, fmt.Errorf("core: sample %d has %d loads, want %d", i, len(t), rt.R.Rows())
 		}
-		sc := linalg.NewVector(p)
+		if j := nonFinite(t); j >= 0 {
+			return nil, fmt.Errorf("core: EstimateFanouts sample %d load %d is %v", i, j, t[j])
+		}
+		sc := vbuf(&ws.scales[i], p)
 		for pair := 0; pair < p; pair++ {
 			src, _ := net.PairFromIndex(pair)
 			sc[pair] = t[rt.IngressRow(src)]
 		}
-		scales[i] = sc
 	}
-	// Per-source index groups for the simplex projection.
-	groups := make([][]int, n)
-	for pair := 0; pair < p; pair++ {
-		src, _ := net.PairFromIndex(pair)
-		groups[src] = append(groups[src], pair)
+	scales := ws.scales
+	// Per-source index groups for the simplex projection, rebuilt only
+	// when the topology changes.
+	if ws.groupsFor != net {
+		groups := make([][]int, n)
+		for pair := 0; pair < p; pair++ {
+			src, _ := net.PairFromIndex(pair)
+			groups[src] = append(groups[src], pair)
+		}
+		ws.groups, ws.groupsFor = groups, net
 	}
+	groups := ws.groups
 
 	// Gradient of Σ_k ‖R·S_k·α − t_k‖²: Σ_k 2·S_k·Rᵀ·(R·S_k·α − t_k).
-	scaled := linalg.NewVector(p)
-	resid := linalg.NewVector(rt.R.Rows())
-	back := linalg.NewVector(p)
+	scaled := vbuf(&ws.scaled, p)
+	resid := vbuf(&ws.resid, rt.R.Rows())
+	back := vbuf(&ws.back, p)
 	grad := func(dst, a linalg.Vector) {
 		dst.Zero()
 		for i := 0; i < k; i++ {
@@ -107,7 +115,7 @@ func EstimateFanoutsFrom(rt *topology.Routing, loads []linalg.Vector, cfg Fanout
 	}
 	// Lipschitz constant of the summed quadratic: Σ_k ‖R·S_k‖² bounded by
 	// ‖R‖²·Σ_k max(S_k)².
-	rNorm := solver.OperatorNormSq(rt.R)
+	rNorm := ws.opNormSq(rt.R)
 	var lip float64
 	for i := 0; i < k; i++ {
 		mx, _ := scales[i].Max()
@@ -115,27 +123,26 @@ func EstimateFanoutsFrom(rt *topology.Routing, loads []linalg.Vector, cfg Fanout
 	}
 	project := func(a linalg.Vector) {
 		for _, g := range groups {
-			projectGroupSimplex(a, g)
+			ws.projectGroupSimplex(a, g)
 		}
 	}
 	if cfg.Unconstrained {
 		project = func(a linalg.Vector) { a.ClampNonNegative() }
 	}
 	var alpha linalg.Vector
-	if alpha0 != nil {
-		if len(alpha0) != p {
-			return nil, fmt.Errorf("core: fanout warm start has %d entries, want %d", len(alpha0), p)
-		}
-		alpha = alpha0.Clone()
+	if opt.X0 != nil {
+		alpha = opt.X0.Clone()
 		project(alpha) // re-project: the caller's iterate may be slightly off the simplex
 	} else {
 		// Start from uniform fanouts.
 		alpha = linalg.NewVector(p)
 		alpha.Fill(1 / float64(n-1))
 	}
-	alpha, res := solver.FISTA(alpha, grad, lip, project, cfg.MaxIter, cfg.Tol)
+	alpha, res := solver.FISTA(&ws.sw, alpha, grad, lip, project, maxIter, tol)
 
-	// Demand reconstruction: average of S_k·α over the window.
+	// Demand reconstruction: average of S_k·α over the window. A negative
+	// ingress load can only come from a measurement error, so the demand
+	// it would imply is clamped at zero like every other estimator's.
 	mean := linalg.NewVector(p)
 	for i := 0; i < k; i++ {
 		for j := range mean {
@@ -143,17 +150,21 @@ func EstimateFanoutsFrom(rt *topology.Routing, loads []linalg.Vector, cfg Fanout
 		}
 	}
 	mean.Scale(1 / float64(k))
+	mean.ClampNonNegative()
+	if !alpha.AllFinite() || !mean.AllFinite() {
+		return nil, fmt.Errorf("core: EstimateFanouts produced non-finite estimate (%d iters)", res.Iterations)
+	}
 	return &FanoutEstimate{Alpha: alpha, MeanDemand: mean, Iterations: res.Iterations}, nil
 }
 
 // projectGroupSimplex projects the coordinates of a listed in group onto
-// the unit simplex, in place.
-func projectGroupSimplex(a linalg.Vector, group []int) {
-	tmp := make([]float64, len(group))
+// the unit simplex, in place, staging them in workspace scratch.
+func (ws *Workspace) projectGroupSimplex(a linalg.Vector, group []int) {
+	tmp := fbuf(&ws.groupTmp, len(group))
 	for i, j := range group {
 		tmp[i] = a[j]
 	}
-	solver.ProjectSimplex(tmp, 1)
+	ws.simplexScratch = solver.ProjectSimplexInto(tmp, 1, ws.simplexScratch)
 	for i, j := range group {
 		a[j] = tmp[i]
 	}

@@ -31,6 +31,7 @@ func IterativeBayesian(in *Instance, prior linalg.Vector, cfg IterativeBayesianC
 		return nil, 0, fmt.Errorf("core: IterativeBayesian needs at least one round")
 	}
 	cur := prior.Clone()
+	ws := NewWorkspace(nil) // one workspace for every round's solve
 	for round := 0; round < cfg.Rounds; round++ {
 		inst := in
 		if cfg.Snapshots != nil {
@@ -40,7 +41,7 @@ func IterativeBayesian(in *Instance, prior linalg.Vector, cfg IterativeBayesianC
 				return nil, round, err
 			}
 		}
-		next, err := Bayesian(inst, cur, cfg.Reg)
+		next, _, err := Bayesian(inst, cur, cfg.Reg, SolveOptions{WS: ws})
 		if err != nil {
 			return nil, round, err
 		}

@@ -110,7 +110,7 @@ func TestBoundsWidthNonNegative(t *testing.T) {
 func TestEstimateFanoutsRecoversDemands(t *testing.T) {
 	f := europe(t)
 	loads := f.loadSeries(10)
-	est, err := EstimateFanouts(f.rt, loads, DefaultFanoutConfig())
+	est, err := EstimateFanouts(f.rt, loads, FanoutConfig{}, SolveOptions{})
 	if err != nil {
 		t.Fatalf("EstimateFanouts: %v", err)
 	}
@@ -145,9 +145,9 @@ func TestFanoutWindowLengthHelps(t *testing.T) {
 	// that same snapshot, so it scores deceptively well on its own noise.)
 	f := europe(t)
 	mreAt := func(k int) float64 {
-		est, err := EstimateFanouts(f.rt, f.loadSeries(k), DefaultFanoutConfig())
+		est, err := EstimateFanouts(f.rt, f.loadSeries(k), FanoutConfig{}, SolveOptions{})
 		if err != nil {
-			t.Fatalf("EstimateFanouts(%d): %v", k, err)
+			t.Fatalf("EstimateFanouts(%d, SolveOptions{}): %v", k, err)
 		}
 		mean := f.series.MeanDemand(f.start, k)
 		return MRE(est.MeanDemand, mean, ShareThreshold(mean, 0.9))
@@ -161,7 +161,7 @@ func TestFanoutWindowLengthHelps(t *testing.T) {
 
 func TestEstimateFanoutsRejectsEmpty(t *testing.T) {
 	f := europe(t)
-	if _, err := EstimateFanouts(f.rt, nil, DefaultFanoutConfig()); err == nil {
+	if _, err := EstimateFanouts(f.rt, nil, FanoutConfig{}, SolveOptions{}); err == nil {
 		t.Fatal("expected error for empty series")
 	}
 }
@@ -170,7 +170,7 @@ func TestVardiRunsAndRanks(t *testing.T) {
 	f := europe(t)
 	loads := f.loadSeries(50)
 	cfg := DefaultVardiConfig()
-	lam, err := Vardi(f.rt, loads, cfg)
+	lam, _, err := Vardi(f.rt, loads, cfg, SolveOptions{})
 	if err != nil {
 		t.Fatalf("Vardi: %v", err)
 	}
@@ -198,11 +198,11 @@ func TestVardiStrongPoissonFaithIsWorse(t *testing.T) {
 	loads := f.loadSeries(50)
 	mean := f.series.MeanDemand(f.start, 50)
 	th := ShareThreshold(mean, 0.9)
-	weak, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 0.01, MaxIter: 30000, Tol: 1e-9})
+	weak, _, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 0.01}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strong, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1, MaxIter: 30000, Tol: 1e-9})
+	strong, _, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestVardiStrongPoissonFaithIsWorse(t *testing.T) {
 
 func TestVardiNeedsTimeSeries(t *testing.T) {
 	f := europe(t)
-	if _, err := Vardi(f.rt, f.loadSeries(1), DefaultVardiConfig()); err == nil {
+	if _, _, err := Vardi(f.rt, f.loadSeries(1), DefaultVardiConfig(), SolveOptions{}); err == nil {
 		t.Fatal("expected error for single sample")
 	}
 }
@@ -235,7 +235,7 @@ func TestVardiOnSyntheticPoissonImprovesWithWindow(t *testing.T) {
 		for i := range demands {
 			loads[i] = f.rt.LinkLoads(demands[i])
 		}
-		lam, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1, MaxIter: 30000, Tol: 1e-9})
+		lam, _, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1}, SolveOptions{})
 		if err != nil {
 			t.Fatalf("Vardi: %v", err)
 		}
@@ -258,7 +258,7 @@ func TestMeasuredInstancePinsDemand(t *testing.T) {
 	if mi.Loads[len(mi.Loads)-1] != f.truth[pMax] {
 		t.Fatal("measured value not appended to loads")
 	}
-	est, err := Entropy(mi, Gravity(f.inst), 1000)
+	est, _, err := Entropy(mi, Gravity(f.inst), 1000, SolveOptions{})
 	if err != nil {
 		t.Fatalf("Entropy on measured instance: %v", err)
 	}

@@ -135,9 +135,7 @@ func TestPropertyFanoutRows(t *testing.T) {
 		}
 		// The simplex projection runs every iteration, so the row-sum
 		// invariant holds at any budget — no need for full convergence.
-		cfg := core.DefaultFanoutConfig()
-		cfg.MaxIter = 2000
-		est, err := core.EstimateFanouts(in.Sc.Rt, in.Loads[:10], cfg)
+		est, err := core.EstimateFanouts(in.Sc.Rt, in.Loads[:10], core.FanoutConfig{}, core.SolveOptions{MaxIter: 2000})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}
@@ -158,7 +156,7 @@ func TestPropertyFanoutRows(t *testing.T) {
 func TestPropertyRegularized(t *testing.T) {
 	for _, in := range instances(t) {
 		prior := core.Gravity(in.Inst)
-		ent, err := core.Entropy(in.Inst, prior, 1000)
+		ent, _, err := core.Entropy(in.Inst, prior, 1000, core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}
@@ -166,7 +164,7 @@ func TestPropertyRegularized(t *testing.T) {
 		if e := relLinkErr(in, ent); e > 0.05 {
 			t.Fatalf("%s: entropy link-load error %.4f > 5%%", in.Spec, e)
 		}
-		bay, err := core.Bayesian(in.Inst, prior, 1000)
+		bay, _, err := core.Bayesian(in.Inst, prior, 1000, core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}
@@ -237,7 +235,7 @@ func TestPropertyKruithof(t *testing.T) {
 // tight moment-fit invariant exists there.)
 func TestPropertyVardi(t *testing.T) {
 	for _, in := range instances(t) {
-		lam, iters, err := core.VardiIters(in.Sc.Rt, in.Loads, core.DefaultVardiConfig())
+		lam, iters, err := core.Vardi(in.Sc.Rt, in.Loads, core.DefaultVardiConfig(), core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}
@@ -246,8 +244,7 @@ func TestPropertyVardi(t *testing.T) {
 		}
 		checkNonNegFinite(t, in.Spec+"/vardi", lam)
 
-		first, _, err := core.VardiIters(in.Sc.Rt, in.Loads,
-			core.VardiConfig{SigmaInv2: 0, MaxIter: 30000, Tol: 1e-9})
+		first, _, err := core.Vardi(in.Sc.Rt, in.Loads, core.VardiConfig{SigmaInv2: 0}, core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}

@@ -8,44 +8,52 @@ import (
 	"repro/internal/solver"
 )
 
-// regIter and regTol are the iteration budget and relative-change tolerance
-// shared by the regularized solvers. The objectives are strongly smooth and
-// the problems small (≤ 600 variables), so these are generous.
-const (
-	regIter = 20000
-	regTol  = 1e-9
-)
-
 // Bayesian computes the MAP estimate of eq. (7):
 //
 //	minimize ‖R·s − t‖² + σ⁻²·‖s − prior‖²   subject to s >= 0,
 //
 // where reg = σ² is the regularization parameter swept in Fig. 13: small
 // values trust the prior, large values trust the link measurements. Solved
-// with accelerated projected gradient (FISTA).
-func Bayesian(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector, error) {
-	x, _, err := BayesianFrom(in, prior, reg, nil, regIter, regTol)
-	return x, err
-}
-
-// BayesianFrom is Bayesian with an explicit starting iterate x0 (nil
-// starts from the prior), an explicit iteration budget and stopping
-// tolerance, and the consumed FISTA iteration count exposed. The MAP
-// objective is strongly convex, so the solution is independent of x0;
-// note that FISTA's momentum makes a warm start shorten the *distance*
-// to the fixed point without reliably shortening the iteration count —
-// streaming re-solves (internal/stream) get their warm-start iteration
-// savings from the entropy and fanout solvers, and use this entry point
-// for its budget control and telemetry.
-func BayesianFrom(in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Bayesian needs positive regularization, got %v", reg)
+// with accelerated projected gradient (FISTA); opt.X0 nil starts from the
+// prior. The MAP objective is strongly convex, so the solution is
+// independent of the start; note that FISTA's momentum makes a warm start
+// shorten the *distance* to the fixed point without reliably shortening
+// the iteration count — streaming re-solves (internal/stream) get their
+// warm-start iteration savings from the entropy and fanout solvers.
+func Bayesian(in *Instance, prior linalg.Vector, reg float64, opt SolveOptions) (linalg.Vector, int, error) {
+	ws, maxIter, tol := opt.budget(defaultMaxIter)
+	if err := checkRegularized("Bayesian", in, prior, reg, opt.X0); err != nil {
+		return nil, 0, err
 	}
-	x, res := solver.LeastSquaresNonneg(in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
+	x, res := solver.LeastSquaresNonneg(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, opt.X0, maxIter, tol)
 	if !x.AllFinite() {
 		return nil, 0, fmt.Errorf("core: Bayesian produced non-finite estimate (%d iters)", res.Iterations)
 	}
 	return x, res.Iterations, nil
+}
+
+// checkRegularized validates the inputs of the regularized estimators:
+// positive regularization, finite loads (a NaN or ±Inf measurement can only
+// produce a non-finite estimate, so it is refused before any solver budget
+// is spent on it), and a prior and warm start with one entry per demand.
+func checkRegularized(method string, in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector) error {
+	if reg <= 0 {
+		return fmt.Errorf("core: %s needs positive regularization, got %v", method, reg)
+	}
+	if l := in.Rt.R.Rows(); len(in.Loads) != l {
+		return fmt.Errorf("core: %s has %d loads for %d links", method, len(in.Loads), l)
+	}
+	if j := nonFinite(in.Loads); j >= 0 {
+		return fmt.Errorf("core: %s load %d is %v", method, j, in.Loads[j])
+	}
+	p := in.Rt.R.Cols()
+	if len(prior) != p {
+		return fmt.Errorf("core: %s prior has %d demands, want %d", method, len(prior), p)
+	}
+	if x0 != nil && len(x0) != p {
+		return fmt.Errorf("core: %s warm start has %d demands, want %d", method, len(x0), p)
+	}
+	return nil
 }
 
 // BayesianNNLS solves the same MAP problem exactly with Lawson–Hanson NNLS
@@ -78,33 +86,18 @@ func BayesianNNLS(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector
 //	minimize ‖R·s − t‖² + σ⁻²·D(s‖prior)   subject to s >= 0,
 //
 // with reg = σ² the regularization parameter. Solved by forward–backward
-// splitting with an exact per-coordinate KL proximal step.
-func Entropy(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector, error) {
-	x, _, err := EntropyBudget(in, prior, reg, regIter, regTol)
-	return x, err
-}
-
-// EntropyBudget is Entropy with an explicit iteration budget and stopping
-// tolerance, and the consumed iteration count exposed. Large-backbone
-// evaluations (internal/scenario) trade the last digits of convergence
-// for bounded runtime on 10k-demand instances; the defaults used by
-// Entropy itself are regIter/regTol.
-func EntropyBudget(in *Instance, prior linalg.Vector, reg float64, maxIter int, tol float64) (linalg.Vector, int, error) {
-	return EntropyFrom(in, prior, reg, nil, maxIter, tol)
-}
-
-// EntropyFrom is EntropyBudget with an explicit starting iterate x0 (nil
-// starts from the prior, as Entropy does). The objective is strictly
-// convex on the prior's support, so the fixed point does not depend on
-// x0 — only the iteration count does. Streaming re-solves over a slowly
-// drifting window (internal/stream) warm-start each solve from the
-// previous published estimate and converge in a fraction of the
-// cold-start iterations.
-func EntropyFrom(in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Entropy needs positive regularization, got %v", reg)
+// splitting with an exact per-coordinate KL proximal step; opt.X0 nil
+// starts from the prior. The objective is strictly convex on the prior's
+// support, so the fixed point does not depend on the start — only the
+// iteration count does: streaming re-solves over a slowly drifting window
+// (internal/stream) warm-start each solve from the previous published
+// estimate and converge in a fraction of the cold-start iterations.
+func Entropy(in *Instance, prior linalg.Vector, reg float64, opt SolveOptions) (linalg.Vector, int, error) {
+	ws, maxIter, tol := opt.budget(defaultMaxIter)
+	if err := checkRegularized("Entropy", in, prior, reg, opt.X0); err != nil {
+		return nil, 0, err
 	}
-	x, res := solver.EntropyRegularizedFrom(in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
+	x, res := solver.EntropyRegularized(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, opt.X0, maxIter, tol)
 	if !x.AllFinite() {
 		return nil, 0, fmt.Errorf("core: Entropy produced non-finite estimate (%d iters)", res.Iterations)
 	}

@@ -17,16 +17,11 @@ type VardiConfig struct {
 	// matching conditions relative to the first moments. 1 expresses full
 	// faith in the Poisson assumption; 0 ignores second moments entirely.
 	SigmaInv2 float64
-	// MaxIter bounds the non-negative least-squares solve.
-	MaxIter int
-	// Tol is the relative-change stopping tolerance.
-	Tol float64
 }
 
-// DefaultVardiConfig mirrors the paper's Table 1 setting σ⁻² = 0.01 with a
-// solver budget adequate for the American network.
+// DefaultVardiConfig mirrors the paper's Table 1 setting σ⁻² = 0.01.
 func DefaultVardiConfig() VardiConfig {
-	return VardiConfig{SigmaInv2: 0.01, MaxIter: 30000, Tol: 1e-9}
+	return VardiConfig{SigmaInv2: 0.01}
 }
 
 // Vardi estimates the mean traffic matrix λ from a time series of link-load
@@ -40,24 +35,18 @@ func DefaultVardiConfig() VardiConfig {
 // problem. Following the paper (after [22]) a least-squares fit replaces
 // Vardi's original EM on Kullback–Leibler moment distances, because sample
 // moments may be negative.
-func Vardi(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig) (linalg.Vector, error) {
-	lam, _, err := VardiIters(rt, loads, cfg)
-	return lam, err
-}
-
-// VardiIters is Vardi with the solver iteration count exposed, for the
-// cross-scenario evaluation harness (internal/scenario).
-func VardiIters(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig) (linalg.Vector, int, error) {
-	return VardiFrom(rt, loads, cfg, nil)
-}
-
-// VardiFrom is VardiIters with an explicit starting iterate x0 for the
-// stacked non-negative least-squares solve (nil keeps the neutral
-// uniform spread). The moment system is solved to a unique least-norm
-// fixed point regardless of x0; a warm start from the previous window's
-// estimate (internal/stream) cuts the iteration count on slowly
-// drifting demand.
-func VardiFrom(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, x0 linalg.Vector) (linalg.Vector, int, error) {
+//
+// opt.X0 warm-starts the stacked solve (nil spreads the total traffic
+// uniformly over the demands); the moment system is solved to a unique
+// least-norm fixed point regardless of the start, so a warm start from the
+// previous window's estimate only cuts the iteration count. The default
+// budget is 30000 iterations at tolerance 1e-9, adequate for the American
+// network. The moment assembly (transpose traversal, row indexing, stacked
+// system, operator norm) is served from the workspace's SolveCache and the
+// sample moments, right-hand side and solver buffers are drawn from the
+// workspace; only the returned estimate is freshly allocated.
+func Vardi(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, opt SolveOptions) (linalg.Vector, int, error) {
+	ws, maxIter, tol := opt.budget(vardiMaxIter)
 	if len(loads) < 2 {
 		return nil, 0, fmt.Errorf("core: Vardi needs a time series, got %d samples", len(loads))
 	}
@@ -67,29 +56,74 @@ func VardiFrom(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, x0 
 		if len(t) != l {
 			return nil, 0, fmt.Errorf("core: Vardi sample %d has %d loads, want %d", i, len(t), l)
 		}
+		if j := nonFinite(t); j >= 0 {
+			return nil, 0, fmt.Errorf("core: Vardi sample %d load %d is %v", i, j, t[j])
+		}
 	}
-	tHat := stats.MeanVector(loads)
-	cov := stats.CovarianceMatrix(loads)
+	x0 := opt.X0
+	if x0 != nil && len(x0) != p {
+		return nil, 0, fmt.Errorf("core: Vardi warm start has %d demands, want %d", len(x0), p)
+	}
+	tHat := stats.MeanVectorInto(vbuf(&ws.tHat, l), loads)
+	if ws.cov == nil || ws.cov.Rows != l || ws.cov.Cols != l {
+		ws.cov = linalg.NewMatrix(l, l)
+	}
+	cov := stats.CovarianceMatrixInto(ws.cov, vbuf(&ws.covMean, l), vbuf(&ws.covD, l), loads)
 
-	// Second-moment rows: for each unordered link pair (i <= j), the model
-	// says Σ_p R_ip·R_jp·λ_p = Σ̂_ij. A pair p contributes to row (i, j)
-	// only if its path crosses both links, so we enumerate per-demand link
-	// sets — read off the transposed routing matrix in O(nnz) rather than
-	// by an O(L·P) dense scan, which is what keeps assembly sub-second at
-	// 100+ PoPs. The transpose also carries the entry values, so
-	// fractional (ECMP) routing matrices get their correct R_ip·R_jp
-	// coefficients; on 0/1 single-path matrices the products are exactly
-	// 1, identical to the classical assembly.
-	rT := rt.R.T() // p×l: row pair -> (link, fraction) in ascending link order
+	w := 0.0
+	if cfg.SigmaInv2 > 0 {
+		w = math.Sqrt(cfg.SigmaInv2)
+	}
+	asm := ws.vardiFor(rt.R, w)
+	rhs := vbuf(&ws.rhs, l+len(asm.keys))
+	copy(rhs[:l], tHat)
+	for row, key := range asm.keys {
+		rhs[l+row] = w * cov.At(key[0], key[1])
+	}
+	if x0 == nil {
+		// Neutral start: total traffic spread uniformly over the demands.
+		x0 = vbuf(&ws.x0, p)
+		x0.Fill(tHat.Sum() / float64(l) / float64(p) * float64(l))
+	}
+	ws.sw.Prime(asm.stacked, asm.normSq)
+	lam, res := solver.LeastSquaresNonneg(&ws.sw, asm.stacked, rhs, nil, 0, x0, maxIter, tol)
+	if !lam.AllFinite() {
+		return nil, 0, fmt.Errorf("core: Vardi produced non-finite estimate (%d iters)", res.Iterations)
+	}
+	return lam, res.Iterations, nil
+}
+
+// vardiAssembly is the per-(matrix, weight) part of Vardi's moment system:
+// everything except the right-hand side, which depends on the window's
+// sample moments and is rebuilt per solve.
+type vardiAssembly struct {
+	keys    [][2]int       // stacked row -> unordered link pair, first-use order
+	stacked *sparse.Matrix // [R; w·second], the solve operator
+	normSq  float64        // ‖stacked‖₂²
+}
+
+// buildVardiAssembly assembles the window-independent part of Vardi's
+// stacked moment system for routing matrix r and weight w.
+//
+// Second-moment rows: for each unordered link pair (i <= j), the model
+// says Σ_p R_ip·R_jp·λ_p = Σ̂_ij. A pair p contributes to row (i, j) only
+// if its path crosses both links, so we enumerate per-demand link sets —
+// read off the transposed routing matrix in O(nnz) rather than by an
+// O(L·P) dense scan, which is what keeps assembly sub-second at 100+
+// PoPs. The transpose also carries the entry values, so fractional (ECMP)
+// routing matrices get their correct R_ip·R_jp coefficients; on 0/1
+// single-path matrices the products are exactly 1, identical to the
+// classical assembly. Row indices are assigned in the same first-use order
+// a dense scan would produce, so the stacked system is bit-identical to
+// the classical assembly on 0/1 matrices.
+func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vardiAssembly {
+	p := r.Cols()
+	rT := r.T() // p×l: row pair -> (link, fraction) in ascending link order
 	total := 0
 	for pair := 0; pair < p; pair++ {
 		k := rT.RowNNZ(pair)
 		total += k * (k + 1) / 2
 	}
-	// Row indices are assigned in the same first-use order a dense scan
-	// would produce, so the stacked system is bit-identical to the
-	// classical assembly on 0/1 matrices; entries are collected in the
-	// same single pass and emitted once the row count is known.
 	momentRow := make(map[[2]int]int, total/4) // (i,j) -> stacked row index
 	next := 0
 	type entry struct {
@@ -102,22 +136,26 @@ func VardiFrom(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, x0 
 	for pair := 0; pair < p; pair++ {
 		links = links[:0]
 		vals = vals[:0]
-		rT.Row(pair, func(c int, v float64) {
-			links = append(links, c)
+		rT.Row(pair, func(cc int, v float64) {
+			links = append(links, cc)
 			vals = append(vals, v)
 		})
 		for a := 0; a < len(links); a++ {
-			for c := a; c < len(links); c++ {
-				key := [2]int{links[a], links[c]}
+			for cc := a; cc < len(links); cc++ {
+				key := [2]int{links[a], links[cc]}
 				row, ok := momentRow[key]
 				if !ok {
 					row = next
 					momentRow[key] = row
 					next++
 				}
-				entries = append(entries, entry{row, pair, vals[a] * vals[c]})
+				entries = append(entries, entry{row, pair, vals[a] * vals[cc]})
 			}
 		}
+	}
+	keys := make([][2]int, next)
+	for key, row := range momentRow {
+		keys[row] = key
 	}
 	b := sparse.NewBuilder(next, p)
 	b.Grow(len(entries))
@@ -125,30 +163,10 @@ func VardiFrom(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, x0 
 		b.Add(e.row, e.pair, e.coeff)
 	}
 	second := b.Build()
-	rhs2 := linalg.NewVector(next)
-	for key, row := range momentRow {
-		rhs2[row] = cov.At(key[0], key[1])
+	stacked := sparse.VStack(r, second.Scale(w))
+	return &vardiAssembly{
+		keys:    keys,
+		stacked: stacked,
+		normSq:  sw.OperatorNormSq(stacked),
 	}
-	w := 0.0
-	if cfg.SigmaInv2 > 0 {
-		w = math.Sqrt(cfg.SigmaInv2)
-	}
-	stacked := sparse.VStack(rt.R, second.Scale(w))
-	rhs := linalg.NewVector(l + next)
-	copy(rhs[:l], tHat)
-	for i, v := range rhs2 {
-		rhs[l+i] = w * v
-	}
-	if x0 == nil {
-		// Neutral start: total traffic spread uniformly over the demands.
-		x0 = linalg.NewVector(p)
-		x0.Fill(tHat.Sum() / float64(l) / float64(p) * float64(l))
-	} else if len(x0) != p {
-		return nil, 0, fmt.Errorf("core: Vardi warm start has %d demands, want %d", len(x0), p)
-	}
-	lam, res := solver.LeastSquaresNonneg(stacked, rhs, nil, 0, x0, cfg.MaxIter, cfg.Tol)
-	if !lam.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Vardi produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return lam, res.Iterations, nil
 }

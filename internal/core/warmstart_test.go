@@ -1,5 +1,5 @@
-// Warm-start equivalence and efficiency tests: the From variants
-// (EntropyFrom, BayesianFrom, VardiFrom, EstimateFanoutsFrom) must reach
+// Warm-start equivalence and efficiency tests: every estimator started from
+// SolveOptions.X0 (Entropy, Bayesian, Vardi, EstimateFanouts) must reach
 // the same fixed point as their cold-started counterparts on the same
 // window — the objectives are convex, so the start only changes the path
 // — and, for the solvers the streaming engine leans on (entropy,
@@ -72,16 +72,16 @@ func relL1(a, b linalg.Vector) float64 {
 func TestEntropyWarmStartEquivalentAndFaster(t *testing.T) {
 	in0, in1, _, _, _ := warmWindows(t)
 	const reg, maxIter, tol = 1000, 20000, 1e-6
-	prev, _, err := core.EntropyFrom(in0, core.Gravity(in0), reg, nil, maxIter, tol)
+	prev, _, err := core.Entropy(in0, core.Gravity(in0), reg, core.SolveOptions{MaxIter: maxIter, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prior1 := core.Gravity(in1)
-	cold, coldIters, err := core.EntropyFrom(in1, prior1, reg, nil, maxIter, tol)
+	cold, coldIters, err := core.Entropy(in1, prior1, reg, core.SolveOptions{MaxIter: maxIter, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, warmIters, err := core.EntropyFrom(in1, prior1, reg, prev, maxIter, tol)
+	warm, warmIters, err := core.Entropy(in1, prior1, reg, core.SolveOptions{X0: prev, MaxIter: maxIter, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +93,16 @@ func TestEntropyWarmStartEquivalentAndFaster(t *testing.T) {
 	}
 }
 
-// TestBayesianWarmStartEquivalent checks BayesianFrom's equivalence: the
-// strongly convex MAP problem lands on the same estimate from any start.
-// No iteration assertion — FISTA's momentum makes warm-start iteration
-// counts a wash (see BayesianFrom's doc comment), which is exactly why
+// TestBayesianWarmStartEquivalent checks Bayesian's warm-start equivalence:
+// the strongly convex MAP problem lands on the same estimate from any
+// start. No iteration assertion — FISTA's momentum makes warm-start
+// iteration counts a wash (see Bayesian's doc comment), which is exactly why
 // the streaming engine's headline warm-start ratio is measured on the
 // entropy solver.
 func TestBayesianWarmStartEquivalent(t *testing.T) {
 	in0, in1, _, _, _ := warmWindows(t)
 	const reg, maxIter, tol = 1000, 20000, 1e-9
-	prev, prevIters, err := core.BayesianFrom(in0, core.Gravity(in0), reg, nil, maxIter, tol)
+	prev, prevIters, err := core.Bayesian(in0, core.Gravity(in0), reg, core.SolveOptions{MaxIter: maxIter, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestBayesianWarmStartEquivalent(t *testing.T) {
 		t.Fatalf("iteration count not reported (%d)", prevIters)
 	}
 	prior1 := core.Gravity(in1)
-	cold, _, err := core.BayesianFrom(in1, prior1, reg, nil, maxIter, tol)
+	cold, _, err := core.Bayesian(in1, prior1, reg, core.SolveOptions{MaxIter: maxIter, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := core.BayesianFrom(in1, prior1, reg, prev, maxIter, tol)
+	warm, _, err := core.Bayesian(in1, prior1, reg, core.SolveOptions{X0: prev, MaxIter: maxIter, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,22 +123,22 @@ func TestBayesianWarmStartEquivalent(t *testing.T) {
 	}
 }
 
-// TestVardiWarmStartEquivalent checks VardiFrom against the neutral
+// TestVardiWarmStartEquivalent checks a warm-started Vardi against the neutral
 // start on the shifted window: same estimate within solver tolerance,
 // and no more iterations from the adjacent solution than from the
 // neutral spread.
 func TestVardiWarmStartEquivalent(t *testing.T) {
 	_, _, sc, loads0, loads1 := warmWindows(t)
 	cfg := core.DefaultVardiConfig()
-	prev, _, err := core.VardiFrom(sc.Rt, loads0, cfg, nil)
+	prev, _, err := core.Vardi(sc.Rt, loads0, cfg, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldIters, err := core.VardiFrom(sc.Rt, loads1, cfg, nil)
+	cold, coldIters, err := core.Vardi(sc.Rt, loads1, cfg, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, warmIters, err := core.VardiFrom(sc.Rt, loads1, cfg, prev)
+	warm, warmIters, err := core.Vardi(sc.Rt, loads1, cfg, core.SolveOptions{X0: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,27 +148,27 @@ func TestVardiWarmStartEquivalent(t *testing.T) {
 	if warmIters > coldIters {
 		t.Fatalf("warm start consumed %d iterations vs %d cold — want no more", warmIters, coldIters)
 	}
-	if _, _, err := core.VardiFrom(sc.Rt, loads1, cfg, linalg.NewVector(3)); err == nil {
+	if _, _, err := core.Vardi(sc.Rt, loads1, cfg, core.SolveOptions{X0: linalg.NewVector(3)}); err == nil {
 		t.Fatal("mis-sized warm start accepted")
 	}
 }
 
-// TestFanoutWarmStartEquivalent checks EstimateFanoutsFrom: warm-started
+// TestFanoutWarmStartEquivalent checks EstimateFanouts: warm-started
 // from the previous window's alpha it must land on the same fanouts and
 // demands with fewer FISTA iterations (the slowly-drifting-fanout
 // premise of the paper's Figs. 4–5).
 func TestFanoutWarmStartEquivalent(t *testing.T) {
 	_, _, sc, loads0, loads1 := warmWindows(t)
-	cfg := core.DefaultFanoutConfig()
-	prev, err := core.EstimateFanoutsFrom(sc.Rt, loads0, cfg, nil)
+	cfg := core.FanoutConfig{}
+	prev, err := core.EstimateFanouts(sc.Rt, loads0, cfg, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.EstimateFanoutsFrom(sc.Rt, loads1, cfg, nil)
+	cold, err := core.EstimateFanouts(sc.Rt, loads1, cfg, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := core.EstimateFanoutsFrom(sc.Rt, loads1, cfg, prev.Alpha)
+	warm, err := core.EstimateFanouts(sc.Rt, loads1, cfg, core.SolveOptions{X0: prev.Alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFanoutWarmStartEquivalent(t *testing.T) {
 	if warm.Iterations >= cold.Iterations {
 		t.Fatalf("warm start consumed %d iterations vs %d cold — want fewer", warm.Iterations, cold.Iterations)
 	}
-	if _, err := core.EstimateFanoutsFrom(sc.Rt, loads1, cfg, linalg.NewVector(2)); err == nil {
+	if _, err := core.EstimateFanouts(sc.Rt, loads1, cfg, core.SolveOptions{X0: linalg.NewVector(2)}); err == nil {
 		t.Fatal("mis-sized fanout warm start accepted")
 	}
 }

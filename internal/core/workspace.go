@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -23,9 +21,9 @@ import (
 //
 // A SolveCache is safe for concurrent use. Cached matrices are only ever
 // read after construction, so sharing them between concurrently solving
-// tenants is safe. All cached floats are computed by the same deterministic
-// code paths as the uncached entry points, so serving a value from the
-// cache never changes a solver's output bits.
+// tenants is safe. Every cached float is computed by the same deterministic
+// code path whichever tenant asks first, so serving a value from the cache
+// never changes a solver's output bits.
 type SolveCache struct {
 	mu  sync.Mutex
 	ops []*cachedOp
@@ -41,15 +39,6 @@ type cachedOp struct {
 	normSq  float64          // ‖canon‖₂²
 	hasNorm bool
 	vardi   map[float64]*vardiAssembly // keyed by the moment weight w
-}
-
-// vardiAssembly is the per-(matrix, weight) part of Vardi's moment system:
-// everything except the right-hand side, which depends on the window's
-// sample moments and is rebuilt per solve.
-type vardiAssembly struct {
-	keys    [][2]int       // stacked row -> unordered link pair, first-use order
-	stacked *sparse.Matrix // [R; w·second], the solve operator
-	normSq  float64        // ‖stacked‖₂²
 }
 
 // NewSolveCache returns an empty cache.
@@ -102,9 +91,6 @@ func (c *SolveCache) Canonical(m *sparse.Matrix) *sparse.Matrix {
 // for an alias returns exactly the float the alias's own power method
 // would have.
 func (c *SolveCache) OpNormSq(m *sparse.Matrix) float64 {
-	if c == nil {
-		return solver.OperatorNormSq(m)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	op := c.lookup(m)
@@ -116,9 +102,9 @@ func (c *SolveCache) OpNormSq(m *sparse.Matrix) float64 {
 }
 
 // vardiFor returns the cached moment assembly for (m, w), building it on
-// first use. The assembly reproduces VardiFrom's construction exactly:
-// per-demand link sets off the transpose, moment rows indexed in first-use
-// order, the stacked system [R; w·second].
+// first use (buildVardiAssembly: per-demand link sets off the transpose,
+// moment rows indexed in first-use order, the stacked system
+// [R; w·second]).
 func (c *SolveCache) vardiFor(m *sparse.Matrix, w float64) *vardiAssembly {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -134,61 +120,6 @@ func (c *SolveCache) vardiFor(m *sparse.Matrix, w float64) *vardiAssembly {
 	return asm
 }
 
-// buildVardiAssembly assembles the window-independent part of Vardi's
-// stacked moment system for routing matrix r and weight w.
-func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vardiAssembly {
-	p := r.Cols()
-	rT := r.T()
-	total := 0
-	for pair := 0; pair < p; pair++ {
-		k := rT.RowNNZ(pair)
-		total += k * (k + 1) / 2
-	}
-	momentRow := make(map[[2]int]int, total/4)
-	next := 0
-	type entry struct {
-		row, pair int
-		coeff     float64
-	}
-	entries := make([]entry, 0, total)
-	var keys [][2]int
-	var links []int
-	var vals []float64
-	for pair := 0; pair < p; pair++ {
-		links = links[:0]
-		vals = vals[:0]
-		rT.Row(pair, func(cc int, v float64) {
-			links = append(links, cc)
-			vals = append(vals, v)
-		})
-		for a := 0; a < len(links); a++ {
-			for cc := a; cc < len(links); cc++ {
-				key := [2]int{links[a], links[cc]}
-				row, ok := momentRow[key]
-				if !ok {
-					row = next
-					momentRow[key] = row
-					keys = append(keys, key)
-					next++
-				}
-				entries = append(entries, entry{row, pair, vals[a] * vals[cc]})
-			}
-		}
-	}
-	b := sparse.NewBuilder(next, p)
-	b.Grow(len(entries))
-	for _, e := range entries {
-		b.Add(e.row, e.pair, e.coeff)
-	}
-	second := b.Build()
-	stacked := sparse.VStack(r, second.Scale(w))
-	return &vardiAssembly{
-		keys:    keys,
-		stacked: stacked,
-		normSq:  sw.OperatorNormSq(stacked),
-	}
-}
-
 // Workspace bundles the per-engine scratch state of the estimation
 // methods: the solver-level buffers (gradients, residuals, momentum
 // iterates) plus the method-level staging vectors (sample moments, moment
@@ -198,10 +129,9 @@ func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vard
 // Like solver.Workspace, a core Workspace serves one solving goroutine at
 // a time; the streaming engine owns one per engine and reuses it across
 // its periodic re-solves, which is what makes the steady-state resolve
-// loop allocation-free. Every *WS entry point accepts a nil workspace and
-// then matches its workspace-free counterpart exactly — including the
-// output bits, since a workspace only changes where scratch lives, never
-// the arithmetic.
+// loop allocation-free. A workspace only changes where scratch lives,
+// never the arithmetic, so an estimate's bits are the same on a fresh
+// workspace and on one reused across methods and topologies.
 type Workspace struct {
 	sw    solver.Workspace
 	cache *SolveCache
@@ -229,41 +159,91 @@ type Workspace struct {
 	simplexScratch []float64
 }
 
-// NewWorkspace returns a workspace backed by the given SolveCache; a nil
-// cache gets a private one, so a standalone engine still amortizes its
-// power iterations and Vardi assemblies across re-solves.
+// NewWorkspace returns a workspace backed by the given SolveCache. With a
+// nil cache the workspace still amortizes its artifacts across re-solves
+// on its own: operator norms are cached per matrix pointer by the solver
+// workspace, and Vardi's moment assemblies by a private SolveCache made on
+// first use.
 func NewWorkspace(cache *SolveCache) *Workspace {
-	if cache == nil {
-		cache = NewSolveCache()
-	}
 	return &Workspace{cache: cache}
 }
 
-// Solver exposes the underlying solver workspace (for callers that drive
-// the solver package directly with the same buffers).
-func (ws *Workspace) Solver() *solver.Workspace {
-	if ws == nil {
-		return nil
+// opNormSq returns ‖op‖₂², from the shared cache when there is one.
+func (ws *Workspace) opNormSq(op *sparse.Matrix) float64 {
+	if ws.cache == nil {
+		return ws.sw.OperatorNormSq(op)
 	}
-	return &ws.sw
-}
-
-// Cache returns the workspace's SolveCache.
-func (ws *Workspace) Cache() *SolveCache {
-	if ws == nil {
-		return nil
-	}
-	return ws.cache
+	return ws.cache.OpNormSq(op)
 }
 
 // solverWS returns the embedded solver workspace primed so that solving
-// against op skips the power method, and nil for a nil receiver.
+// against op skips the power method.
 func (ws *Workspace) solverWS(op *sparse.Matrix) *solver.Workspace {
-	if ws == nil {
-		return nil
-	}
-	ws.sw.Prime(op, ws.cache.OpNormSq(op))
+	ws.sw.Prime(op, ws.opNormSq(op))
 	return &ws.sw
+}
+
+// vardiFor returns the moment assembly for (m, w) from the workspace's
+// SolveCache, making the private one on first use.
+func (ws *Workspace) vardiFor(m *sparse.Matrix, w float64) *vardiAssembly {
+	if ws.cache == nil {
+		ws.cache = NewSolveCache()
+	}
+	return ws.cache.vardiFor(m, w)
+}
+
+// Default solve budgets: the objectives are strongly smooth and the
+// problems small (≤ 600 variables on the paper's networks), so these are
+// generous. Vardi's stacked moment system gets a larger budget, adequate
+// for the American network.
+const (
+	defaultMaxIter = 20000
+	vardiMaxIter   = 30000
+	defaultTol     = 1e-9
+)
+
+// SolveOptions carries the per-call settings every estimator entry point
+// (Entropy, Bayesian, Vardi, EstimateFanouts) shares. The zero value is a
+// cold solve on a fresh workspace under the method's default budget.
+type SolveOptions struct {
+	// WS supplies reusable scratch and the SolveCache; nil means a fresh
+	// NewWorkspace(nil). The estimate's bits do not depend on it.
+	WS *Workspace
+	// X0 is the warm start: the starting demand estimate, or for
+	// EstimateFanouts the starting fanouts α. Nil means a cold start. It
+	// is only read, never modified.
+	X0 linalg.Vector
+	// MaxIter bounds the solver iterations; 0 means 20000 (30000 for
+	// Vardi).
+	MaxIter int
+	// Tol is the relative-change stopping tolerance; 0 means 1e-9.
+	Tol float64
+}
+
+// budget resolves the options' defaults: the workspace to solve out of and
+// the iteration budget and tolerance, given the method's default budget.
+func (o SolveOptions) budget(defIter int) (ws *Workspace, maxIter int, tol float64) {
+	ws, maxIter, tol = o.WS, o.MaxIter, o.Tol
+	if ws == nil {
+		ws = NewWorkspace(nil)
+	}
+	if maxIter <= 0 {
+		maxIter = defIter
+	}
+	if tol <= 0 {
+		tol = defaultTol
+	}
+	return ws, maxIter, tol
+}
+
+// nonFinite returns the index of v's first NaN or ±Inf entry, or -1.
+func nonFinite(v linalg.Vector) int {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // vbuf returns *p resized to n, reusing its backing array when possible.
@@ -326,196 +306,6 @@ func GravityWS(ws *Workspace, in *Instance) linalg.Vector {
 		return GravityFromTotals(in.Rt.Net, te, tx, nil)
 	}
 	return GravityFromTotalsInto(vbuf(&ws.prior, in.Rt.Net.NumPairs()), in.Rt.Net, te, tx, nil)
-}
-
-// EntropyFromWS is EntropyFrom solving out of ws: solver buffers reused,
-// operator norm served from the cache. Nil ws is exactly EntropyFrom.
-func EntropyFromWS(ws *Workspace, in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Entropy needs positive regularization, got %v", reg)
-	}
-	x, res := solver.EntropyRegularizedFromWS(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
-	if !x.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Entropy produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return x, res.Iterations, nil
-}
-
-// BayesianFromWS is BayesianFrom solving out of ws. Nil ws is exactly
-// BayesianFrom.
-func BayesianFromWS(ws *Workspace, in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Bayesian needs positive regularization, got %v", reg)
-	}
-	x, res := solver.LeastSquaresNonnegWS(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
-	if !x.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Bayesian produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return x, res.Iterations, nil
-}
-
-// VardiFromWS is VardiFrom with the moment assembly (transpose traversal,
-// row indexing, stacked system, operator norm) served from the cache and
-// the sample moments, right-hand side and solver buffers drawn from ws.
-// Only the returned estimate is freshly allocated. Nil ws is exactly
-// VardiFrom.
-func VardiFromWS(ws *Workspace, rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, x0 linalg.Vector) (linalg.Vector, int, error) {
-	if ws == nil {
-		return VardiFrom(rt, loads, cfg, x0)
-	}
-	if len(loads) < 2 {
-		return nil, 0, fmt.Errorf("core: Vardi needs a time series, got %d samples", len(loads))
-	}
-	l := rt.R.Rows()
-	p := rt.R.Cols()
-	for i, t := range loads {
-		if len(t) != l {
-			return nil, 0, fmt.Errorf("core: Vardi sample %d has %d loads, want %d", i, len(t), l)
-		}
-	}
-	tHat := stats.MeanVectorInto(vbuf(&ws.tHat, l), loads)
-	if ws.cov == nil || ws.cov.Rows != l || ws.cov.Cols != l {
-		ws.cov = linalg.NewMatrix(l, l)
-	}
-	cov := stats.CovarianceMatrixInto(ws.cov, vbuf(&ws.covMean, l), vbuf(&ws.covD, l), loads)
-
-	w := 0.0
-	if cfg.SigmaInv2 > 0 {
-		w = math.Sqrt(cfg.SigmaInv2)
-	}
-	asm := ws.cache.vardiFor(rt.R, w)
-	rhs := vbuf(&ws.rhs, l+len(asm.keys))
-	copy(rhs[:l], tHat)
-	for row, key := range asm.keys {
-		rhs[l+row] = w * cov.At(key[0], key[1])
-	}
-	if x0 == nil {
-		x0 = vbuf(&ws.x0, p)
-		x0.Fill(tHat.Sum() / float64(l) / float64(p) * float64(l))
-	} else if len(x0) != p {
-		return nil, 0, fmt.Errorf("core: Vardi warm start has %d demands, want %d", len(x0), p)
-	}
-	ws.sw.Prime(asm.stacked, asm.normSq)
-	lam, res := solver.LeastSquaresNonnegWS(&ws.sw, asm.stacked, rhs, nil, 0, x0, cfg.MaxIter, cfg.Tol)
-	if !lam.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Vardi produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return lam, res.Iterations, nil
-}
-
-// EstimateFanoutsFromWS is EstimateFanoutsFrom with the per-interval
-// scalings, gradient staging, source groups and simplex-projection
-// scratch drawn from ws and the operator norm served from the cache. The
-// returned estimate's Alpha and MeanDemand are freshly allocated (they
-// are published and retained); everything else is pooled. Nil ws is
-// exactly EstimateFanoutsFrom.
-func EstimateFanoutsFromWS(ws *Workspace, rt *topology.Routing, loads []linalg.Vector, cfg FanoutConfig, alpha0 linalg.Vector) (*FanoutEstimate, error) {
-	if ws == nil {
-		return EstimateFanoutsFrom(rt, loads, cfg, alpha0)
-	}
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("core: EstimateFanouts needs at least one sample")
-	}
-	net := rt.Net
-	p := net.NumPairs()
-	n := net.NumPoPs()
-	k := len(loads)
-
-	// Per-interval source scalings te(src(p))[k], vectors reused across
-	// re-solves (the window length is stable in steady state).
-	if cap(ws.scales) >= k {
-		ws.scales = ws.scales[:k]
-	} else {
-		ws.scales = append(ws.scales[:cap(ws.scales)], make([]linalg.Vector, k-cap(ws.scales))...)
-	}
-	for i, t := range loads {
-		if len(t) != rt.R.Rows() {
-			return nil, fmt.Errorf("core: sample %d has %d loads, want %d", i, len(t), rt.R.Rows())
-		}
-		sc := vbuf(&ws.scales[i], p)
-		for pair := 0; pair < p; pair++ {
-			src, _ := net.PairFromIndex(pair)
-			sc[pair] = t[rt.IngressRow(src)]
-		}
-	}
-	scales := ws.scales
-	// Per-source index groups, rebuilt only when the topology changes.
-	if ws.groupsFor != net {
-		groups := make([][]int, n)
-		for pair := 0; pair < p; pair++ {
-			src, _ := net.PairFromIndex(pair)
-			groups[src] = append(groups[src], pair)
-		}
-		ws.groups, ws.groupsFor = groups, net
-	}
-	groups := ws.groups
-
-	scaled := vbuf(&ws.scaled, p)
-	resid := vbuf(&ws.resid, rt.R.Rows())
-	back := vbuf(&ws.back, p)
-	grad := func(dst, a linalg.Vector) {
-		dst.Zero()
-		for i := 0; i < k; i++ {
-			sc := scales[i]
-			for j := range scaled {
-				scaled[j] = sc[j] * a[j]
-			}
-			rt.R.MulVec(resid, scaled)
-			linalg.Sub(resid, resid, loads[i])
-			rt.R.MulVecT(back, resid)
-			for j := range dst {
-				dst[j] += 2 * sc[j] * back[j]
-			}
-		}
-	}
-	rNorm := ws.cache.OpNormSq(rt.R)
-	var lip float64
-	for i := 0; i < k; i++ {
-		mx, _ := scales[i].Max()
-		lip += 2 * rNorm * mx * mx
-	}
-	project := func(a linalg.Vector) {
-		for _, g := range groups {
-			ws.projectGroupSimplex(a, g)
-		}
-	}
-	if cfg.Unconstrained {
-		project = func(a linalg.Vector) { a.ClampNonNegative() }
-	}
-	var alpha linalg.Vector
-	if alpha0 != nil {
-		if len(alpha0) != p {
-			return nil, fmt.Errorf("core: fanout warm start has %d entries, want %d", len(alpha0), p)
-		}
-		alpha = alpha0.Clone()
-		project(alpha)
-	} else {
-		alpha = linalg.NewVector(p)
-		alpha.Fill(1 / float64(n-1))
-	}
-	alpha, res := solver.FISTAWS(&ws.sw, alpha, grad, lip, project, cfg.MaxIter, cfg.Tol)
-
-	mean := linalg.NewVector(p)
-	for i := 0; i < k; i++ {
-		for j := range mean {
-			mean[j] += scales[i][j] * alpha[j]
-		}
-	}
-	mean.Scale(1 / float64(k))
-	return &FanoutEstimate{Alpha: alpha, MeanDemand: mean, Iterations: res.Iterations}, nil
-}
-
-// projectGroupSimplex is the pooled-scratch twin of the package-level
-// projectGroupSimplex helper.
-func (ws *Workspace) projectGroupSimplex(a linalg.Vector, group []int) {
-	tmp := fbuf(&ws.groupTmp, len(group))
-	for i, j := range group {
-		tmp[i] = a[j]
-	}
-	ws.simplexScratch = solver.ProjectSimplexInto(tmp, 1, ws.simplexScratch)
-	for i, j := range group {
-		a[j] = tmp[i]
-	}
 }
 
 // ShareThresholdWS is ShareThreshold sorting into workspace scratch. The

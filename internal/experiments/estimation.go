@@ -104,7 +104,7 @@ func (s *Suite) Fig10FanoutWindows(ctx context.Context) (*Report, error) {
 	err := s.forEach(ctx, len(windows), func(i int) error {
 		k := windows[i]
 		loads := reg.sc.LoadSeries(reg.start, k)
-		est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.DefaultFanoutConfig())
+		est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{})
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func (s *Suite) Fig11FanoutMRE(ctx context.Context) (*Report, error) {
 		err := s.forEach(ctx, len(windows), func(i int) error {
 			k := windows[i]
 			loads := reg.sc.LoadSeries(reg.start, k)
-			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.DefaultFanoutConfig())
+			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{})
 			if err != nil {
 				return err
 			}
@@ -166,9 +166,7 @@ func (s *Suite) Table1Vardi(ctx context.Context) (*Report, error) {
 	err := s.forEach(ctx, len(cells), func(i int) error {
 		sig, reg := sigmas[i/len(regions)], regions[i%len(regions)]
 		loads := reg.sc.LoadSeries(reg.start, BusyWindowSamples)
-		lam, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{
-			SigmaInv2: sig, MaxIter: 30000, Tol: 1e-9,
-		})
+		lam, _, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{SigmaInv2: sig}, core.SolveOptions{})
 		if err != nil {
 			return err
 		}
@@ -207,9 +205,7 @@ func (s *Suite) Fig12VardiSynthetic(ctx context.Context) (*Report, error) {
 			for j := range demands {
 				loads[j] = reg.sc.Rt.LinkLoads(demands[j])
 			}
-			lam, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{
-				SigmaInv2: 1, MaxIter: 30000, Tol: 1e-9,
-			})
+			lam, _, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{SigmaInv2: 1}, core.SolveOptions{})
 			if err != nil {
 				return err
 			}

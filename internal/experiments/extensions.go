@@ -44,7 +44,7 @@ func (s *Suite) Ext1NoiseSensitivity(ctx context.Context) (*Report, error) {
 			if err != nil {
 				return err
 			}
-			est, err := core.Entropy(inst, prior, 1000)
+			est, _, err := core.Entropy(inst, prior, 1000, core.SolveOptions{})
 			if err != nil {
 				return err
 			}
@@ -73,7 +73,7 @@ func (s *Suite) Ext2UnevaluatedMethods(ctx context.Context) (*Report, error) {
 	r := &Report{ID: "ext2", Title: "Iterative Bayesian (Vaton) and scaling-law tomography (Cao)"}
 	for _, reg := range s.regions() {
 		prior := core.Gravity(reg.inst)
-		base, err := core.Bayesian(reg.inst, prior, 1000)
+		base, _, err := core.Bayesian(reg.inst, prior, 1000, core.SolveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func (s *Suite) Ext2UnevaluatedMethods(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		vardi, err := core.Vardi(reg.sc.Rt, loads, core.DefaultVardiConfig())
+		vardi, _, err := core.Vardi(reg.sc.Rt, loads, core.DefaultVardiConfig(), core.SolveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -150,12 +150,12 @@ func (s *Suite) Ext3ECMPMismatch(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		wrong, err := core.Entropy(instWrong, prior, 1000)
+		wrong, _, err := core.Entropy(instWrong, prior, 1000, core.SolveOptions{})
 		if err != nil {
 			return nil, err
 		}
 		// Estimator knows the fractional ECMP matrix.
-		right, err := core.Entropy(instTrue, prior, 1000)
+		right, _, err := core.Entropy(instTrue, prior, 1000, core.SolveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func (s *Suite) Ext4TrafficEngineering(ctx context.Context) (*Report, error) {
 	r := &Report{ID: "ext4", Title: "TE decisions from estimated matrices (hot set k=10)"}
 	for _, reg := range s.regions() {
 		prior := core.Gravity(reg.inst)
-		entropy, err := core.Entropy(reg.inst, prior, 1000)
+		entropy, _, err := core.Entropy(reg.inst, prior, 1000, core.SolveOptions{})
 		if err != nil {
 			return nil, err
 		}

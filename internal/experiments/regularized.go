@@ -29,14 +29,14 @@ func (s *Suite) Fig13RegularizationSweep(ctx context.Context) (*Report, error) {
 		err := s.forEach(ctx, 2*len(RegSweep), func(i int) error {
 			lam := RegSweep[i/2]
 			if i%2 == 0 {
-				eb, err := core.Bayesian(reg.inst, prior, lam)
+				eb, _, err := core.Bayesian(reg.inst, prior, lam, core.SolveOptions{})
 				if err != nil {
 					return err
 				}
 				bayMRE[i/2] = core.MRE(eb, reg.truth, reg.thresh)
 				return nil
 			}
-			ee, err := core.Entropy(reg.inst, prior, lam)
+			ee, _, err := core.Entropy(reg.inst, prior, lam, core.SolveOptions{})
 			if err != nil {
 				return err
 			}
@@ -74,11 +74,11 @@ func (s *Suite) Fig14RegularizedScatter(ctx context.Context) (*Report, error) {
 	r := &Report{ID: "fig14", Title: "Regularized estimates vs actual demands (America, reg=1000)"}
 	reg := s.regions()[1]
 	prior := core.Gravity(reg.inst)
-	eb, err := core.Bayesian(reg.inst, prior, 1000)
+	eb, _, err := core.Bayesian(reg.inst, prior, 1000, core.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ee, err := core.Entropy(reg.inst, prior, 1000)
+	ee, _, err := core.Entropy(reg.inst, prior, 1000, core.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func (s *Suite) Fig15PriorComparison(ctx context.Context) (*Report, error) {
 		mres := make([]float64, len(priors)*len(RegSweep))
 		err = s.forEach(ctx, len(mres), func(i int) error {
 			pr, lam := priors[i/len(RegSweep)], RegSweep[i%len(RegSweep)]
-			est, err := core.Bayesian(reg.inst, pr.v, lam)
+			est, _, err := core.Bayesian(reg.inst, pr.v, lam, core.SolveOptions{})
 			if err != nil {
 				return err
 			}
@@ -200,14 +200,14 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		}
 		set("Worst-case bound prior", core.MRE(wcb, reg.truth, reg.thresh))
 		set("Simple gravity prior", core.MRE(prior, reg.truth, reg.thresh))
-		set("Entropy w. gravity", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, error) {
-			return core.Entropy(reg.inst, prior, lam)
+		set("Entropy w. gravity", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, int, error) {
+			return core.Entropy(reg.inst, prior, lam, core.SolveOptions{})
 		}, reg))
-		set("Bayes w. gravity", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, error) {
-			return core.Bayesian(reg.inst, prior, lam)
+		set("Bayes w. gravity", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, int, error) {
+			return core.Bayesian(reg.inst, prior, lam, core.SolveOptions{})
 		}, reg))
-		set("Bayes w. WCB prior", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, error) {
-			return core.Bayesian(reg.inst, wcb, lam)
+		set("Bayes w. WCB prior", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, int, error) {
+			return core.Bayesian(reg.inst, wcb, lam, core.SolveOptions{})
 		}, reg))
 		// Fanout: best over a few window lengths.
 		fanWindows := []int{3, 10, 20, 40}
@@ -215,7 +215,7 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		err = s.forEach(ctx, len(fanWindows), func(i int) error {
 			k := fanWindows[i]
 			loads := reg.sc.LoadSeries(reg.start, k)
-			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.DefaultFanoutConfig())
+			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{})
 			if err != nil {
 				return err
 			}
@@ -238,7 +238,7 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		vardiMRE := make([]float64, len(sigmas))
 		err = s.forEach(ctx, len(sigmas), func(i int) error {
 			loads := reg.sc.LoadSeries(reg.start, BusyWindowSamples)
-			lam, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{SigmaInv2: sigmas[i], MaxIter: 30000, Tol: 1e-9})
+			lam, _, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{SigmaInv2: sigmas[i]}, core.SolveOptions{})
 			if err != nil {
 				return err
 			}
@@ -268,13 +268,13 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 // bestOverSweep returns the best MRE over the regularization sweep,
 // evaluating the sweep points concurrently on the suite's pool. Failed
 // sweep points are skipped, as in the serial loop it replaces.
-func (s *Suite) bestOverSweep(ctx context.Context, est func(float64) (linalg.Vector, error), reg region) float64 {
+func (s *Suite) bestOverSweep(ctx context.Context, est func(float64) (linalg.Vector, int, error), reg region) float64 {
 	mres := make([]float64, len(RegSweep))
 	for i := range mres {
 		mres[i] = math.Inf(1)
 	}
 	s.forEach(ctx, len(RegSweep), func(i int) error {
-		v, err := est(RegSweep[i])
+		v, _, err := est(RegSweep[i])
 		if err != nil {
 			return nil // skip failed sweep points
 		}

@@ -15,12 +15,19 @@ type fleetMetrics struct {
 	resolveSeconds *obs.Vec // histogram{tenant}
 	resolveIters   *obs.Vec // histogram{tenant}
 	resolves       *obs.Vec // counter{tenant,warm}
+	failures       *obs.Vec // counter{tenant}
 }
 
 // onResolve builds one tenant's OnResolve hook. It runs on solving
-// goroutines (pool slots), so it only touches the vecs' own locks.
-func (m *fleetMetrics) onResolve(tenant string) func(d time.Duration, iters int, warm bool) {
-	return func(d time.Duration, iters int, warm bool) {
+// goroutines (pool slots), so it only touches the vecs' own locks. A
+// failed re-solve only counts as a failure: the latency and iteration
+// histograms describe completed solves.
+func (m *fleetMetrics) onResolve(tenant string) func(d time.Duration, iters int, warm bool, err error) {
+	return func(d time.Duration, iters int, warm bool, err error) {
+		if err != nil {
+			m.failures.With(tenant).Inc()
+			return
+		}
 		m.resolveSeconds.With(tenant).Observe(d.Seconds())
 		m.resolveIters.With(tenant).Observe(float64(iters))
 		m.resolves.With(tenant, strconv.FormatBool(warm)).Inc()
@@ -41,6 +48,8 @@ func (f *Fleet) registerMetrics(reg *obs.Registry) {
 			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 20000}, "tenant"),
 		resolves: reg.Counter("tm_resolves_total",
 			"Completed full re-solves by warm-vs-cold start.", "tenant", "warm"),
+		failures: reg.Counter("tm_resolve_failures_total",
+			"Full re-solves the estimator refused (e.g. non-finite loads); the previous estimate stays published.", "tenant"),
 	}
 
 	// Fleet-wide scheduler state: queue depth and occupancy of the

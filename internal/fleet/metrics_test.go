@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +161,30 @@ func TestValidateTenantsSLO(t *testing.T) {
 	}
 	if err := ValidateTenants([]TenantSpec{ok}); err != nil {
 		t.Errorf("valid SLO spec rejected: %v", err)
+	}
+}
+
+// TestResolveFailuresCounted: a re-solve the estimator refused reaches
+// the OnResolve hook with its error and is counted in
+// tm_resolve_failures_total, not observed as a completed solve.
+func TestResolveFailuresCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := New(runner.NewPool(1), Options{Metrics: reg, AllowEmpty: true})
+	hook := f.metrics.onResolve("eu")
+	hook(time.Millisecond, 0, false, errors.New("core: Entropy load 3 is +Inf"))
+	hook(time.Millisecond, 0, false, errors.New("core: Entropy load 3 is +Inf"))
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	body := b.String()
+	if !strings.Contains(body, `tm_resolve_failures_total{tenant="eu"} 2`) {
+		t.Fatalf("failures not counted:\n%s", body)
+	}
+	if strings.Contains(body, `tm_resolve_iterations_count{tenant="eu"}`) || strings.Contains(body, `tm_resolves_total{tenant="eu"`) {
+		t.Fatalf("failed re-solves observed as completed ones:\n%s", body)
+	}
+	if err := obs.Lint(strings.NewReader(body)); err != nil {
+		t.Fatalf("scrape fails exposition lint: %v", err)
 	}
 }

@@ -20,15 +20,18 @@ type Method struct {
 }
 
 // Budget bounds the solver work per method. The paper-fidelity defaults
-// (core's regIter/regTol, DefaultVardiConfig) converge to 1e-9 on the
-// paper-sized networks but are wasteful at 10k demands, where the scoring
-// metrics stabilize orders of magnitude earlier — the scenario lab trades
-// the last digits of convergence for bounded runtime.
+// (a zero core.SolveOptions budget: 20000 iterations, 30000 for Vardi, at
+// tolerance 1e-9) converge on the paper-sized networks but are wasteful at
+// 10k demands, where the scoring metrics stabilize orders of magnitude
+// earlier — the scenario lab trades the last digits of convergence for
+// bounded runtime.
 type Budget struct {
 	EntropyReg  float64
 	EntropyIter int
 	EntropyTol  float64
 	Vardi       core.VardiConfig
+	VardiIter   int
+	VardiTol    float64
 }
 
 // DefaultBudget returns the budget the scale experiment and benchmarks
@@ -37,7 +40,7 @@ type Budget struct {
 func DefaultBudget() Budget {
 	return Budget{
 		EntropyReg: 1000, EntropyIter: 12000, EntropyTol: 1e-7,
-		Vardi: core.VardiConfig{SigmaInv2: 0.01, MaxIter: 6000, Tol: 1e-7},
+		Vardi: core.VardiConfig{SigmaInv2: 0.01}, VardiIter: 6000, VardiTol: 1e-7,
 	}
 }
 
@@ -56,8 +59,8 @@ func (b Budget) ForSize(pairs int) Budget {
 	if b.EntropyIter = int(float64(b.EntropyIter) * scale); b.EntropyIter < 1 {
 		b.EntropyIter = 1
 	}
-	if b.Vardi.MaxIter = int(float64(b.Vardi.MaxIter) * scale); b.Vardi.MaxIter < 1 {
-		b.Vardi.MaxIter = 1
+	if b.VardiIter = int(float64(b.VardiIter) * scale); b.VardiIter < 1 {
+		b.VardiIter = 1
 	}
 	return b
 }
@@ -75,11 +78,11 @@ func Methods(b Budget) []Method {
 		{Name: "entropy", Run: func(in *Instance) (linalg.Vector, int, error) {
 			bb := b.ForSize(in.Inst.NumPairs())
 			prior := core.Gravity(in.Inst)
-			return core.EntropyBudget(in.Inst, prior, bb.EntropyReg, bb.EntropyIter, bb.EntropyTol)
+			return core.Entropy(in.Inst, prior, bb.EntropyReg, core.SolveOptions{MaxIter: bb.EntropyIter, Tol: bb.EntropyTol})
 		}},
 		{Name: "vardi", Run: func(in *Instance) (linalg.Vector, int, error) {
 			bb := b.ForSize(in.Inst.NumPairs())
-			return core.VardiIters(in.Sc.Rt, in.Loads, bb.Vardi)
+			return core.Vardi(in.Sc.Rt, in.Loads, bb.Vardi, core.SolveOptions{MaxIter: bb.VardiIter, Tol: bb.VardiTol})
 		}},
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestFISTAWSWarmLoopAllocFree pins the workspace contract on the
+// TestFISTAWarmLoopAllocFree pins the workspace contract on the
 // iteration loop itself: once a Workspace has sized its momentum,
 // gradient and previous-iterate buffers (first call), re-solving with
 // the same workspace allocates nothing — the steady-state cost of a
 // streaming re-solve is pure arithmetic.
-func TestFISTAWSWarmLoopAllocFree(t *testing.T) {
+func TestFISTAWarmLoopAllocFree(t *testing.T) {
 	const n = 64
 	c := linalg.NewVector(n)
 	for i := range c {
@@ -26,23 +26,23 @@ func TestFISTAWSWarmLoopAllocFree(t *testing.T) {
 	project := func(v linalg.Vector) { v.ClampNonNegative() }
 	ws := &Workspace{}
 	x := linalg.NewVector(n)
-	FISTAWS(ws, x, grad, 2, project, 30, 0) // size the buffers
+	FISTA(ws, x, grad, 2, project, 30, 0) // size the buffers
 	allocs := testing.AllocsPerRun(20, func() {
 		x.Zero()
-		FISTAWS(ws, x, grad, 2, project, 30, 0)
+		FISTA(ws, x, grad, 2, project, 30, 0)
 	})
 	if allocs != 0 {
-		t.Errorf("warm FISTAWS allocated %.0f times per solve, want 0", allocs)
+		t.Errorf("warm FISTA allocated %.0f times per solve, want 0", allocs)
 	}
 }
 
-// TestLeastSquaresNonnegWSIterationsDontAllocate separates the fixed
+// TestLeastSquaresNonnegIterationsDontAllocate separates the fixed
 // per-solve cost (the returned estimate is always a fresh clone, plus
 // the gradient closure) from the iteration loop: a warm re-solve must
 // allocate the same small constant whether it runs 5 iterations or 200,
 // proving the loop itself draws everything from the workspace and the
 // operator norm comes from the cache rather than a fresh power method.
-func TestLeastSquaresNonnegWSIterationsDontAllocate(t *testing.T) {
+func TestLeastSquaresNonnegIterationsDontAllocate(t *testing.T) {
 	bd := sparse.NewBuilder(12, 8)
 	for r := 0; r < 12; r++ {
 		for c := r % 2; c < 8; c += 2 {
@@ -56,10 +56,10 @@ func TestLeastSquaresNonnegWSIterationsDontAllocate(t *testing.T) {
 	}
 	x0 := linalg.NewVector(a.Cols())
 	ws := &Workspace{}
-	LeastSquaresNonnegWS(ws, a, b, nil, 0, x0, 200, 0) // warm buffers + norm cache
+	LeastSquaresNonneg(ws, a, b, nil, 0, x0, 200, 0) // warm buffers + norm cache
 	measure := func(iters int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			LeastSquaresNonnegWS(ws, a, b, nil, 0, x0, iters, 0)
+			LeastSquaresNonneg(ws, a, b, nil, 0, x0, iters, 0)
 		})
 	}
 	short, long := measure(5), measure(200)

@@ -17,16 +17,69 @@ import (
 // operator of the KL term, which is separable and solved per coordinate by
 // safeguarded Newton. Coordinates whose prior is zero are pinned to zero
 // (the KL term is +Inf off the prior's support).
-func EntropyRegularized(a LinOp, b linalg.Vector, prior linalg.Vector, tau float64, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	return EntropyRegularizedFrom(a, b, prior, tau, nil, maxIter, tol)
-}
+//
+// x0 is the starting point (nil starts from the prior); warm starting pays
+// off when a sequence of closely related problems is solved, e.g. the
+// streaming re-solves of internal/stream. The residual, gradient and
+// previous-iterate buffers come from ws, and the operator norm from ws's
+// cache; a nil ws uses a fresh one. The returned iterate is always freshly
+// allocated (it is the published estimate), never a workspace buffer.
+func EntropyRegularized(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, tau float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	n := a.Cols()
+	if len(prior) != n {
+		panic("solver: EntropyRegularized prior length mismatch")
+	}
+	var x linalg.Vector
+	if x0 != nil {
+		x = x0.Clone()
+	} else {
+		x = prior.Clone()
+	}
+	x.ClampNonNegative()
+	l := 2 * ws.OperatorNormSq(a)
+	if l <= 0 {
+		l = 1
+	}
+	step := 1 / l
+	eta := step * tau // prox weight on the KL term
 
-// EntropyRegularizedFrom is EntropyRegularized with an explicit starting
-// point x0 (nil starts from the prior). Warm starting pays off when a
-// sequence of closely related problems is solved, e.g. the greedy
-// direct-measurement search of §5.3.6.
-func EntropyRegularizedFrom(a LinOp, b linalg.Vector, prior linalg.Vector, tau float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	return EntropyRegularizedFromWS(nil, a, b, prior, tau, x0, maxIter, tol)
+	r := buf(&ws.r, a.Rows())
+	g := buf(&ws.g, n)
+	xPrev := buf(&ws.xPrev, n)
+	res := FISTAResult{}
+	for iter := 0; iter < maxIter; iter++ {
+		copy(xPrev, x)
+		// Forward step on the quadratic part.
+		a.MulVec(r, x)
+		linalg.Sub(r, r, b)
+		a.MulVecT(g, r)
+		for i := range x {
+			z := x[i] - 2*step*g[i]
+			if prior[i] <= 0 {
+				x[i] = 0
+				continue
+			}
+			x[i] = klProx(z, prior[i], eta)
+		}
+		var diff, norm float64
+		for i := range x {
+			d := x[i] - xPrev[i]
+			diff += d * d
+			norm += x[i] * x[i]
+		}
+		res.Iterations = iter + 1
+		if diff <= tol*tol*(norm+1e-30) {
+			res.Converged = true
+			break
+		}
+		if math.IsNaN(diff) {
+			break // a NaN iterate never recovers; stop instead of burning the budget
+		}
+	}
+	return x, res
 }
 
 // klProx solves the scalar proximal problem

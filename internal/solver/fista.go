@@ -77,15 +77,18 @@ type FISTAResult struct {
 // convex set, using Beck & Teboulle's accelerated projected gradient with
 // restart on non-monotonicity. grad must write ∇f(x) into dst; project must
 // project its argument onto the feasible set in place. x is updated in
-// place and also returned.
-func FISTA(x linalg.Vector, grad func(dst, x linalg.Vector), l float64, project func(linalg.Vector), maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	return fista(x, x.Clone(), x.Clone(), linalg.NewVector(len(x)), grad, l, project, maxIter, tol)
-}
-
-// fista is the acceleration loop behind FISTA / FISTAWS, with the
-// momentum iterate y, previous iterate xPrev and gradient buffer g
-// supplied by the caller (y and xPrev already holding copies of x).
-func fista(x, y, xPrev, g linalg.Vector, grad func(dst, x linalg.Vector), l float64, project func(linalg.Vector), maxIter int, tol float64) (linalg.Vector, FISTAResult) {
+// place and also returned. The momentum, gradient and previous-iterate
+// buffers come from ws; a nil ws uses a fresh one.
+func FISTA(ws *Workspace, x linalg.Vector, grad func(dst, x linalg.Vector), l float64, project func(linalg.Vector), maxIter int, tol float64) (linalg.Vector, FISTAResult) {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	n := len(x)
+	y := buf(&ws.y, n)
+	copy(y, x)
+	xPrev := buf(&ws.xPrev, n)
+	copy(xPrev, x)
+	g := buf(&ws.g, n)
 	if l <= 0 {
 		l = 1
 	}
@@ -126,13 +129,51 @@ func fista(x, y, xPrev, g linalg.Vector, grad func(dst, x linalg.Vector), l floa
 		if diff <= tol*tol*(norm+1e-30) {
 			return x, FISTAResult{Iterations: iter + 1, Converged: true}
 		}
+		if math.IsNaN(diff) {
+			// A NaN iterate never recovers; stop instead of burning the budget.
+			return x, FISTAResult{Iterations: iter + 1}
+		}
 	}
 	return x, FISTAResult{Iterations: maxIter, Converged: false}
 }
 
 // LeastSquaresNonneg solves  min ‖A·x − b‖² + damp·‖x − prior‖²  s.t. x >= 0
 // with FISTA. prior may be nil (treated as the origin) and damp may be 0.
-// x0 may be nil (starts from prior, or zero).
-func LeastSquaresNonneg(a LinOp, b linalg.Vector, prior linalg.Vector, damp float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	return LeastSquaresNonnegWS(nil, a, b, prior, damp, x0, maxIter, tol)
+// x0 may be nil (starts from prior, or zero). The residual and FISTA
+// buffers come from ws, and the operator norm from ws's cache when the
+// same operator is solved repeatedly; a nil ws uses a fresh one. The
+// returned iterate is always freshly allocated, never a workspace buffer.
+func LeastSquaresNonneg(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, damp float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	n := a.Cols()
+	var x linalg.Vector
+	switch {
+	case x0 != nil:
+		x = x0.Clone()
+	case prior != nil:
+		x = prior.Clone()
+	default:
+		x = linalg.NewVector(n)
+	}
+	x.ClampNonNegative()
+	l := 2*ws.OperatorNormSq(a) + 2*damp
+	r := buf(&ws.r, a.Rows())
+	grad := func(dst, xx linalg.Vector) {
+		a.MulVec(r, xx)
+		linalg.Sub(r, r, b)
+		a.MulVecT(dst, r)
+		dst.Scale(2)
+		if damp > 0 {
+			for i := range dst {
+				p := 0.0
+				if prior != nil {
+					p = prior[i]
+				}
+				dst[i] += 2 * damp * (xx[i] - p)
+			}
+		}
+	}
+	return FISTA(ws, x, grad, l, func(v linalg.Vector) { v.ClampNonNegative() }, maxIter, tol)
 }

@@ -2,20 +2,14 @@ package solver
 
 import "sort"
 
-// ProjectSimplex overwrites v with its Euclidean projection onto the scaled
-// probability simplex { x >= 0 : Σ x_i = radius }. It implements the exact
-// O(n log n) sort-based algorithm (Held, Wolfe & Crowder 1974).
-func ProjectSimplex(v []float64, radius float64) {
-	ProjectSimplexInto(v, radius, nil)
-}
-
-// ProjectSimplexInto is ProjectSimplex using scratch (grown as needed and
-// returned by value for reuse) to hold the sorted copy of v, so repeated
-// projections — one per source group per FISTA iteration in the fanout
-// solver — stop allocating. The projection is bit-identical to
-// ProjectSimplex: the copy is sorted ascending and walked backwards,
-// which visits coordinates in exactly the descending order the
-// allocating version sorts into.
+// ProjectSimplexInto overwrites v with its Euclidean projection onto the
+// scaled probability simplex { x >= 0 : Σ x_i = radius }. It implements the
+// exact O(n log n) sort-based algorithm (Held, Wolfe & Crowder 1974). The
+// sorted copy of v lives in scratch (grown as needed and returned by value
+// for reuse; nil allocates), so repeated projections — one per source
+// group per FISTA iteration in the fanout solver — stop allocating. The
+// copy is sorted ascending and walked backwards, visiting coordinates in
+// descending order.
 func ProjectSimplexInto(v []float64, radius float64, scratch []float64) []float64 {
 	n := len(v)
 	if n == 0 {

@@ -85,12 +85,12 @@ func TestNNLSKKTQuick(t *testing.T) {
 
 func TestProjectSimplexBasic(t *testing.T) {
 	v := []float64{0.5, 0.5}
-	ProjectSimplex(v, 1)
+	ProjectSimplexInto(v, 1, nil)
 	if math.Abs(v[0]-0.5) > 1e-12 || math.Abs(v[1]-0.5) > 1e-12 {
 		t.Fatalf("interior point moved: %v", v)
 	}
 	v = []float64{2, 0}
-	ProjectSimplex(v, 1)
+	ProjectSimplexInto(v, 1, nil)
 	if math.Abs(v[0]-1) > 1e-12 || v[1] != 0 {
 		t.Fatalf("projection = %v", v)
 	}
@@ -98,7 +98,7 @@ func TestProjectSimplexBasic(t *testing.T) {
 
 func TestProjectSimplexNegativeRadius(t *testing.T) {
 	v := []float64{1, 2}
-	ProjectSimplex(v, 0)
+	ProjectSimplexInto(v, 0, nil)
 	if v[0] != 0 || v[1] != 0 {
 		t.Fatalf("radius 0 should zero the vector: %v", v)
 	}
@@ -116,7 +116,7 @@ func TestProjectSimplexPropertiesQuick(t *testing.T) {
 			}
 		}
 		v := append([]float64(nil), raw...)
-		ProjectSimplex(v, 1)
+		ProjectSimplexInto(v, 1, nil)
 		var sum float64
 		for _, x := range v {
 			if x < 0 {
@@ -128,7 +128,7 @@ func TestProjectSimplexPropertiesQuick(t *testing.T) {
 			return false
 		}
 		w := append([]float64(nil), v...)
-		ProjectSimplex(w, 1)
+		ProjectSimplexInto(w, 1, nil)
 		for i := range v {
 			if math.Abs(w[i]-v[i]) > 1e-9 {
 				return false
@@ -152,7 +152,7 @@ func TestProjectSimplexOptimality(t *testing.T) {
 			v[i] = rng.NormFloat64() * 2
 		}
 		p := append([]float64(nil), v...)
-		ProjectSimplex(p, 1)
+		ProjectSimplexInto(p, 1, nil)
 		distP := 0.0
 		for i := range v {
 			distP += (p[i] - v[i]) * (p[i] - v[i])
@@ -209,7 +209,7 @@ func TestLeastSquaresNonnegMatchesNNLS(t *testing.T) {
 			b[i] = rng.NormFloat64() * 2
 		}
 		exact := NNLS(a, b)
-		approx, res := LeastSquaresNonneg(DenseOp{a}, b, nil, 0, nil, 20000, 1e-10)
+		approx, res := LeastSquaresNonneg(nil, DenseOp{a}, b, nil, 0, nil, 20000, 1e-10)
 		if !res.Converged {
 			t.Fatalf("FISTA did not converge")
 		}
@@ -228,7 +228,7 @@ func TestLeastSquaresNonnegDamped(t *testing.T) {
 	a := randDense(rng, 8, 5)
 	prior := linalg.Vector{1, 2, 3, 4, 5}
 	b := linalg.NewVector(8)
-	x, _ := LeastSquaresNonneg(DenseOp{a}, b, prior, 1e9, nil, 5000, 1e-12)
+	x, _ := LeastSquaresNonneg(nil, DenseOp{a}, b, prior, 1e9, nil, 5000, 1e-12)
 	for i := range prior {
 		if math.Abs(x[i]-prior[i]) > 1e-3 {
 			t.Fatalf("x[%d] = %v, want ≈ prior %v", i, x[i], prior[i])
@@ -252,7 +252,7 @@ func TestEntropyRegularizedRecoversConsistent(t *testing.T) {
 	b := a.MulVec(nil, xTrue)
 	prior := linalg.NewVector(n)
 	prior.Fill(1)
-	x, _ := EntropyRegularized(DenseOp{a}, b, prior, 1e-6, 50000, 1e-12)
+	x, _ := EntropyRegularized(nil, DenseOp{a}, b, prior, 1e-6, nil, 50000, 1e-12)
 	r := linalg.Sub(linalg.NewVector(m), a.MulVec(nil, x), b)
 	if r.Norm2() > 1e-3*b.Norm2() {
 		t.Fatalf("residual too large: %v", r.Norm2())
@@ -268,7 +268,7 @@ func TestEntropyRegularizedStrongPriorSticks(t *testing.T) {
 	prior := linalg.Vector{1, 2, 3, 1, 2, 3}
 	b := linalg.NewVector(4)
 	b.Fill(100)
-	x, _ := EntropyRegularized(DenseOp{a}, b, prior, 1e9, 5000, 1e-12)
+	x, _ := EntropyRegularized(nil, DenseOp{a}, b, prior, 1e9, nil, 5000, 1e-12)
 	for i := range prior {
 		if math.Abs(x[i]-prior[i]) > 0.05*prior[i] {
 			t.Fatalf("x[%d] = %v strayed from prior %v", i, x[i], prior[i])
@@ -279,7 +279,7 @@ func TestEntropyRegularizedStrongPriorSticks(t *testing.T) {
 func TestEntropyZeroPriorPinsCoordinate(t *testing.T) {
 	a := linalg.NewMatrixFromRows([][]float64{{1, 1}})
 	prior := linalg.Vector{0, 1}
-	x, _ := EntropyRegularized(DenseOp{a}, linalg.Vector{5}, prior, 0.01, 2000, 1e-12)
+	x, _ := EntropyRegularized(nil, DenseOp{a}, linalg.Vector{5}, prior, 0.01, nil, 2000, 1e-12)
 	if x[0] != 0 {
 		t.Fatalf("coordinate with zero prior must stay zero, got %v", x[0])
 	}
@@ -481,6 +481,6 @@ func BenchmarkFISTANonneg(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LeastSquaresNonneg(DenseOp{a}, rhs, nil, 0, nil, 2000, 1e-8)
+		LeastSquaresNonneg(nil, DenseOp{a}, rhs, nil, 0, nil, 2000, 1e-8)
 	}
 }

@@ -14,12 +14,13 @@ import (
 // safe for concurrent use. Buffers are sized lazily on first use and
 // resized when a larger problem arrives, so one workspace may serve
 // differently sized systems back to back. The zero value is ready to
-// use; every WS entry point also accepts a nil workspace and then
-// behaves exactly like its workspace-free counterpart.
+// use; every solver also accepts a nil workspace and then uses a fresh
+// one.
 //
 // Numerical contract: a workspace changes where intermediate values are
 // stored and whether the operator norm is recomputed — never the
-// arithmetic — so solutions are bit-identical with and without one.
+// arithmetic — so solutions are bit-identical whether the workspace is
+// fresh or reused.
 type Workspace struct {
 	r     linalg.Vector // residual, sized to the operator's row count
 	g     linalg.Vector // gradient, sized to the column count
@@ -49,11 +50,8 @@ func buf(p *linalg.Vector, n int) linalg.Vector {
 // but reuses the workspace's power-iteration buffers and caches the
 // result per operator identity: repeated calls against the same LinOp
 // value return the first call's float without re-running the power
-// method. A nil receiver falls back to the uncached computation.
+// method.
 func (ws *Workspace) OperatorNormSq(a LinOp) float64 {
-	if ws == nil {
-		return OperatorNormSq(a)
-	}
 	if ws.op == a {
 		return ws.opSq
 	}
@@ -65,143 +63,14 @@ func (ws *Workspace) OperatorNormSq(a LinOp) float64 {
 // Prime seeds the workspace's operator-norm cache with an externally
 // computed value (e.g. from a cross-tenant cache keyed by matrix
 // equality), so the next solve against a skips the power method even
-// though this workspace never ran it. No-op on a nil workspace.
+// though this workspace never ran it.
 func (ws *Workspace) Prime(a LinOp, normSq float64) {
-	if ws != nil {
-		ws.op, ws.opSq = a, normSq
-	}
+	ws.op, ws.opSq = a, normSq
 }
 
 // InvalidateOperator drops the cached operator norm (e.g. after a
 // routing hot-swap replaces the matrix behind the same pointer — which
 // the sparse package never does, but a custom LinOp might).
 func (ws *Workspace) InvalidateOperator() {
-	if ws != nil {
-		ws.op, ws.opSq = nil, 0
-	}
-}
-
-// FISTAWS is FISTA with the momentum, gradient and previous-iterate
-// buffers drawn from ws (nil ws allocates fresh ones, exactly as FISTA
-// does). The iterate x is still updated in place and returned.
-func FISTAWS(ws *Workspace, x linalg.Vector, grad func(dst, x linalg.Vector), l float64, project func(linalg.Vector), maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	var y, xPrev, g linalg.Vector
-	if ws != nil {
-		n := len(x)
-		y = buf(&ws.y, n)
-		copy(y, x)
-		xPrev = buf(&ws.xPrev, n)
-		copy(xPrev, x)
-		g = buf(&ws.g, n)
-	} else {
-		y = x.Clone()
-		xPrev = x.Clone()
-		g = linalg.NewVector(len(x))
-	}
-	return fista(x, y, xPrev, g, grad, l, project, maxIter, tol)
-}
-
-// LeastSquaresNonnegWS is LeastSquaresNonneg with its residual and FISTA
-// buffers drawn from ws, and the operator norm served from ws's cache
-// when the same operator is solved repeatedly (the warm re-solve loop).
-// A nil ws behaves exactly like LeastSquaresNonneg.
-func LeastSquaresNonnegWS(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, damp float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	n := a.Cols()
-	var x linalg.Vector
-	switch {
-	case x0 != nil:
-		x = x0.Clone()
-	case prior != nil:
-		x = prior.Clone()
-	default:
-		x = linalg.NewVector(n)
-	}
-	x.ClampNonNegative()
-	l := 2*ws.OperatorNormSq(a) + 2*damp
-	var r linalg.Vector
-	if ws != nil {
-		r = buf(&ws.r, a.Rows())
-	} else {
-		r = linalg.NewVector(a.Rows())
-	}
-	grad := func(dst, xx linalg.Vector) {
-		a.MulVec(r, xx)
-		linalg.Sub(r, r, b)
-		a.MulVecT(dst, r)
-		dst.Scale(2)
-		if damp > 0 {
-			for i := range dst {
-				p := 0.0
-				if prior != nil {
-					p = prior[i]
-				}
-				dst[i] += 2 * damp * (xx[i] - p)
-			}
-		}
-	}
-	return FISTAWS(ws, x, grad, l, func(v linalg.Vector) { v.ClampNonNegative() }, maxIter, tol)
-}
-
-// EntropyRegularizedFromWS is EntropyRegularizedFrom with the residual,
-// gradient and previous-iterate buffers drawn from ws and the operator
-// norm served from ws's cache. A nil ws behaves exactly like
-// EntropyRegularizedFrom. The returned iterate is always freshly
-// allocated (it is the published estimate), never a workspace buffer.
-func EntropyRegularizedFromWS(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, tau float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	n := a.Cols()
-	if len(prior) != n {
-		panic("solver: EntropyRegularized prior length mismatch")
-	}
-	var x linalg.Vector
-	if x0 != nil {
-		x = x0.Clone()
-	} else {
-		x = prior.Clone()
-	}
-	x.ClampNonNegative()
-	l := 2 * ws.OperatorNormSq(a)
-	if l <= 0 {
-		l = 1
-	}
-	step := 1 / l
-	eta := step * tau // prox weight on the KL term
-
-	var r, g, xPrev linalg.Vector
-	if ws != nil {
-		r = buf(&ws.r, a.Rows())
-		g = buf(&ws.g, n)
-		xPrev = buf(&ws.xPrev, n)
-	} else {
-		r = linalg.NewVector(a.Rows())
-		g = linalg.NewVector(n)
-		xPrev = linalg.NewVector(n)
-	}
-	res := FISTAResult{}
-	for iter := 0; iter < maxIter; iter++ {
-		copy(xPrev, x)
-		// Forward step on the quadratic part.
-		a.MulVec(r, x)
-		linalg.Sub(r, r, b)
-		a.MulVecT(g, r)
-		for i := range x {
-			z := x[i] - 2*step*g[i]
-			if prior[i] <= 0 {
-				x[i] = 0
-				continue
-			}
-			x[i] = klProx(z, prior[i], eta)
-		}
-		var diff, norm float64
-		for i := range x {
-			d := x[i] - xPrev[i]
-			diff += d * d
-			norm += x[i] * x[i]
-		}
-		res.Iterations = iter + 1
-		if diff <= tol*tol*(norm+1e-30) {
-			res.Converged = true
-			break
-		}
-	}
-	return x, res
+	ws.op, ws.opSq = nil, 0
 }

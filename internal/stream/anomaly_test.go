@@ -130,9 +130,9 @@ func TestOnResolveHook(t *testing.T) {
 	eng, err := New(sc.Rt, Config{
 		Window:       3,
 		ResolveEvery: 2,
-		OnResolve: func(d time.Duration, iters int, warm bool) {
-			if d < 0 || iters <= 0 {
-				t.Errorf("OnResolve(d=%v iters=%d)", d, iters)
+		OnResolve: func(d time.Duration, iters int, warm bool, err error) {
+			if d < 0 || iters <= 0 || err != nil {
+				t.Errorf("OnResolve(d=%v iters=%d err=%v)", d, iters, err)
 			}
 			ch <- obsv{iters, warm}
 		},

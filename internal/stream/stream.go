@@ -120,14 +120,17 @@ type Config struct {
 	// engine a private cache, which still amortizes those artifacts
 	// across its own re-solves.
 	Solve *core.SolveCache
-	// OnResolve, when non-nil, observes every completed full re-solve —
+	// OnResolve, when non-nil, observes every executed full re-solve —
 	// worker-mode and dispatch-mode alike — with its wall-clock
-	// duration, solver iteration count and warm/cold start. The hook is
-	// how hosts feed latency histograms (internal/fleet's Prometheus
+	// duration, solver iteration count and warm/cold start, and err set
+	// when the solve failed (the estimator refused the window, e.g. for
+	// non-finite loads; the previous estimate stays published and
+	// iters and warm are then zero). The hook is how hosts feed latency
+	// histograms and failure counters (internal/fleet's Prometheus
 	// registry) without polling. It runs on the solving goroutine,
 	// outside the engine's locks, and must not call back into the
 	// engine.
-	OnResolve func(d time.Duration, iters int, warm bool)
+	OnResolve func(d time.Duration, iters int, warm bool, err error)
 	// AnomalyFactor, when > 0, enables the drift-anomaly detector — the
 	// paper's classic downstream use of TM estimation. An interval
 	// whose window drift exceeds AnomalyFactor times the rolling
@@ -763,9 +766,6 @@ func (e *Engine) publish(snap Snapshot) {
 // snapshot is by then — never regressing the window state, which may
 // have advanced while the solve ran — and publishes the result.
 func (e *Engine) publishResolve(est linalg.Vector, w resolveWork, iters int, warm bool, d time.Duration) {
-	if e.cfg.OnResolve != nil {
-		e.cfg.OnResolve(d, iters, warm)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.snap
@@ -823,12 +823,23 @@ func (e *Engine) resolveWorker(ctx context.Context) {
 		if ctx.Err() != nil {
 			continue // drain without solving during shutdown
 		}
-		t0 := time.Now()
-		est, iters, warm, err := e.resolve(w)
-		if err != nil {
-			continue // a failed re-solve never unpublishes the previous one
-		}
-		e.publishResolve(est, w, iters, warm, time.Since(t0))
+		e.runResolve(w)
+	}
+}
+
+// runResolve executes one parked re-solve, reports it through
+// Config.OnResolve and publishes its result. A failed re-solve is
+// reported but never unpublishes the previous one: the snapshot keeps
+// its last good estimate and the warm-start iterates stay untouched.
+func (e *Engine) runResolve(w resolveWork) {
+	t0 := time.Now()
+	est, iters, warm, err := e.resolve(w)
+	d := time.Since(t0)
+	if e.cfg.OnResolve != nil {
+		e.cfg.OnResolve(d, iters, warm, err)
+	}
+	if err == nil {
+		e.publishResolve(est, w, iters, warm, d)
 	}
 }
 
@@ -853,12 +864,7 @@ func (e *Engine) TryResolve(ctx context.Context) bool {
 		if ctx.Err() != nil {
 			return true // consumed, deliberately unsolved
 		}
-		t0 := time.Now()
-		est, iters, warm, err := e.resolve(w)
-		if err != nil {
-			return true // a failed re-solve never unpublishes the previous one
-		}
-		e.publishResolve(est, w, iters, warm, time.Since(t0))
+		e.runResolve(w)
 		return true
 	default:
 		return false
@@ -891,23 +897,18 @@ func (e *Engine) setWarm(est, alpha linalg.Vector) {
 // warm-started from the previous published estimate when one exists.
 func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool, err error) {
 	warmEst, warmAlpha := e.takeWarm()
+	opt := core.SolveOptions{WS: e.ws, X0: warmEst, MaxIter: e.cfg.ResolveMaxIter, Tol: e.cfg.ResolveTol}
 	switch e.cfg.Method {
 	case MethodVardi:
-		cfg := core.DefaultVardiConfig()
-		cfg.SigmaInv2 = e.cfg.SigmaInv2
-		cfg.MaxIter = e.cfg.ResolveMaxIter
-		cfg.Tol = e.cfg.ResolveTol
-		lam, n, err := core.VardiFromWS(e.ws, w.rt, w.loads, cfg, warmEst)
+		lam, n, err := core.Vardi(w.rt, w.loads, core.VardiConfig{SigmaInv2: e.cfg.SigmaInv2}, opt)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		e.setWarm(lam, nil)
 		return lam, n, warmEst != nil, nil
 	case MethodFanout:
-		cfg := core.DefaultFanoutConfig()
-		cfg.MaxIter = e.cfg.ResolveMaxIter
-		cfg.Tol = e.cfg.ResolveTol
-		fe, err := core.EstimateFanoutsFromWS(e.ws, w.rt, w.loads, cfg, warmAlpha)
+		opt.X0 = warmAlpha
+		fe, err := core.EstimateFanouts(w.rt, w.loads, core.FanoutConfig{}, opt)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -932,9 +933,9 @@ func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool
 	var x linalg.Vector
 	var n int
 	if e.cfg.Method == MethodBayesian {
-		x, n, err = core.BayesianFromWS(e.ws, inst, prior, e.cfg.Reg, warmEst, e.cfg.ResolveMaxIter, e.cfg.ResolveTol)
+		x, n, err = core.Bayesian(inst, prior, e.cfg.Reg, opt)
 	} else {
-		x, n, err = core.EntropyFromWS(e.ws, inst, prior, e.cfg.Reg, warmEst, e.cfg.ResolveMaxIter, e.cfg.ResolveTol)
+		x, n, err = core.Entropy(inst, prior, e.cfg.Reg, opt)
 	}
 	if err != nil {
 		return nil, 0, false, err
