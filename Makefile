@@ -16,14 +16,16 @@ test-short:
 
 # Fuzz past the committed seed corpora (testdata/fuzz/<Target>, which
 # plain `go test` runs): the serve delta codec (FuzzDelta: the size
-# bound, NewEntry's bytes and hostile delta bytes), then the four
-# estimators (FuzzEstimate: hostile loads and mis-sized priors and warm
-# starts). A failing input is written to the target's corpus directory;
-# commit it as a regression seed.
+# bound, NewEntry's bytes and hostile delta bytes), the four estimators
+# (FuzzEstimate: hostile loads and mis-sized priors and warm starts),
+# then checkpoint restore (FuzzCheckpoint: hostile checkpoint bytes). A
+# failing input is written to the target's corpus directory; commit it
+# as a regression seed.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/stream
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

@@ -692,7 +692,6 @@ func BenchmarkTimelineSwap(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		eng, err := stream.New(sc.Rt, stream.Config{
 			Window: window, ResolveEvery: every, Method: stream.MethodEntropy,
-			ResolveDispatch: func() {},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -714,6 +713,10 @@ func BenchmarkTimelineSwap(b *testing.B) {
 			}
 		}
 		resolve := func() stream.Snapshot {
+			// An interval's publication precedes its park: wait for it.
+			for !eng.ResolvePending() {
+				runtime.Gosched()
+			}
 			if !eng.TryResolve(runCtx) {
 				b.Fatal("no parked re-solve")
 			}

@@ -360,76 +360,76 @@ func run(ctx context.Context, cfg config, out io.Writer) error {
 		}
 		return runClusterNode(ctx, cc, cfg, out)
 	}
-	// One registry carries the whole daemon's telemetry: the fleet's
-	// estimation/SLO families and the server's serving families land on
-	// the same GET /metrics/prom scrape.
-	reg := obs.NewRegistry()
-	f := fleet.New(runner.NewPool(cfg.parallel), fleet.Options{
-		CheckpointDir: cfg.checkpointDir,
-		Metrics:       reg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(out, "tmserve: "+format+"\n", args...)
-		},
-	})
-	single := cfg.fleetPath == ""
-	if single {
-		spec, err := singleTenantSpec(cfg)
-		if err != nil {
-			return err
+	f, reg, err := newFleet(cfg, false, out, func(f *fleet.Fleet) error {
+		if cfg.fleetPath == "" {
+			return addSingleTenant(f, cfg)
 		}
-		if cfg.timeline != "" {
-			// A scripted timeline builds its own compiled replay feed and
-			// arms the scripted routing hot-swaps; Fleet.Add owns that
-			// wiring (the same path a scenario:script fleet tenant takes).
-			if _, err := f.Add(spec); err != nil {
-				return err
-			}
-		} else if err := addClassicTenant(f, cfg, spec); err != nil {
-			return err
-		}
-	} else {
 		fc, err := fleet.LoadConfig(cfg.fleetPath)
 		if err != nil {
 			return err
 		}
-		for _, spec := range fc.Tenants {
-			if _, err := f.Add(spec); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := f.RestoreAll(); err != nil {
+		return addAll(f, fc.Tenants)
+	})
+	if err != nil {
 		return err
 	}
-
 	return serveFleet(ctx, f, cfg, nil, reg, out)
 }
 
-// runClusterNode boots one cluster member: a fleet holding only the
-// tenants the shared config assigns to this node (possibly none — a
-// pure standby), wrapped in the cluster runtime that syncs standby
-// checkpoints and answers the coordinator's adoption requests.
-func runClusterNode(ctx context.Context, cc cluster.Config, cfg config, out io.Writer) error {
-	logf := func(format string, args ...any) {
+// logger returns the daemon's log function: one "tmserve: " line per
+// call on out.
+func logger(out io.Writer) func(string, ...any) {
+	return func(format string, args ...any) {
 		fmt.Fprintf(out, "tmserve: "+format+"\n", args...)
 	}
+}
+
+// newFleet builds the fleet of an engine-hosting daemon (single-tenant,
+// -fleet or cluster node), declares its tenants with add and restores
+// each from its checkpoint where one exists. One registry carries the
+// whole daemon's telemetry: the fleet's estimation/SLO families and the
+// server's serving families land on the same GET /metrics/prom scrape.
+func newFleet(cfg config, allowEmpty bool, out io.Writer, add func(*fleet.Fleet) error) (*fleet.Fleet, *obs.Registry, error) {
 	reg := obs.NewRegistry()
 	f := fleet.New(runner.NewPool(cfg.parallel), fleet.Options{
 		CheckpointDir: cfg.checkpointDir,
-		AllowEmpty:    true, // standby nodes start with zero tenants
+		AllowEmpty:    allowEmpty,
 		Metrics:       reg,
-		Logf:          logf,
+		Logf:          logger(out),
 	})
-	for _, spec := range cc.OwnedBy(cfg.nodeName) {
+	if err := add(f); err != nil {
+		return nil, nil, err
+	}
+	if _, err := f.RestoreAll(); err != nil {
+		return nil, nil, err
+	}
+	return f, reg, nil
+}
+
+// addAll declares a tenant for every spec.
+func addAll(f *fleet.Fleet, specs []fleet.TenantSpec) error {
+	for _, spec := range specs {
 		if _, err := f.Add(spec); err != nil {
 			return err
 		}
 	}
-	node, err := cluster.NewNode(cc, cfg.nodeName, f, cfg.checkpointDir, nil, logf)
+	return nil
+}
+
+// runClusterNode boots one cluster member: a fleet holding only the
+// tenants the shared config assigns to this node (possibly none — a
+// pure standby, so the fleet may start empty), wrapped in the cluster
+// runtime that syncs standby checkpoints and answers the coordinator's
+// adoption requests.
+func runClusterNode(ctx context.Context, cc cluster.Config, cfg config, out io.Writer) error {
+	f, reg, err := newFleet(cfg, true, out, func(f *fleet.Fleet) error {
+		return addAll(f, cc.OwnedBy(cfg.nodeName))
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := f.RestoreAll(); err != nil {
+	node, err := cluster.NewNode(cc, cfg.nodeName, f, cfg.checkpointDir, nil, logger(out))
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "tmserve: cluster node %s: hosting %d tenant(s), standby for %d\n",
@@ -442,27 +442,42 @@ func runClusterNode(ctx context.Context, cc cluster.Config, cfg config, out io.W
 // migration) and the HTTP surface that fans /v1/tenants out across
 // members and forwards tenant reads to their owners.
 func runCoordinator(ctx context.Context, cc cluster.Config, cfg config, out io.Writer) error {
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	co := cluster.NewCoordinator(cc, nil, func(format string, args ...any) {
-		fmt.Fprintf(out, "tmserve: "+format+"\n", args...)
-	})
+	co := cluster.NewCoordinator(cc, nil, logger(out))
 	style := "proxying"
 	if cc.Redirect() {
 		style = "redirecting"
 	}
-	fmt.Fprintf(out, "tmserve: coordinator on %s: %d node(s), %d tenant(s), %s tenant reads\n",
-		ln.Addr(), len(cc.Nodes), len(cc.Tenants), style)
+	return listenAndServe(ctx, cfg, func(addr net.Addr) {
+		fmt.Fprintf(out, "tmserve: coordinator on %s: %d node(s), %d tenant(s), %s tenant reads\n",
+			addr, len(cc.Nodes), len(cc.Tenants), style)
+	}, func(runCtx context.Context) (http.Handler, <-chan error) {
+		go co.Run(runCtx)
+		return serve.NewCoordinator(co, nil).Handler(), nil
+	})
+}
+
+// listenAndServe is every mode's HTTP lifecycle: bind cfg.addr, print
+// the banner, signal cfg.ready, and serve the handler start returns.
+// start launches the mode's loops on a context cancelled when serving
+// stops — on ctx done, a server failure, or the loops' optional exit
+// channel delivering — and the server then gets 5 s to drain. An
+// undelivered exit channel is awaited before returning, so the loops'
+// final work (the fleet's SaveAll) is done.
+func listenAndServe(ctx context.Context, cfg config, banner func(net.Addr),
+	start func(runCtx context.Context) (http.Handler, <-chan error)) error {
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	banner(ln.Addr())
 	if cfg.ready != nil {
 		cfg.ready <- ln.Addr()
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	go co.Run(runCtx)
-	srv := &http.Server{Handler: serve.NewCoordinator(co, nil).Handler()}
+	handler, loopsDone := start(runCtx)
+	srv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -470,6 +485,9 @@ func runCoordinator(ctx context.Context, cc cluster.Config, cfg config, out io.W
 	select {
 	case <-ctx.Done():
 		runErr = ctx.Err()
+	case err := <-loopsDone:
+		loopsDone = nil
+		runErr = err
 	case err := <-serveErr:
 		runErr = err
 	}
@@ -477,14 +495,28 @@ func runCoordinator(ctx context.Context, cc cluster.Config, cfg config, out io.W
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer shutCancel()
 	_ = srv.Shutdown(shutCtx)
+	if loopsDone != nil {
+		<-loopsDone
+	}
 	return runErr
 }
 
-// addClassicTenant feeds the single tenant exactly as the pre-fleet
-// daemon was: loadScenario keeps the legacy flag semantics to the
-// letter (-seed 0 really is seed 0, unlike a JSON spec where 0 means
-// "default"), and the feed is built from the flags directly.
-func addClassicTenant(f *fleet.Fleet, cfg config, spec fleet.TenantSpec) error {
+// addSingleTenant declares the single tenant. A scripted timeline builds
+// its own compiled replay feed and arms the scripted routing hot-swaps,
+// which Fleet.Add owns (the same path a scenario:script fleet tenant
+// takes). Any other source is fed exactly as the pre-fleet daemon was:
+// loadScenario keeps the legacy flag semantics to the letter (-seed 0
+// really is seed 0, unlike a JSON spec where 0 means "default"), and
+// the feed is built from the flags directly.
+func addSingleTenant(f *fleet.Fleet, cfg config) error {
+	spec, err := singleTenantSpec(cfg)
+	if err != nil {
+		return err
+	}
+	if cfg.timeline != "" {
+		_, err = f.Add(spec)
+		return err
+	}
 	sc, err := loadScenario(cfg)
 	if err != nil {
 		return err
@@ -522,69 +554,40 @@ func addClassicTenant(f *fleet.Fleet, cfg config, spec fleet.TenantSpec) error {
 	return err
 }
 
-// serveFleet binds the HTTP server over a fully declared (and possibly
-// restored) fleet and blocks until ctx is done. node is non-nil only in
-// cluster mode: it runs the standby sync loops and unlocks the
-// cluster-only endpoints (checkpoint export, adoption).
+// serveFleet serves a fully declared (and possibly restored) fleet
+// until ctx is done. node is non-nil only in cluster mode: it runs the
+// standby sync loops and unlocks the cluster-only endpoints (checkpoint
+// export, adoption).
 func serveFleet(ctx context.Context, f *fleet.Fleet, cfg config, node *cluster.Node, reg *obs.Registry, out io.Writer) error {
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	for _, t := range f.Tenants() {
-		sc := t.Scenario()
-		fmt.Fprintf(out, "tmserve: tenant %s: %s (%d PoPs, %d LSPs), %s re-solves\n",
-			t.Name(), sc.Region, sc.Net.NumPoPs(), sc.Net.NumPairs(), t.Spec().Method)
-	}
-	fmt.Fprintf(out, "tmserve: serving %d tenant(s) on %s (%d shared re-solve workers)\n",
-		len(f.Tenants()), ln.Addr(), f.Pool().Workers())
-	if cfg.ready != nil {
-		cfg.ready <- ln.Addr()
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fleetDone := make(chan error, 1)
-	go func() { fleetDone <- f.Run(runCtx) }()
-	// The typed-nil guard matters: assigning a nil *cluster.Node into
-	// the interface directly would make Options.Node non-nil and turn
-	// every single-process daemon into a phantom cluster member.
-	var admin serve.NodeAdmin
-	if node != nil {
-		admin = node
-		go node.Run(runCtx)
-	}
-	srv := &http.Server{Handler: serve.New(runCtx, f, serve.Options{
-		Single:     cfg.fleetPath == "" && cfg.clusterPath == "",
-		MaxWaiters: cfg.maxWaiters,
-		Node:       admin,
-		Metrics:    reg,
-	}).Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	var runErr error
-	fleetStopped := false
-	select {
-	case <-ctx.Done():
-		runErr = ctx.Err()
-	case err := <-fleetDone:
+	return listenAndServe(ctx, cfg, func(addr net.Addr) {
+		for _, t := range f.Tenants() {
+			sc := t.Scenario()
+			fmt.Fprintf(out, "tmserve: tenant %s: %s (%d PoPs, %d LSPs), %s re-solves\n",
+				t.Name(), sc.Region, sc.Net.NumPoPs(), sc.Net.NumPairs(), t.Spec().Method)
+		}
+		fmt.Fprintf(out, "tmserve: serving %d tenant(s) on %s (%d shared re-solve workers)\n",
+			len(f.Tenants()), addr, f.Pool().Workers())
+	}, func(runCtx context.Context) (http.Handler, <-chan error) {
 		// The fleet exits early only on startup-grade failures (e.g. an
 		// unwritable checkpoint directory); serving without estimation
-		// would be lying to clients, so shut down.
-		fleetStopped = true
-		runErr = err
-	case err := <-serveErr:
-		runErr = err
-	}
-	cancel()
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shutCancel()
-	_ = srv.Shutdown(shutCtx)
-	if !fleetStopped {
-		<-fleetDone // the fleet's final SaveAll has then completed
-	}
-	return runErr
+		// would be lying to clients, so that shuts the daemon down.
+		fleetDone := make(chan error, 1)
+		go func() { fleetDone <- f.Run(runCtx) }()
+		// The typed-nil guard matters: assigning a nil *cluster.Node into
+		// the interface directly would make Options.Node non-nil and turn
+		// every single-process daemon into a phantom cluster member.
+		var admin serve.NodeAdmin
+		if node != nil {
+			admin = node
+			go node.Run(runCtx)
+		}
+		return serve.New(runCtx, f, serve.Options{
+			Single:     cfg.fleetPath == "" && cfg.clusterPath == "",
+			MaxWaiters: cfg.maxWaiters,
+			Node:       admin,
+			Metrics:    reg,
+		}).Handler(), fleetDone
+	})
 }
 
 func loadScenario(cfg config) (*netsim.Scenario, error) {
@@ -598,14 +601,4 @@ func loadScenario(cfg config) (*netsim.Scenario, error) {
 		return netsim.BuildAmerica(cfg.seed)
 	}
 	return nil, fmt.Errorf("unknown -region %q (europe or america)", cfg.region)
-}
-
-// newHandler builds the HTTP API over a fleet (internal/serve does the
-// real work: per-tenant broadcast hubs, the cached/delta read path, the
-// v1 surface and the byte-compatible legacy aliases). Long-polls abort
-// when runCtx is cancelled, so active handlers never hold srv.Shutdown
-// to its timeout during the daemon's graceful shutdown. Kept as the
-// seam the end-to-end tests drive directly.
-func newHandler(runCtx context.Context, f *fleet.Fleet, single bool) http.Handler {
-	return serve.New(runCtx, f, serve.Options{Single: single}).Handler()
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/runner"
+	"repro/internal/serve"
 	"repro/internal/stream"
 )
 
@@ -249,7 +250,7 @@ func TestEndToEndLive(t *testing.T) {
 func TestAPIBeforeFirstSnapshot(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	srv := httptest.NewServer(newHandler(runCtx, handlerFleet(t), true))
+	srv := httptest.NewServer(serve.New(runCtx, handlerFleet(t), serve.Options{Single: true}).Handler())
 	defer srv.Close()
 
 	var e struct {
@@ -308,7 +309,7 @@ func TestAPIBeforeFirstSnapshot(t *testing.T) {
 func TestLongPollClientDisconnect(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	handler := newHandler(runCtx, handlerFleet(t), true)
+	handler := serve.New(runCtx, handlerFleet(t), serve.Options{Single: true}).Handler()
 
 	reqCtx, cancelReq := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/snapshot?min_version=1", nil).WithContext(reqCtx)

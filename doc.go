@@ -23,10 +23,10 @@
 //
 // Beyond the batch experiments, internal/stream runs the estimators
 // continuously over the collector's poll windows — incremental gravity
-// every interval, periodic full re-solves on a dedicated latest-wins
-// worker, versioned snapshots — and cmd/tmserve serves the evolving
-// matrix over HTTP/JSON from a live simulated deployment or a
-// deterministic scenario replay.
+// every interval, periodic full re-solves parked latest-wins for the
+// engine's host to run, versioned snapshots — and cmd/tmserve serves
+// the evolving matrix over HTTP/JSON from a live simulated deployment
+// or a deterministic scenario replay.
 //
 // METHODS.md maps every estimation method of the paper to its entry
 // point and the experiments that evaluate it.

@@ -2,10 +2,11 @@
 // collection and watch the traffic matrix evolve — the online counterpart
 // of the batch experiments. Every 5-minute interval the engine folds the
 // newly collected rates into its sliding window and refreshes the cheap
-// incremental gravity estimate (eq. 5); every third interval it schedules
-// a full entropy re-solve (eq. 6) on a dedicated latest-wins worker. The
-// same engine powers the tmserve daemon, which serves these snapshots
-// over HTTP/JSON instead of printing them.
+// incremental gravity estimate (eq. 5); every third interval it parks a
+// full entropy re-solve (eq. 6), which this program — the engine's host —
+// runs on a goroutine of its own, the way the tmserve daemon's fleet runs
+// every tenant's re-solves on a shared pool. tmserve serves these
+// snapshots over HTTP/JSON instead of printing them.
 package main
 
 import (
@@ -25,11 +26,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The engine parks each scheduled re-solve (a newer window replaces
+	// one not yet started) and calls ResolveDispatch; the host runs it.
+	parked := make(chan struct{}, 1)
 	engine, err := stream.New(sc.Rt, stream.Config{
 		Window:       6, // half an hour of 5-minute intervals
 		ResolveEvery: 3,
 		Method:       stream.MethodEntropy,
 		Reg:          1000,
+		ResolveDispatch: func() {
+			select {
+			case parked <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -40,10 +50,16 @@ func main() {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	engineDone := make(chan struct{})
 	go func() {
-		defer close(engineDone)
 		_ = engine.Run(ctx, store)
+		close(parked) // Run has returned, so nothing parks anymore
+	}()
+	hostDone := make(chan struct{})
+	go func() {
+		defer close(hostDone)
+		for range parked {
+			engine.TryResolve(ctx)
+		}
 	}()
 
 	// Pace the replay so each 5-minute interval takes 50 ms of wall time;
@@ -82,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cancel()
-	<-engineDone
+	<-hostDone
 
 	final, _ := engine.Latest()
 	fmt.Printf("\nfinal snapshot v%d: %d demands over a %d-interval window, "+

@@ -8,11 +8,13 @@
 // is the serving layer that operates many such subnetworks at once,
 // which is what cmd/tmserve's -fleet mode exposes over HTTP.
 //
-// Scheduling is fair by construction: engines park scheduled re-solves
-// (stream.Config.ResolveDispatch) instead of solving, and the fleet's
-// scheduler claims parked work round-robin across tenants with at most
-// one solve in flight per tenant — so a drifting 150-PoP tenant queues
-// behind its own previous solve, never ahead of a small tenant's first.
+// Scheduling is fair by construction. Engines never solve on their own:
+// each parks its scheduled re-solve and wakes the fleet through
+// stream.Config.ResolveDispatch, and the fleet's scheduler claims parked
+// work (stream.Engine.TryResolve) round-robin across tenants with at
+// most one solve in flight per tenant — so a drifting 150-PoP tenant
+// queues behind its own previous solve, never ahead of a small tenant's
+// first.
 // Claimed solves run on pool helper slots when one is free and on the
 // claiming goroutine otherwise, the same caller-participates discipline
 // as runner.Pool.ForEach.
@@ -348,8 +350,9 @@ func New(pool *runner.Pool, opts Options) *Fleet {
 func (f *Fleet) Pool() *runner.Pool { return f.pool }
 
 // Add materializes a tenant from its spec: the source is built (or
-// loaded), the engine created in dispatch mode, and a deterministic
-// replay feed attached. Must be called before Run.
+// loaded), the engine created with the fleet's scheduler as the host of
+// its re-solves, and a deterministic replay feed attached. Must be
+// called before Run.
 func (f *Fleet) Add(spec TenantSpec) (*Tenant, error) {
 	return f.addSpec(spec, false)
 }

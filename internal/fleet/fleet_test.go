@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/collector"
+	"repro/internal/leakcheck"
 	"repro/internal/runner"
 	"repro/internal/stream"
 )
@@ -68,9 +69,8 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-// parkWork drives a dispatch-mode tenant's engine directly (outside
-// Fleet.Run) until a re-solve is parked, so scheduler internals can be
-// tested white-box.
+// parkWork drives a tenant's engine directly (outside Fleet.Run) until
+// a re-solve is parked, so scheduler internals can be tested white-box.
 func parkWork(t *testing.T, ten *Tenant) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -251,6 +251,7 @@ func eightTenantSpecs(t *testing.T) []TenantSpec {
 // restarts from per-tenant checkpoint files under one directory with
 // every tenant serving its restored snapshot immediately.
 func TestFleetEightTenants(t *testing.T) {
+	defer leakcheck.Check(t)()
 	if testing.Short() {
 		t.Skip("multi-tenant acceptance run is slow; skipped in -short")
 	}
@@ -415,6 +416,7 @@ func TestSharedPoolSerialDrain(t *testing.T) {
 // whose collection errors is marked failed without taking the fleet
 // (or its neighbors) down.
 func TestRunLifecycle(t *testing.T) {
+	defer leakcheck.Check(t)()
 	if _, err := New(runner.NewPool(1), Options{}).Add(TenantSpec{Name: "x", Cycles: -2}); err == nil {
 		t.Fatal("cycles -2 accepted")
 	}
@@ -492,6 +494,7 @@ func TestRestoreAllRejectsCorruptCheckpoint(t *testing.T) {
 // exit on failure like the pre-fleet daemon instead of serving nothing
 // forever.
 func TestRunExitsWhenAllTenantsFail(t *testing.T) {
+	defer leakcheck.Check(t)()
 	f := New(runner.NewPool(1), Options{})
 	seed, err := f.Add(TenantSpec{Name: "seed", Cycles: 1, Pace: "0"})
 	if err != nil {

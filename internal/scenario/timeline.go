@@ -165,7 +165,7 @@ func EvaluateTimeline(ctx context.Context, pool *runner.Pool, tl *timeline.Timel
 // lockstep. The driver mirrors the engine's close-out rule to know
 // exactly how many intervals each ingested step consumes and whether a
 // re-solve was parked, waits for precisely those publications, and runs
-// every parked re-solve on this goroutine (dispatch mode) — no
+// every parked re-solve on this goroutine — no
 // scheduling race, hence deterministic output.
 func trackTimeline(ctx context.Context, tl *timeline.Timeline, m stream.Method, cfg TimelineConfig) (TimelineScore, error) {
 	score := TimelineScore{Method: string(m), Errors: make([]float64, len(tl.Steps))}

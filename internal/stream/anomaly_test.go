@@ -33,8 +33,7 @@ func TestDriftAnomalyDetector(t *testing.T) {
 	store := collector.NewStore(P)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 
 	scales := []float64{1, 1, 1, 1, 3, 3, 1, 1}
 	for iv, scale := range scales {
@@ -143,9 +142,8 @@ func TestOnResolveHook(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
-	// Paced, so the worker drains each parked re-solve before the next
+	done := host(t, ctx, eng, store)
+	// Paced, so the host drains each parked re-solve before the next
 	// interval lands (an instant replay collapses every schedule into
 	// one latest-wins solve).
 	if err := collector.Replay(ctx, store, sc.Series, 8, 25*time.Millisecond); err != nil {

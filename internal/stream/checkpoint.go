@@ -169,6 +169,9 @@ func (e *Engine) Restore(cp Checkpoint) error {
 		}
 		demand := ce.Demand.Clone()
 		loads := rt.LinkLoads(demand)
+		if !inRange(demand) || !inRange(loads) { // consume's gate
+			return fmt.Errorf("stream: checkpoint ring entry %d has a negative or non-finite demand, or link loads past %g Mbps", i, maxLoad)
+		}
 		entries[i] = windowEntry{interval: ce.Interval, demand: demand, loads: loads}
 		linalg.Axpy(1, loads, loadSum)
 		linalg.Axpy(1, demand, demandSum)
@@ -179,6 +182,9 @@ func (e *Engine) Restore(cp Checkpoint) error {
 	if cp.PrevMean != nil && len(cp.PrevMean) != rt.Net.NumPairs() {
 		return fmt.Errorf("stream: checkpoint prev-mean has %d demands, want %d",
 			len(cp.PrevMean), rt.Net.NumPairs())
+	}
+	if !inRange(cp.PrevMean) {
+		return fmt.Errorf("stream: checkpoint prev-mean has a demand outside [0, %g] Mbps", maxLoad)
 	}
 
 	e.stateMu.Lock()

@@ -23,16 +23,15 @@ func runReplay(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles int) {
 }
 
 // runReplayResolve is runReplay that additionally waits — while the
-// engine is still running, so the re-solve worker cannot drop the job
-// during shutdown — for a published re-solve covering resolveIv or
-// later (-1 skips the wait).
+// engine is still running, so the host cannot drop the job during
+// shutdown — for a published re-solve covering resolveIv or later (-1
+// skips the wait).
 func runReplayResolve(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles, resolveIv int) {
 	t.Helper()
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	if err := collector.Replay(ctx, store, sc.Series, cycles, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +232,7 @@ func TestRestoreValidation(t *testing.T) {
 	if e, _ := New(eu.Rt, Config{Window: 3}); true {
 		ctx, cancel := context.WithCancel(context.Background())
 		store := collector.NewStore(eu.Net.NumPairs())
-		done := make(chan error, 1)
-		go func() { done <- e.Run(ctx, store) }()
+		done := host(t, ctx, e, store)
 		for !e.started.Load() {
 			time.Sleep(time.Millisecond)
 		}
@@ -399,8 +397,7 @@ func TestCheckpointDuringRun(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	replayDone := make(chan error, 1)
 	go func() { replayDone <- collector.Replay(ctx, store, sc.Series, 30, 0) }()
 

@@ -5,16 +5,14 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/collector"
 	"repro/internal/netsim"
 )
 
-// TestDispatchModeParksResolves pins the injected-dispatch contract the
-// fleet builds on: with Config.ResolveDispatch set the engine never
-// solves on its own — scheduled windows park until the host calls
-// TryResolve — and the hook fires once per parked window.
+// TestDispatchModeParksResolves pins the contract every host builds on:
+// the engine never solves on its own — scheduled windows park until the
+// host calls TryResolve — and Config.ResolveDispatch fires once per
+// parked window.
 func TestDispatchModeParksResolves(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -42,7 +40,7 @@ func TestDispatchModeParksResolves(t *testing.T) {
 		t.Fatal("no snapshot after replay")
 	}
 	if snap.Resolve != nil {
-		t.Fatal("engine solved on its own despite dispatch mode")
+		t.Fatal("engine solved on its own")
 	}
 	if !eng.ResolvePending() {
 		t.Fatal("no parked re-solve after scheduled windows")
@@ -69,71 +67,30 @@ func TestDispatchModeParksResolves(t *testing.T) {
 	}
 }
 
-// TestDispatchMatchesWorker proves moving the re-solve onto a host
-// goroutine changes nothing about the estimate: with exactly one solve
-// scheduled (so both engines solve the same window cold, with the same
-// budget), the dispatch-mode host's TryResolve must publish the same
-// vector the worker-mode engine does.
-func TestDispatchMatchesWorker(t *testing.T) {
+// TestTryResolveAfterCancel pins the shutdown drain: once ctx is done,
+// TryResolve still takes the parked work and reports it consumed, but
+// solves and publishes nothing.
+func TestTryResolveAfterCancel(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cycles = 6
-	base := Config{Window: 3, ResolveEvery: cycles} // one solve, at the last interval
-
-	worker, err := New(sc.Rt, base)
+	eng, err := New(sc.Rt, Config{Window: 2, ResolveEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := collector.NewStore(sc.Net.NumPairs())
-	runCtx, cancelRun := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancelRun()
-	done := make(chan error, 1)
-	go func() { done <- worker.Run(runCtx, store) }()
-	if err := collector.Replay(runCtx, store, sc.Series, cycles, 0); err != nil {
-		t.Fatalf("replay: %v", err)
+	for k := 0; k < 2; k++ {
+		eng.consume(k, sc.Series.Demands[k].Clone(), sc.Net.NumPairs())
 	}
-	// Wait for the one scheduled re-solve before shutting down: the
-	// worker drains without solving once the context is cancelled.
-	var want Snapshot
-	deadline := time.Now().Add(time.Minute)
-	for {
-		var ok bool
-		if want, ok = worker.Latest(); ok && want.Resolve != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker engine never published its re-solve")
-		}
-		time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if !eng.TryResolve(ctx) {
+		t.Fatal("TryResolve after cancellation did not consume the parked work")
 	}
-	cancelRun()
-	<-done
-	if want.ResolveInterval != cycles-1 {
-		t.Fatalf("worker re-solve covered interval %d, want %d", want.ResolveInterval, cycles-1)
+	if eng.ResolvePending() {
+		t.Fatal("parked work survived the drain")
 	}
-
-	cfgD := base
-	cfgD.ResolveDispatch = func() {}
-	dispatch, err := New(sc.Rt, cfgD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayInto(t, sc, dispatch, cycles, cycles)
-	if !dispatch.TryResolve(context.Background()) {
-		t.Fatal("no parked re-solve on the dispatch engine")
-	}
-	got, _ := dispatch.Latest()
-	if got.Resolve == nil || got.ResolveInterval != cycles-1 {
-		t.Fatalf("dispatch re-solve missing or at interval %d, want %d", got.ResolveInterval, cycles-1)
-	}
-	if len(got.Resolve) != len(want.Resolve) {
-		t.Fatalf("dispatch resolve has %d demands, worker %d", len(got.Resolve), len(want.Resolve))
-	}
-	for p := range want.Resolve {
-		if d := math.Abs(got.Resolve[p] - want.Resolve[p]); d > 1e-9 {
-			t.Fatalf("demand %d: dispatch %v vs worker %v (diff %g)", p, got.Resolve[p], want.Resolve[p], d)
-		}
+	if snap, _ := eng.Latest(); snap.Resolve != nil || snap.Version != 2 {
+		t.Fatalf("drain published (version %d, resolve %v)", snap.Version, snap.Resolve != nil)
 	}
 }

@@ -27,11 +27,10 @@ func TestFailedResolveKeepsPreviousEstimate(t *testing.T) {
 		t.Run(string(m), func(t *testing.T) {
 			var errs []error
 			eng, err := New(sc.Rt, Config{
-				Method:          m,
-				Window:          2,
-				ResolveEvery:    1,
-				ResolveMaxIter:  200,
-				ResolveDispatch: func() {},
+				Method:         m,
+				Window:         2,
+				ResolveEvery:   1,
+				ResolveMaxIter: 200,
 				OnResolve: func(d time.Duration, iters int, warm bool, err error) {
 					errs = append(errs, err)
 				},
@@ -53,13 +52,17 @@ func TestFailedResolveKeepsPreviousEstimate(t *testing.T) {
 			warmEst, warmAlpha := eng.takeWarm()
 
 			// Every demand at 1e308: each link load is a sum of several
-			// of them and overflows to +Inf.
+			// of them and overflows to +Inf. consume skips such an
+			// interval, so the overflowing window is parked directly —
+			// the estimator must refuse it on its own.
 			huge := linalg.NewVector(p)
 			huge.Fill(1e308)
-			eng.consume(2, huge, p)
-			if mx, _ := eng.ring[len(eng.ring)-1].loads.Max(); !math.IsInf(mx, 1) {
+			w := resolveWork{rt: sc.Rt, interval: 2, mean: huge,
+				loads: []linalg.Vector{eng.ring[len(eng.ring)-1].loads, sc.Rt.LinkLoads(huge)}}
+			if mx, _ := w.loads[len(w.loads)-1].Max(); !math.IsInf(mx, 1) {
 				t.Fatalf("window loads peak at %v, want +Inf", mx)
 			}
+			eng.pending.Store(&w)
 			if !eng.TryResolve(ctx) {
 				t.Fatal("overflowing window was not parked")
 			}

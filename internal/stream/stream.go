@@ -4,11 +4,12 @@
 // subscribes to the collector's poll windows as the central store fills,
 // maintains sliding-window link-load and fanout state, refreshes a cheap
 // incremental gravity estimate (eq. 5) after every consumed interval, and
-// periodically schedules a full re-solve — entropy (eq. 6), Bayesian
-// (eq. 7), Vardi's second-moment method (§4.2.2) or the paper's
-// constant-fanout estimator (§4.2.4) — on a dedicated latest-wins worker,
-// so a slow solve never blocks interval ingestion and a stale pending
-// window is superseded rather than queued.
+// periodically parks a full re-solve — entropy (eq. 6), Bayesian (eq. 7),
+// Vardi's second-moment method (§4.2.2) or the paper's constant-fanout
+// estimator (§4.2.4) — in a latest-wins slot that its host runs with
+// TryResolve (internal/fleet multiplexes many engines' re-solves onto one
+// worker pool), so a slow solve never blocks interval ingestion and a
+// stale pending window is superseded rather than queued.
 //
 // Because backbone demand drifts slowly between intervals (the premise
 // of the paper's Figs. 4–5), each full re-solve is warm-started from the
@@ -55,7 +56,8 @@ type Config struct {
 	Window int
 	// MinCoverage is the fraction of LSPs an interval must cover before it
 	// may be consumed once later intervals have closed it out. Intervals
-	// below it are skipped (counted in Snapshot.Skipped). Values <= 0 —
+	// below it are skipped (counted in Snapshot.Skipped), as are those
+	// with a NaN or negative rate or a link load past 1e150. Values <= 0 —
 	// including the zero value — select the default of 1 (full coverage
 	// required); to accept closed intervals at any coverage, pass a small
 	// positive fraction instead.
@@ -103,13 +105,12 @@ type Config struct {
 	// MetricsHistory bounds the error-metric ring kept for Metrics().
 	// Defaults to 1024 points.
 	MetricsHistory int
-	// ResolveDispatch, when non-nil, moves full re-solves off the
-	// engine's own worker goroutine and into the host's hands: each
+	// ResolveDispatch, when non-nil, is called once every time a
 	// scheduled window is parked as the engine's single pending re-solve
-	// (latest wins, exactly as in worker mode) and ResolveDispatch is
-	// called once per parking so the host knows work is waiting. The
-	// host then calls TryResolve — typically on a shared worker pool
-	// shared by many engines (internal/fleet) — to execute it.
+	// (latest wins), so the host knows work is waiting; nil means the
+	// host polls ResolvePending instead. The engine never solves on its
+	// own: the host runs parked work with TryResolve, typically on a
+	// worker pool shared by many engines (internal/fleet).
 	// ResolveDispatch runs on the engine's ingestion goroutine and must
 	// not block.
 	ResolveDispatch func()
@@ -120,16 +121,16 @@ type Config struct {
 	// engine a private cache, which still amortizes those artifacts
 	// across its own re-solves.
 	Solve *core.SolveCache
-	// OnResolve, when non-nil, observes every executed full re-solve —
-	// worker-mode and dispatch-mode alike — with its wall-clock
-	// duration, solver iteration count and warm/cold start, and err set
+	// OnResolve, when non-nil, observes every executed full re-solve with
+	// its wall-clock duration, solver iteration count and warm/cold
+	// start, and err set
 	// when the solve failed (the estimator refused the window, e.g. for
 	// non-finite loads; the previous estimate stays published and
 	// iters and warm are then zero). The hook is how hosts feed latency
 	// histograms and failure counters (internal/fleet's Prometheus
-	// registry) without polling. It runs on the solving goroutine,
-	// outside the engine's locks, and must not call back into the
-	// engine.
+	// registry) without polling. It runs on the goroutine that called
+	// TryResolve, outside the engine's locks, and must not call back
+	// into the engine.
 	OnResolve func(d time.Duration, iters int, warm bool, err error)
 	// AnomalyFactor, when > 0, enables the drift-anomaly detector — the
 	// paper's classic downstream use of TM estimation. An interval
@@ -164,7 +165,7 @@ type Snapshot struct {
 	Window int `json:"window"`
 	// Covered is the LSP coverage of the newest consumed interval.
 	Covered int `json:"covered"`
-	// Skipped counts intervals dropped for insufficient coverage so far.
+	// Skipped counts intervals dropped so far (see Config.MinCoverage).
 	Skipped int `json:"skipped"`
 	// Drift is the relative L1 distance between this window mean and the
 	// previous interval's — the signal the adaptive re-solve cadence
@@ -298,13 +299,14 @@ type resolveWork struct {
 }
 
 // Engine is the continuous estimation service. Create it with New,
-// optionally Restore a checkpoint, drive it with Run (once), and read it
-// with Latest / WaitVersion / Metrics / Checkpoint from any goroutine.
+// optionally Restore a checkpoint, drive it with Run (once), run its
+// parked re-solves with TryResolve, and read it with Latest /
+// WaitVersion / Metrics / Checkpoint from any goroutine.
 type Engine struct {
 	cfg Config
 
 	// started flips once: Run is documented "at most once", and a second
-	// call must fail cleanly instead of double-closing e.work.
+	// call must fail cleanly instead of racing the first over the window.
 	started atomic.Bool
 
 	mu      sync.RWMutex
@@ -315,7 +317,7 @@ type Engine struct {
 
 	// stateMu guards the consumption and warm-start state below, so
 	// Checkpoint can capture a consistent view while the Run goroutine
-	// and the resolve worker advance it. Never held together with mu.
+	// and the host's TryResolve advance it. Never held together with mu.
 	// rt lives here too since SwapRouting replaces it mid-stream; the
 	// ingestion path reads it under the lock and re-solves pin the
 	// routing they were scheduled with (resolveWork.rt).
@@ -344,20 +346,21 @@ type Engine struct {
 	anomIdx    int
 	anomActive bool
 	anomCount  int
-	// Warm-start state, advanced by the resolve worker on every
-	// successful solve: the previous estimate (the x0 of the next one)
-	// and, for MethodFanout, the previous solved fanout iterate.
+	// Warm-start state, advanced on every successful re-solve: the
+	// previous estimate (the x0 of the next one) and, for MethodFanout,
+	// the previous solved fanout iterate.
 	warmEst   linalg.Vector
 	warmAlpha linalg.Vector
 
-	work     chan resolveWork
-	workerWG sync.WaitGroup
+	// pending is the parked re-solve: consume overwrites it (latest
+	// wins), TryResolve takes it.
+	pending atomic.Pointer[resolveWork]
 
 	// Buffer arena, reused between publications instead of allocating per
 	// interval / per re-solve. Single-owner invariants: the ingestion
-	// goroutine (consume) owns teBuf/txBuf and ingestWS; whichever
-	// goroutine executes resolve — the engine's own worker or the host's
-	// TryResolve caller, never both at once — owns ws and meanBuf.
+	// goroutine (consume) owns teBuf/txBuf and ingestWS; the goroutine
+	// running TryResolve — one at a time, by the host's contract — owns
+	// ws and meanBuf.
 	// Everything a published Snapshot or a parked resolveWork retains
 	// (mean, gravity, fanouts, estimates, ring load vectors) stays
 	// freshly allocated and is never recycled.
@@ -443,7 +446,6 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 		loadSum:   linalg.NewVector(rt.R.Rows()),
 		demandSum: linalg.NewVector(rt.Net.NumPairs()),
 		curEvery:  cfg.ResolveEvery,
-		work:      make(chan resolveWork, 1),
 		teBuf:     linalg.NewVector(rt.Net.NumPoPs()),
 		txBuf:     linalg.NewVector(rt.Net.NumPoPs()),
 		ingestWS:  core.NewWorkspace(cfg.Solve),
@@ -463,14 +465,6 @@ func (e *Engine) Run(ctx context.Context, store *collector.Store) error {
 	}
 	updates, cancel := store.Subscribe()
 	defer cancel()
-	if e.cfg.ResolveDispatch == nil {
-		e.workerWG.Add(1)
-		go e.resolveWorker(ctx)
-		defer func() {
-			close(e.work)
-			e.workerWG.Wait()
-		}()
-	}
 	e.scan(store)
 	for {
 		select {
@@ -574,7 +568,8 @@ func (e *Engine) scan(store *collector.Store) {
 }
 
 // consume folds one collected interval into the sliding window and
-// publishes a fresh snapshot with the incremental gravity estimate.
+// publishes a fresh snapshot with the incremental gravity estimate, or
+// skips the interval when a rate or link load is out of range.
 func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	e.stateMu.Lock()
 	e.applySwapsLocked(interval)
@@ -582,6 +577,14 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	epoch := e.epoch
 	net := rt.Net
 	loads := rt.LinkLoads(rates)
+	if !inRange(rates) || !inRange(loads) {
+		// A NaN would stay in the running sums for good (so would the
+		// Inf − Inf an Inf load leaves): skip it like an under-covered one.
+		e.skipped++
+		e.next = interval + 1
+		e.stateMu.Unlock()
+		return
+	}
 	te := sizedBuf(&e.teBuf, net.NumPoPs())
 	tx := sizedBuf(&e.txBuf, net.NumPoPs())
 	e.ring = append(e.ring, windowEntry{interval: interval, demand: rates, loads: loads})
@@ -683,25 +686,27 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	e.publish(snap)
 
 	if schedule {
-		w := resolveWork{rt: rt, interval: interval, loads: loadsCopy, mean: mean, thresh: thresh}
-		// Latest wins: drop a pending (not yet started) re-solve in favor
-		// of the newer window.
-		select {
-		case e.work <- w:
-		default:
-			select {
-			case <-e.work:
-			default:
-			}
-			select {
-			case e.work <- w:
-			default:
-			}
-		}
+		// Latest wins: a pending (not yet claimed) re-solve is superseded
+		// by the newer window.
+		e.pending.Store(&resolveWork{rt: rt, interval: interval, loads: loadsCopy, mean: mean, thresh: thresh})
 		if e.cfg.ResolveDispatch != nil {
 			e.cfg.ResolveDispatch()
 		}
 	}
+}
+
+// maxLoad caps a usable rate or link load (Mbps): the gravity estimate
+// multiplies two loads, which overflows from √MaxFloat64 ≈ 1.3e154 on.
+const maxLoad = 1e150
+
+// inRange reports whether every element lies in [0, maxLoad]; NaN fails.
+func inRange(v linalg.Vector) bool {
+	for _, x := range v {
+		if !(x >= 0 && x <= maxLoad) {
+			return false
+		}
+	}
+	return true
 }
 
 // detectAnomalyLocked advances the drift-anomaly detector by one
@@ -816,64 +821,43 @@ func (e *Engine) installLocked(snap Snapshot) {
 	e.waiters = e.waiters[:0]
 }
 
-// resolveWorker runs full re-solves one at a time on its own goroutine.
-func (e *Engine) resolveWorker(ctx context.Context) {
-	defer e.workerWG.Done()
-	for w := range e.work {
-		if ctx.Err() != nil {
-			continue // drain without solving during shutdown
-		}
-		e.runResolve(w)
-	}
-}
+// ResolvePending reports whether a scheduled full re-solve is parked
+// waiting for TryResolve. It is a scheduling hint: the answer may be
+// stale by the time the host acts on it, which TryResolve tolerates.
+func (e *Engine) ResolvePending() bool { return e.pending.Load() != nil }
 
-// runResolve executes one parked re-solve, reports it through
-// Config.OnResolve and publishes its result. A failed re-solve is
-// reported but never unpublishes the previous one: the snapshot keeps
-// its last good estimate and the warm-start iterates stay untouched.
-func (e *Engine) runResolve(w resolveWork) {
+// TryResolve runs the parked full re-solve, if any, on the calling
+// goroutine, reports it through Config.OnResolve and publishes its
+// result (a failed one publishes nothing: the last good estimate and
+// its warm-start iterates stay), reporting whether it consumed one. It
+// is the only way re-solves run. At most one may be in flight per
+// engine, so a host must not call it concurrently for the same engine.
+// A nothing-pending call returns false immediately; once ctx is done
+// the parked work is still consumed — and reported as consumed — but no
+// longer solved (the shutdown drain).
+func (e *Engine) TryResolve(ctx context.Context) bool {
+	w := e.pending.Swap(nil)
+	if w == nil {
+		return false
+	}
+	if ctx.Err() != nil {
+		return true // consumed, deliberately unsolved
+	}
 	t0 := time.Now()
-	est, iters, warm, err := e.resolve(w)
+	est, iters, warm, err := e.resolve(*w)
 	d := time.Since(t0)
 	if e.cfg.OnResolve != nil {
 		e.cfg.OnResolve(d, iters, warm, err)
 	}
 	if err == nil {
-		e.publishResolve(est, w, iters, warm, d)
+		e.publishResolve(est, *w, iters, warm, d)
 	}
-}
-
-// ResolvePending reports whether a scheduled full re-solve is parked
-// waiting for TryResolve. It is a scheduling hint for dispatch-mode
-// hosts (Config.ResolveDispatch): the answer may be stale by the time
-// the host acts on it, which TryResolve tolerates.
-func (e *Engine) ResolvePending() bool { return len(e.work) > 0 }
-
-// TryResolve executes at most one parked full re-solve on the calling
-// goroutine and publishes its result, reporting whether it consumed
-// one. It is the dispatch-mode (Config.ResolveDispatch) counterpart of
-// the engine's own resolve worker and carries the same invariant: at
-// most one re-solve per engine may be in flight, so a host must not
-// call it concurrently for the same engine. A nothing-pending call
-// returns false immediately; once ctx is done the parked work is still
-// consumed — and reported as consumed — but no longer solved (the
-// shutdown drain).
-func (e *Engine) TryResolve(ctx context.Context) bool {
-	select {
-	case w := <-e.work:
-		if ctx.Err() != nil {
-			return true // consumed, deliberately unsolved
-		}
-		e.runResolve(w)
-		return true
-	default:
-		return false
-	}
+	return true
 }
 
 // takeWarm returns the warm-start iterates for the next re-solve (nil
-// means cold). Locked: Restore seeds them before Run, the worker
-// advances them, Checkpoint reads them.
+// means cold). Locked: Restore seeds them before Run, re-solves advance
+// them, Checkpoint reads them.
 func (e *Engine) takeWarm() (est, alpha linalg.Vector) {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()

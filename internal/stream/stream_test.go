@@ -8,15 +8,18 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 )
 
 // replayInto runs an engine against a store fed by a deterministic replay
 // of the scenario's series, waits until minVersion is published, shuts
-// the engine down cleanly, and returns the store for inspection.
+// the engine down cleanly, and returns the store for inspection. Nothing
+// runs parked re-solves: they stay parked for the caller's TryResolve.
 func replayInto(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles int, minVersion uint64) *collector.Store {
 	t.Helper()
+	defer leakcheck.Check(t)()
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -59,17 +62,24 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		t.Fatalf("snapshot at interval %d window %d, want %d/%d", snap.Interval, snap.Window, cycles-1, window)
 	}
 
-	// Batch reference: average the window's link loads from the ground
-	// truth (replay is lossless, so collected == true demands) and solve
-	// gravity from scratch.
+	matchBatch(t, sc, snap, cycles-window, cycles)
+}
+
+// matchBatch checks a snapshot's incremental gravity estimate and window
+// mean against a from-scratch batch gravity solve over the series
+// intervals [from, to) to within 1e-9. The reference averages the
+// window's link loads from the ground truth (a lossless replay collects
+// exactly the true demands).
+func matchBatch(t *testing.T, sc *netsim.Scenario, snap Snapshot, from, to int) {
+	t.Helper()
 	meanLoads := linalg.NewVector(sc.Rt.R.Rows())
 	meanDemand := linalg.NewVector(sc.Net.NumPairs())
-	for k := cycles - window; k < cycles; k++ {
+	for k := from; k < to; k++ {
 		linalg.Axpy(1, sc.Rt.LinkLoads(sc.Series.Demands[k]), meanLoads)
 		linalg.Axpy(1, sc.Series.Demands[k], meanDemand)
 	}
-	meanLoads.Scale(1 / float64(window))
-	meanDemand.Scale(1 / float64(window))
+	meanLoads.Scale(1 / float64(to-from))
+	meanDemand.Scale(1 / float64(to-from))
 	inst, err := core.NewInstance(sc.Rt, meanLoads)
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +94,70 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			t.Fatalf("demand %d: window mean %v vs batch %v (diff %g > 1e-9)", p, snap.Mean[p], meanDemand[p], d)
 		}
 	}
+}
+
+// TestNonFiniteIntervalsSkipped interleaves an interval with one NaN
+// rate and one with every rate at 1e308 (each link load overflows to
+// +Inf) with clean ones. Both must be skipped like under-covered
+// intervals: were either folded into the window's running sums, its NaN
+// would outlive the interval's stay in the window and poison every
+// later snapshot.
+func TestNonFiniteIntervalsSkipped(t *testing.T) {
+	sc, err := netsim.BuildEurope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := sc.Net.NumPairs()
+	const window, cycles = 3, 8
+	eng, err := New(sc.Rt, Config{Window: window, ResolveEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := collector.NewStore(P)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	done := host(t, ctx, eng, store)
+	for iv := 0; iv < cycles; iv++ {
+		for p, mbps := range sc.Series.Demands[iv] {
+			switch {
+			case iv == 1 && p == 7:
+				mbps = math.NaN()
+			case iv == 3:
+				mbps = 1e308
+			}
+			store.Ingest(collector.RateRecord{LSP: p, Interval: iv, RateMbps: mbps})
+		}
+	}
+	var snap Snapshot
+	for v := uint64(1); snap.Interval < cycles-1; v = snap.Version + 1 {
+		if snap, err = eng.WaitVersion(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	<-done
+
+	if snap.Interval != cycles-1 || snap.Window != window || snap.Skipped != 2 {
+		t.Fatalf("snapshot interval %d window %d skipped %d, want %d/%d/2",
+			snap.Interval, snap.Window, snap.Skipped, cycles-1, window)
+	}
+	for _, p := range eng.Metrics() {
+		if !finite(p.Drift, p.GravityMRE, p.ResolveMRE) {
+			t.Fatalf("version %d (interval %d) published drift %v gravity MRE %v resolve MRE %v",
+				p.Version, p.Interval, p.Drift, p.GravityMRE, p.ResolveMRE)
+		}
+	}
+	for name, v := range map[string]linalg.Vector{"gravity": snap.Gravity, "mean": snap.Mean, "fanouts": snap.Fanouts} {
+		if !v.AllFinite() {
+			t.Fatalf("final snapshot %s is not finite", name)
+		}
+	}
+	matchBatch(t, sc, snap, cycles-window, cycles)
+}
+
+// finite reports whether every x is a finite number.
+func finite(xs ...float64) bool {
+	return linalg.Vector(xs).AllFinite()
 }
 
 // TestVersionsMonotonic checks that every publication bumps the version
@@ -160,8 +234,7 @@ func TestResolvePublishes(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	if err := collector.Replay(ctx, store, sc.Series, 6, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +294,7 @@ func TestSkipsUndercoveredInterval(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 
 	// Interval 0: only half the LSPs reported (below the 90% floor).
 	for p := 0; p < P/2; p++ {
@@ -265,8 +337,7 @@ func TestPartialCoverageConsumedWhenClosed(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 
 	for p := 0; p < P-1; p++ { // one LSP lost: 131/132 ≈ 99% > 90%
 		store.Ingest(collector.RateRecord{LSP: p, Interval: 0, RateMbps: sc.Series.Demands[0][p]})
@@ -313,8 +384,7 @@ func TestFinalDrainOnStoreStop(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 
 	// A finite lossy collection: the last two intervals are partially
 	// covered and have nothing after them to close them out.

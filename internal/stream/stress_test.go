@@ -56,8 +56,7 @@ func concurrentReaderStress(t *testing.T, cfg Config) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	engineDone := make(chan error, 1)
-	go func() { engineDone <- eng.Run(ctx, store) }()
+	engineDone := host(t, ctx, eng, store)
 
 	const cycles = 40
 	stop := make(chan struct{})

@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"repro/internal/collector"
+	"repro/internal/leakcheck"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
-// swapHarness drives one dispatch-mode engine interval by interval, so
-// tests control exactly what is consumed and when parked re-solves run.
+// swapHarness drives one engine interval by interval, so tests control
+// exactly what is consumed and when parked re-solves run.
 type swapHarness struct {
 	t       *testing.T
 	sc      *netsim.Scenario
@@ -27,7 +28,7 @@ type swapHarness struct {
 
 func newSwapHarness(t *testing.T, sc *netsim.Scenario, rt *topology.Routing, cfg Config) *swapHarness {
 	t.Helper()
-	cfg.ResolveDispatch = func() {}
+	leaked := leakcheck.Check(t)
 	eng, err := New(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,13 +44,14 @@ func newSwapHarness(t *testing.T, sc *netsim.Scenario, rt *topology.Routing, cfg
 	t.Cleanup(func() {
 		cancel()
 		<-h.done
+		leaked()
 	})
 	return h
 }
 
 // feed ingests base-series intervals [from, to) in full and waits for
-// each publication; the engine never resolves on its own (dispatch
-// mode), so versions advance exactly one per interval.
+// each publication; the engine never resolves on its own, so versions
+// advance exactly one per interval.
 func (h *swapHarness) feed(from, to int) Snapshot {
 	h.t.Helper()
 	return h.feedShifted(from, to, 0)
@@ -78,6 +80,7 @@ func (h *swapHarness) feedShifted(from, to, shift int) Snapshot {
 // resolve executes the parked re-solve and returns its publication.
 func (h *swapHarness) resolve() Snapshot {
 	h.t.Helper()
+	waitParked(h.t, h.ctx, h.eng)
 	if !h.eng.TryResolve(h.ctx) {
 		h.t.Fatal("TryResolve consumed nothing; expected a parked re-solve")
 	}
@@ -294,7 +297,7 @@ func TestCheckpointCarriesTopologyEpoch(t *testing.T) {
 		t.Fatalf("checkpoint format %d epoch %d, want %d and 1", cp.Format, cp.TopologyEpoch, CheckpointFormat)
 	}
 
-	fresh, err := New(sc.Rt, Config{Window: 4, ResolveEvery: 3, ResolveDispatch: func() {}})
+	fresh, err := New(sc.Rt, Config{Window: 4, ResolveEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +332,7 @@ func TestCheckpointCarriesTopologyEpoch(t *testing.T) {
 	if _, err := fresh.WaitVersion(ctx, base+3); err != nil {
 		t.Fatalf("restored engine did not consume: %v", err)
 	}
+	waitParked(t, ctx, fresh)
 	if !fresh.TryResolve(ctx) {
 		t.Fatal("no parked re-solve after resuming")
 	}

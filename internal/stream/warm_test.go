@@ -27,7 +27,7 @@ func waitResolve(t *testing.T, eng *Engine, ctx context.Context, interval int) S
 
 // TestRunTwiceReturnsError pins the double-Run guard: Run is documented
 // "at most once", and the second call must return an error instead of
-// double-closing the work channel and panicking.
+// running a second ingestion loop over the same window.
 func TestRunTwiceReturnsError(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -39,8 +39,7 @@ func TestRunTwiceReturnsError(t *testing.T) {
 	}
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	for !eng.started.Load() { // wait out the goroutine's startup
 		time.Sleep(time.Millisecond)
 	}
@@ -53,7 +52,7 @@ func TestRunTwiceReturnsError(t *testing.T) {
 		t.Fatalf("first Run returned %v, want context.Canceled", err)
 	}
 	// And a call after the first has finished must fail too: the engine's
-	// worker and subscription are gone for good.
+	// subscription is gone for good.
 	if err := eng.Run(context.Background(), store); err == nil {
 		t.Fatal("Run after completed Run succeeded")
 	}
@@ -74,8 +73,7 @@ func TestSnapshotVectorsAreDeepCopies(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	if err := collector.Replay(ctx, store, sc.Series, 4, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +116,7 @@ func TestWarmStartTelemetry(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	feed := func(interval int) {
 		for p, mbps := range sc.Series.Demands[interval] {
 			store.Ingest(collector.RateRecord{LSP: p, Interval: interval, RateMbps: mbps})
@@ -175,8 +172,7 @@ func TestAdaptiveCadenceDriftTrigger(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	feed := func(interval int, scale float64) {
 		for p, mbps := range sc.Series.Demands[0] {
 			store.Ingest(collector.RateRecord{LSP: p, Interval: interval, RateMbps: mbps * scale})
@@ -228,8 +224,7 @@ func TestAdaptiveCadenceBackoff(t *testing.T) {
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx, store) }()
+	done := host(t, ctx, eng, store)
 	// Perfectly steady traffic, fed one interval at a time with the
 	// re-solve awaited at each expected cadence point, so latest-wins
 	// coalescing cannot blur the schedule.
