@@ -18,7 +18,8 @@ test-short:
 # plain `go test` runs): the serve delta codec (FuzzDelta: the size
 # bound, NewEntry's bytes and hostile delta bytes), the four estimators
 # (FuzzEstimate: hostile loads and mis-sized priors and warm starts),
-# then checkpoint restore (FuzzCheckpoint: hostile checkpoint bytes). A
+# checkpoint restore (FuzzCheckpoint: hostile checkpoint bytes), then the
+# timeline DSL (FuzzTimeline: hostile scripts through Parse and Compile). A
 # failing input is written to the target's corpus directory; commit it
 # as a regression seed.
 FUZZTIME ?= 15s
@@ -26,6 +27,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -run '^$$' -fuzz '^FuzzTimeline$$' -fuzztime $(FUZZTIME) ./internal/timeline
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.
@@ -33,15 +35,14 @@ BENCH ?= .
 bench:
 	$(GO) test -timeout 60m -bench '$(BENCH)' -benchtime 1x -run '^$$' .
 
-# Regenerate a checked-in benchmark baseline (BASELINE names the output;
-# each PR that moves the perf trajectory writes its own BENCH_prN.json
-# next to the seed's). Absolute numbers are machine-dependent; the
-# baselines exist so successive PRs on the same hardware have a perf
-# trajectory to diff against.
+# Regenerate the checked-in benchmark baseline (BASELINE names the
+# output; git history keeps the trajectory). Absolute numbers are
+# machine-dependent; the baseline exists so successive PRs on the same
+# hardware have a perf trajectory to diff against.
 # The awk locates each unit token instead of using fixed field numbers:
 # benchmarks that b.ReportMetric a custom metric (e.g. MRE) print it
 # between ns/op and B/op, which would shift positional fields.
-BASELINE ?= BENCH_seed.json
+BASELINE ?= BENCH_baseline.json
 bench-baseline:
 	$(GO) test -timeout 60m -bench . -benchtime 1x -benchmem -run '^$$' . > bench.out
 	awk 'BEGIN { print "{"; first=1 } \
@@ -60,13 +61,13 @@ bench-baseline:
 
 # Benchmark regression gate, as run by CI's bench job: the scale
 # benchmarks plus two seed-era anchors, compared against the checked-in
-# baselines at a 2x ns/op threshold and — via -benchmem — a 2x allocs/op
-# threshold (cmd/benchdiff; first baseline containing a benchmark wins).
+# baseline at a 2x ns/op threshold and — via -benchmem — a 2x allocs/op
+# threshold (cmd/benchdiff).
 # (No tee: the recipe must fail on go test's exit code, not the pipe
 # tail's, so a b.Fatal mid-run cannot produce a green partial gate.)
 bench-check:
 	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
-	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline BENCH_pr10.json -baseline BENCH_pr8.json -baseline BENCH_seed.json -baseline BENCH_pr3.json -baseline BENCH_pr4.json -baseline BENCH_pr5.json -baseline BENCH_pr6.json -baseline BENCH_pr7.json bench-check.out
+	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline BENCH_baseline.json bench-check.out
 	@rm -f bench-check.out
 
 # Docs gate: every package carries a package comment, the README flag

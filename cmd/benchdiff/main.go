@@ -1,13 +1,10 @@
 // Command benchdiff gates benchmark regressions in CI: it parses the
 // text output of `go test -bench` and compares each benchmark's ns/op
-// against one or more JSON baselines (the BENCH_*.json files at the repo
-// root, written by `make bench-baseline`), failing when any benchmark
-// slowed down by more than the allowed factor.
-//
-// Baselines are searched in the order given; the first one containing a
-// benchmark wins, so a PR baseline can layer new benchmarks on top of the
-// seed baseline without copying it. Benchmarks absent from every baseline
-// are reported as new and pass (their numbers enter the next baseline).
+// against one JSON baseline (BENCH_baseline.json at the repo root,
+// written by `make bench-baseline`), failing when any benchmark slowed
+// down by more than the allowed factor. Benchmarks absent from the
+// baseline are reported as new and pass (their numbers enter the next
+// baseline); git history keeps the trajectory.
 //
 // Benchmarks whose baseline is below the -min-ns noise floor (default
 // 1 ms) are reported but not gated: a 100-microsecond benchmark measured
@@ -23,23 +20,23 @@
 // Usage:
 //
 //	go test -bench Scale -benchtime 1x -run '^$' . | tee bench.out
-//	go run ./cmd/benchdiff -factor 2 -baseline BENCH_seed.json -baseline BENCH_pr3.json bench.out
+//	go run ./cmd/benchdiff -factor 2 -baseline BENCH_baseline.json bench.out
 //
 // Reading from stdin (pipe directly):
 //
-//	go test -bench Scale -benchtime 1x -run '^$' . | go run ./cmd/benchdiff -baseline BENCH_seed.json -
+//	go test -bench Scale -benchtime 1x -run '^$' . | go run ./cmd/benchdiff -baseline BENCH_baseline.json -
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
 	"strconv"
-	"strings"
 )
 
 // baselineEntry mirrors the schema written by `make bench-baseline`.
@@ -48,12 +45,6 @@ type baselineEntry struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
-
-// multiFlag collects repeated -baseline arguments.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 // benchLineRe matches e.g. "BenchmarkScaleEntropy100-8   1   2049837 ns/op".
 var benchLineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
@@ -64,22 +55,33 @@ var allocsRe = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("benchdiff", flag.ExitOnError)
-	var baselines multiFlag
-	fs.Var(&baselines, "baseline", "baseline JSON file (repeatable; first file containing a benchmark wins)")
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	var baseline string
+	fs.Func("baseline", "baseline JSON file (exactly one)", func(v string) error {
+		if baseline != "" {
+			return fmt.Errorf("only one -baseline file is allowed")
+		}
+		baseline = v
+		return nil
+	})
 	factor := fs.Float64("factor", 2.0, "maximum allowed ns/op slowdown factor vs baseline")
 	minNs := fs.Float64("min-ns", 1e6, "noise floor: benchmarks whose baseline ns/op is below this are reported but not gated (single-iteration microbenchmarks jitter past any factor)")
 	allocFactor := fs.Float64("alloc-factor", 2.0, "maximum allowed allocs/op growth factor vs baseline (gated only when the input was run with -benchmem)")
 	minAllocs := fs.Float64("min-allocs", 100, "noise floor: benchmarks whose baseline allocs/op is below this are not alloc-gated (a handful of allocations doubles on scheduler whim)")
-	fs.Parse(args)
-	if len(baselines) == 0 {
-		return fmt.Errorf("at least one -baseline file is required")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if baseline == "" {
+		return fmt.Errorf("a -baseline file is required")
 	}
 	if *factor <= 1 {
 		return fmt.Errorf("-factor must exceed 1, got %v", *factor)
@@ -88,20 +90,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-alloc-factor must exceed 1, got %v", *allocFactor)
 	}
 
-	base := make(map[string]baselineEntry)
-	for i := len(baselines) - 1; i >= 0; i-- {
-		// Reverse order + overwrite implements first-file-wins.
-		data, err := os.ReadFile(baselines[i])
-		if err != nil {
-			return err
-		}
-		var m map[string]baselineEntry
-		if err := json.Unmarshal(data, &m); err != nil {
-			return fmt.Errorf("%s: %w", baselines[i], err)
-		}
-		for k, v := range m {
-			base[k] = v
-		}
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		return err
+	}
+	var base map[string]baselineEntry
+	if err := json.Unmarshal(data, &base); err != nil {
+		return fmt.Errorf("%s: %w", baseline, err)
 	}
 
 	in := os.Stdin
@@ -171,7 +166,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
 	fmt.Fprintf(out, "compared %d benchmarks (%d new) against %s, threshold %.2gx\n",
-		compared, fresh, strings.Join(baselines, "+"), *factor)
+		compared, fresh, baseline, *factor)
 	if failures > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed beyond %.2gx", failures, *factor)
 	}

@@ -20,17 +20,13 @@ func TestBenchdiff(t *testing.T) {
 	dir := t.TempDir()
 	seed := write(t, dir, "seed.json", `{
   "BenchmarkAlpha": {"ns_per_op": 1000, "bytes_per_op": 1, "allocs_per_op": 1},
-  "BenchmarkBeta": {"ns_per_op": 500, "bytes_per_op": 1, "allocs_per_op": 1}
-}`)
-	layer := write(t, dir, "pr.json", `{
-  "BenchmarkBeta": {"ns_per_op": 2000, "bytes_per_op": 1, "allocs_per_op": 1},
+  "BenchmarkBeta": {"ns_per_op": 500, "bytes_per_op": 1, "allocs_per_op": 1},
   "BenchmarkGamma": {"ns_per_op": 300, "bytes_per_op": 1, "allocs_per_op": 1}
 }`)
 
-	t.Run("pass-with-layering", func(t *testing.T) {
-		// Beta at 900 ns/op: 1.8x vs the seed's 500 — but the first
-		// baseline listed wins, and listing the seed first means 900/500
-		// stays under 2x; Gamma only exists in the layered file.
+	t.Run("pass", func(t *testing.T) {
+		// Beta at 900 ns/op is 1.8x its baseline and Gamma at 500 is
+		// 1.67x: both under 2x; Delta has no baseline and is new.
 		bench := write(t, dir, "ok.out", strings.Join([]string{
 			"goos: linux",
 			"BenchmarkAlpha-8   \t10\t1100 ns/op",
@@ -40,7 +36,7 @@ func TestBenchdiff(t *testing.T) {
 			"PASS",
 		}, "\n"))
 		var sb strings.Builder
-		err := run([]string{"-baseline", seed, "-baseline", layer, "-min-ns", "0", bench}, &sb)
+		err := run([]string{"-baseline", seed, "-min-ns", "0", bench}, &sb)
 		if err != nil {
 			t.Fatalf("want pass, got %v\n%s", err, sb.String())
 		}
@@ -136,6 +132,13 @@ func TestBenchdiff(t *testing.T) {
 		var sb strings.Builder
 		if err := run([]string{"-"}, &sb); err == nil {
 			t.Fatal("want error without -baseline")
+		}
+	})
+
+	t.Run("one-baseline-only", func(t *testing.T) {
+		var sb strings.Builder
+		if err := run([]string{"-baseline", seed, "-baseline", seed, "-"}, &sb); err == nil {
+			t.Fatal("want error on a second -baseline")
 		}
 	})
 

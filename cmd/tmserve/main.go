@@ -54,12 +54,6 @@
 //	GET /v1/t/{name}/events    SSE stream of versions + deltas
 //	GET /v1/t/{name}/metrics   tenant's estimation-error history
 //	GET /healthz               liveness plus per-tenant state
-//	GET /tenants               every tenant's status (name, state, version)
-//	GET /t/{name}/snapshot     tenant's latest versioned snapshot;
-//	                           ?min_version=N long-polls until version N
-//	GET /t/{name}/metrics      tenant's estimation-error history
-//	GET /snapshot              single-tenant alias of /t/default/snapshot
-//	GET /metrics               single-tenant alias of /t/default/metrics
 //	GET /metrics/prom          Prometheus text-format telemetry: resolve
 //	                           latency/iteration histograms, drift and
 //	                           anomaly gauges, SLO degradation, serving
@@ -582,7 +576,6 @@ func serveFleet(ctx context.Context, f *fleet.Fleet, cfg config, node *cluster.N
 			go node.Run(runCtx)
 		}
 		return serve.New(runCtx, f, serve.Options{
-			Single:     cfg.fleetPath == "" && cfg.clusterPath == "",
 			MaxWaiters: cfg.maxWaiters,
 			Node:       admin,
 			Metrics:    reg,

@@ -19,6 +19,7 @@ import (
 	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/leakcheck"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/runner"
@@ -46,9 +47,12 @@ func handlerFleet(t *testing.T) *fleet.Fleet {
 }
 
 // startServer runs the daemon in-process on an ephemeral port and returns
-// its base URL plus a shutdown function that asserts a clean exit.
+// its base URL plus a shutdown function that asserts a clean exit: run
+// returns context.Canceled, and every goroutine the daemon started —
+// fleet loops, hubs, SSE streams, connections — is gone.
 func startServer(t *testing.T, cfg config) (base string, shutdown func()) {
 	t.Helper()
+	leaked := leakcheck.Check(t)
 	ready := make(chan net.Addr, 1)
 	cfg.addr = "127.0.0.1:0"
 	cfg.ready = ready
@@ -73,7 +77,23 @@ func startServer(t *testing.T, cfg config) (base string, shutdown func()) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("server did not shut down within 10s")
 		}
+		leaked()
 	}
+}
+
+// v1Error is the /v1 error envelope.
+type v1Error struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
+}
+
+// tenantHealth is the /healthz document as far as the tests read it:
+// the fleet verdict and every tenant's status.
+type tenantHealth struct {
+	OK      bool           `json:"ok"`
+	Tenants []fleet.Status `json:"tenants"`
 }
 
 func getJSON(t *testing.T, url string, into any) int {
@@ -106,9 +126,10 @@ func TestEndToEndReplay(t *testing.T) {
 
 	// Progress gate: versions grow by one per publication (intervals and
 	// re-solves both), so version >= cycles means the stream is moving.
-	// Which publications those were is established from /metrics below.
+	// Which publications those were is established from the tenant's
+	// metrics below.
 	var progress stream.Snapshot
-	if code := getJSON(t, fmt.Sprintf("%s/snapshot?min_version=%d", base, cycles), &progress); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s/v1/t/default/snapshot?min_version=%d", base, cycles), &progress); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 
@@ -120,7 +141,7 @@ func TestEndToEndReplay(t *testing.T) {
 		var m struct {
 			Points []stream.MetricPoint `json:"points"`
 		}
-		getJSON(t, base+"/metrics", &m)
+		getJSON(t, base+"/v1/t/default/metrics", &m)
 		perInterval = perInterval[:0]
 		seen := -1
 		for _, p := range m.Points {
@@ -152,11 +173,11 @@ func TestEndToEndReplay(t *testing.T) {
 		t.Fatalf("longest non-increasing gravity-error run is %d snapshots, want >= 3 (trajectory %v)", best, perInterval)
 	}
 
-	// All intervals are published now (the /metrics loop above saw every
+	// All intervals are published now (the metrics loop above saw every
 	// one), so the latest snapshot covers the final window; re-solve
 	// publications never regress the window state.
 	var final stream.Snapshot
-	getJSON(t, base+"/snapshot", &final)
+	getJSON(t, base+"/v1/t/default/snapshot", &final)
 
 	// (b) Incremental vs batch gravity on the final window. Replay is
 	// lossless, so the collected window equals the generating series.
@@ -190,7 +211,7 @@ func TestEndToEndReplay(t *testing.T) {
 	deadline = time.Now().Add(60 * time.Second)
 	for {
 		var snap stream.Snapshot
-		getJSON(t, base+"/snapshot", &snap)
+		getJSON(t, base+"/v1/t/default/snapshot", &snap)
 		if snap.Resolve != nil {
 			if snap.ResolveMethod != stream.MethodEntropy {
 				t.Fatalf("resolve method %q, want entropy", snap.ResolveMethod)
@@ -206,12 +227,10 @@ func TestEndToEndReplay(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	var health struct {
-		OK      bool   `json:"ok"`
-		Version uint64 `json:"version"`
-	}
-	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || !health.OK || health.Version < uint64(cycles) {
-		t.Fatalf("healthz: code=%d ok=%v version=%d", code, health.OK, health.Version)
+	var health tenantHealth
+	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || !health.OK ||
+		len(health.Tenants) != 1 || health.Tenants[0].Version < uint64(cycles) {
+		t.Fatalf("healthz: code=%d %+v", code, health)
 	}
 }
 
@@ -231,7 +250,7 @@ func TestEndToEndLive(t *testing.T) {
 	defer shutdown()
 
 	var snap stream.Snapshot
-	if code := getJSON(t, base+"/snapshot?min_version=2", &snap); code != http.StatusOK {
+	if code := getJSON(t, base+"/v1/t/default/snapshot?min_version=2", &snap); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 	if snap.Version < 2 || len(snap.Gravity) == 0 || len(snap.Mean) == 0 {
@@ -244,30 +263,27 @@ func TestEndToEndLive(t *testing.T) {
 }
 
 // TestAPIBeforeFirstSnapshot drives the handler over an engine that has
-// consumed nothing: /snapshot must 503, bad input must 400, /healthz
+// consumed nothing: the snapshot must 503, bad input must 400, /healthz
 // must stay OK, and a pending long-poll must be released promptly when
 // the daemon's run context is cancelled (the graceful-shutdown path).
 func TestAPIBeforeFirstSnapshot(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	srv := httptest.NewServer(serve.New(runCtx, handlerFleet(t), serve.Options{Single: true}).Handler())
+	srv := httptest.NewServer(serve.New(runCtx, handlerFleet(t), serve.Options{}).Handler())
 	defer srv.Close()
+	snapURL := srv.URL + "/v1/t/default/snapshot"
 
-	var e struct {
-		Error string `json:"error"`
+	var e v1Error
+	if code := getJSON(t, snapURL, &e); code != http.StatusServiceUnavailable || e.Error.Code != "no_snapshot" {
+		t.Fatalf("snapshot with no data gave status %d code %q, want 503 no_snapshot", code, e.Error.Code)
 	}
-	if code := getJSON(t, srv.URL+"/snapshot", &e); code != http.StatusServiceUnavailable {
-		t.Fatalf("/snapshot with no data gave status %d, want 503", code)
-	}
-	if code := getJSON(t, srv.URL+"/snapshot?min_version=notanumber", &e); code != http.StatusBadRequest {
+	if code := getJSON(t, snapURL+"?min_version=notanumber", &e); code != http.StatusBadRequest {
 		t.Fatalf("bad min_version gave status %d, want 400", code)
 	}
-	var health struct {
-		OK   bool `json:"ok"`
-		Have bool `json:"have_snapshot"`
-	}
-	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || !health.OK || health.Have {
-		t.Fatalf("healthz before data: code=%d ok=%v have=%v", code, health.OK, health.Have)
+	var health tenantHealth
+	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || !health.OK ||
+		len(health.Tenants) != 1 || health.Tenants[0].HaveSnapshot {
+		t.Fatalf("healthz before data: code=%d %+v", code, health)
 	}
 
 	// A long-poll for a version that will never arrive must be released
@@ -278,14 +294,12 @@ func TestAPIBeforeFirstSnapshot(t *testing.T) {
 		err  string
 	}, 1)
 	go func() {
-		var e struct {
-			Error string `json:"error"`
-		}
-		code := getJSON(t, srv.URL+"/snapshot?min_version=1", &e)
+		var e v1Error
+		code := getJSON(t, snapURL+"?min_version=1", &e)
 		pollDone <- struct {
 			code int
 			err  string
-		}{code, e.Error}
+		}{code, e.Error.Message}
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poll block in WaitVersion
 	cancelRun()
@@ -309,10 +323,10 @@ func TestAPIBeforeFirstSnapshot(t *testing.T) {
 func TestLongPollClientDisconnect(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	handler := serve.New(runCtx, handlerFleet(t), serve.Options{Single: true}).Handler()
+	handler := serve.New(runCtx, handlerFleet(t), serve.Options{}).Handler()
 
 	reqCtx, cancelReq := context.WithCancel(context.Background())
-	req := httptest.NewRequest("GET", "/snapshot?min_version=1", nil).WithContext(reqCtx)
+	req := httptest.NewRequest("GET", "/v1/t/default/snapshot?min_version=1", nil).WithContext(reqCtx)
 	rec := httptest.NewRecorder()
 	served := make(chan struct{})
 	go func() {
@@ -353,7 +367,7 @@ func TestCheckpointRestart(t *testing.T) {
 	// publish between this read and the shutdown save, and the restored
 	// snapshot must match it exactly.
 	var last stream.Snapshot
-	if code := getJSON(t, fmt.Sprintf("%s/snapshot?min_version=%d", base, cycles), &last); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s/v1/t/default/snapshot?min_version=%d", base, cycles), &last); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 	deadline := time.Now().Add(time.Minute)
@@ -362,7 +376,7 @@ func TestCheckpointRestart(t *testing.T) {
 			t.Fatalf("stream not quiescent before shutdown (interval %d, resolve %d)", last.Interval, last.ResolveInterval)
 		}
 		time.Sleep(10 * time.Millisecond)
-		getJSON(t, base+"/snapshot", &last)
+		getJSON(t, base+"/v1/t/default/snapshot", &last)
 	}
 	// Publish-time persistence is what makes a hard kill survivable: the
 	// checkpoint must already be on disk while the daemon is still up,
@@ -394,8 +408,8 @@ func TestCheckpointRestart(t *testing.T) {
 	})
 	defer shutdown2()
 	var restored stream.Snapshot
-	if code := getJSON(t, base2+"/snapshot", &restored); code != http.StatusOK {
-		t.Fatalf("restarted daemon dark: /snapshot gave %d, want 200 immediately", code)
+	if code := getJSON(t, base2+"/v1/t/default/snapshot", &restored); code != http.StatusOK {
+		t.Fatalf("restarted daemon dark: the snapshot gave %d, want 200 immediately", code)
 	}
 	if restored.Version < last.Version {
 		t.Fatalf("restored version %d older than the %d served before the restart", restored.Version, last.Version)
@@ -413,12 +427,10 @@ func TestCheckpointRestart(t *testing.T) {
 			t.Fatalf("restored mean differs at demand %d: %v vs %v", p, restored.Mean[p], last.Mean[p])
 		}
 	}
-	var health struct {
-		OK   bool `json:"ok"`
-		Have bool `json:"have_snapshot"`
-	}
-	if code := getJSON(t, base2+"/healthz", &health); code != http.StatusOK || !health.OK || !health.Have {
-		t.Fatalf("restarted healthz: code=%d ok=%v have=%v", code, health.OK, health.Have)
+	var health tenantHealth
+	if code := getJSON(t, base2+"/healthz", &health); code != http.StatusOK || !health.OK ||
+		len(health.Tenants) != 1 || !health.Tenants[0].HaveSnapshot {
+		t.Fatalf("restarted healthz: code=%d %+v", code, health)
 	}
 }
 
@@ -576,8 +588,8 @@ func writeFleetConfig(t *testing.T, path string) []string {
 
 // TestEndToEndFleet boots a 4-tenant fleet daemon, waits for every
 // tenant to finish its replay and publish a re-solve, exercises the
-// tenant-scoped routes (/tenants, /t/{name}/snapshot, /t/{name}/metrics,
-// unknown-tenant 404), kills the daemon, and restarts it against the
+// tenant-scoped routes (/v1/tenants, /v1/t/{name}/snapshot,
+// /v1/t/{name}/metrics, unknown-tenant 404), kills the daemon, and restarts it against the
 // same -checkpoint-dir with an hour-long pace: every restored tenant
 // must serve its snapshot immediately.
 func TestEndToEndFleet(t *testing.T) {
@@ -594,15 +606,15 @@ func TestEndToEndFleet(t *testing.T) {
 		mode: "replay", resolveEvery: 3, // single-tenant flags that must be ignored cleanly
 	})
 
-	// /snapshot and /metrics must NOT exist in fleet mode (they are the
-	// single-tenant aliases); tenants are addressed under /t/.
+	// Tenants are addressed under /v1/t/ only; there is no unversioned
+	// snapshot route.
 	resp, err := http.Get(base + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/snapshot in fleet mode gave %d, want 404", resp.StatusCode)
+		t.Fatalf("/snapshot gave %d, want 404", resp.StatusCode)
 	}
 
 	// Wait until every tenant is serving its final window + re-solve.
@@ -611,7 +623,7 @@ func TestEndToEndFleet(t *testing.T) {
 	for _, name := range names {
 		for {
 			var snap stream.Snapshot
-			code := getJSON(t, fmt.Sprintf("%s/t/%s/snapshot", base, name), &snap)
+			code := getJSON(t, fmt.Sprintf("%s/v1/t/%s/snapshot", base, name), &snap)
 			if code == http.StatusOK && snap.Interval == 5 && snap.Resolve != nil && snap.ResolveInterval == 5 {
 				finals[name] = snap
 				break
@@ -624,45 +636,41 @@ func TestEndToEndFleet(t *testing.T) {
 		var m struct {
 			Points []stream.MetricPoint `json:"points"`
 		}
-		if code := getJSON(t, fmt.Sprintf("%s/t/%s/metrics", base, name), &m); code != http.StatusOK || len(m.Points) < 6 {
+		if code := getJSON(t, fmt.Sprintf("%s/v1/t/%s/metrics", base, name), &m); code != http.StatusOK || len(m.Points) < 6 {
 			t.Fatalf("tenant %s metrics: code %d, %d points", name, code, len(m.Points))
 		}
 	}
 
-	// Fleet-wide views: /tenants lists all four serving tenants, and
+	// Fleet-wide views: /v1/tenants lists all four serving tenants, and
 	// /healthz reports per-tenant state with the fleet healthy.
 	var tl struct {
 		Tenants []fleet.Status `json:"tenants"`
 	}
-	if code := getJSON(t, base+"/tenants", &tl); code != http.StatusOK || len(tl.Tenants) != len(names) {
-		t.Fatalf("/tenants: code %d, %d tenants", code, len(tl.Tenants))
+	if code := getJSON(t, base+"/v1/tenants", &tl); code != http.StatusOK || len(tl.Tenants) != len(names) {
+		t.Fatalf("/v1/tenants: code %d, %d tenants", code, len(tl.Tenants))
 	}
 	for _, st := range tl.Tenants {
 		if st.State != fleet.StateServing || !st.HaveSnapshot {
 			t.Fatalf("tenant %s: state %s, have_snapshot %v after replay end", st.Name, st.State, st.HaveSnapshot)
 		}
 	}
-	var health struct {
-		OK      bool           `json:"ok"`
-		Tenants []fleet.Status `json:"tenants"`
-	}
+	var health tenantHealth
 	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || !health.OK || len(health.Tenants) != len(names) {
 		t.Fatalf("healthz: code=%d ok=%v tenants=%d", code, health.OK, len(health.Tenants))
 	}
 
-	var e struct {
-		Error string `json:"error"`
+	var e v1Error
+	if code := getJSON(t, base+"/v1/t/nosuch/snapshot", &e); code != http.StatusNotFound ||
+		e.Error.Code != "unknown_tenant" || !strings.Contains(e.Error.Message, "nosuch") {
+		t.Fatalf("unknown tenant gave code %d error %+v", code, e.Error)
 	}
-	if code := getJSON(t, base+"/t/nosuch/snapshot", &e); code != http.StatusNotFound || !strings.Contains(e.Error, "nosuch") {
-		t.Fatalf("unknown tenant gave code %d error %q", code, e.Error)
+	if code := getJSON(t, base+"/v1/t/eu/teapot", &e); code != http.StatusNotFound || e.Error.Code != "unknown_endpoint" {
+		t.Fatalf("unknown tenant endpoint gave code %d error %+v", code, e.Error)
 	}
-	if code := getJSON(t, base+"/t/eu/teapot", &e); code != http.StatusNotFound {
-		t.Fatalf("unknown tenant endpoint gave code %d", code)
-	}
-	// /t/eu without an endpoint names the missing endpoint, not a
+	// /v1/t/eu without an endpoint names the missing endpoint, not a
 	// (nonexistent) unknown tenant.
-	if code := getJSON(t, base+"/t/eu", &e); code != http.StatusNotFound || !strings.Contains(e.Error, "missing endpoint") {
-		t.Fatalf("endpointless tenant path gave code %d error %q", code, e.Error)
+	if code := getJSON(t, base+"/v1/t/eu", &e); code != http.StatusNotFound || e.Error.Code != "missing_endpoint" {
+		t.Fatalf("endpointless tenant path gave code %d error %+v", code, e.Error)
 	}
 
 	shutdown()
@@ -683,7 +691,7 @@ func TestEndToEndFleet(t *testing.T) {
 	defer shutdown2()
 	for _, name := range names {
 		var restored stream.Snapshot
-		if code := getJSON(t, fmt.Sprintf("%s/t/%s/snapshot", base2, name), &restored); code != http.StatusOK {
+		if code := getJSON(t, fmt.Sprintf("%s/v1/t/%s/snapshot", base2, name), &restored); code != http.StatusOK {
 			t.Fatalf("restarted tenant %s dark: code %d, want 200 immediately", name, code)
 		}
 		want := finals[name]
@@ -703,7 +711,7 @@ func TestEndToEndFleet(t *testing.T) {
 	var tl2 struct {
 		Tenants []fleet.Status `json:"tenants"`
 	}
-	getJSON(t, base2+"/tenants", &tl2)
+	getJSON(t, base2+"/v1/tenants", &tl2)
 	for _, st := range tl2.Tenants {
 		if !st.Restored {
 			t.Fatalf("tenant %s status does not report the restore", st.Name)

@@ -1,9 +1,9 @@
 package main
 
-// End-to-end coverage of the PR's serving additions: the uniform
-// snapshot headers across the legacy and v1 surfaces, the conditional
-// get / delta / SSE read path, and the -max-waiters load-shedding cap —
-// all against the real daemon, not a handler fixture.
+// End-to-end coverage of the serving layer: the snapshot headers, the
+// conditional get / delta / SSE read path, and the -max-waiters
+// load-shedding cap — all against the real daemon, not a handler
+// fixture.
 
 import (
 	"bufio"
@@ -28,44 +28,49 @@ func replayConfig() config {
 	}
 }
 
-// TestServeSnapshotHeadersE2E: every snapshot-serving route — legacy
-// single, legacy tenant, and v1 — answers with the same Content-Type,
-// Cache-Control and X-Snapshot-Version headers, and the v1 route adds
-// the ETag the conditional-get flow needs.
+// TestServeSnapshotHeadersE2E: the snapshot route answers with the
+// Content-Type, Cache-Control and X-Snapshot-Version serving headers
+// plus the ETag the conditional-get flow needs, and the unversioned
+// snapshot paths are not served.
 func TestServeSnapshotHeadersE2E(t *testing.T) {
 	base, shutdown := startServer(t, replayConfig())
 	defer shutdown()
 
 	// Wait until something is published, via the long-poll.
 	var first stream.Snapshot
-	if code := getJSON(t, base+"/snapshot?min_version=1", &first); code != http.StatusOK {
+	if code := getJSON(t, base+"/v1/t/default/snapshot?min_version=1", &first); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 
-	for _, path := range []string{"/snapshot", "/t/default/snapshot", "/v1/t/default/snapshot"} {
+	resp, err := http.Get(base + "/v1/t/default/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET snapshot: %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
+		t.Errorf("Cache-Control %q", cc)
+	}
+	v := resp.Header.Get("X-Snapshot-Version")
+	if v == "" {
+		t.Error("no X-Snapshot-Version")
+	}
+	if etag := resp.Header.Get("ETag"); etag != `"v`+v+`"` {
+		t.Errorf("ETag %q for version %s", etag, v)
+	}
+	for _, path := range []string{"/snapshot", "/t/default/snapshot"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("GET %s: Content-Type %q", path, ct)
-		}
-		if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
-			t.Errorf("GET %s: Cache-Control %q", path, cc)
-		}
-		if v := resp.Header.Get("X-Snapshot-Version"); v == "" {
-			t.Errorf("GET %s: no X-Snapshot-Version", path)
-		}
-		etag := resp.Header.Get("ETag")
-		if strings.HasPrefix(path, "/v1/") && etag == "" {
-			t.Errorf("GET %s: v1 response without ETag", path)
-		}
-		if !strings.HasPrefix(path, "/v1/") && etag != "" {
-			t.Errorf("GET %s: legacy response grew an ETag %q", path, etag)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -184,8 +189,7 @@ func TestServeV1ReadPathE2E(t *testing.T) {
 }
 
 // TestServeMaxWaitersE2E: a daemon started with -max-waiters 1 sheds
-// the second concurrent long-poll with 429 + Retry-After on both the
-// legacy and the v1 surface.
+// the second concurrent long-poll with 429 + Retry-After.
 func TestServeMaxWaitersE2E(t *testing.T) {
 	cfg := replayConfig()
 	// An enormous pace keeps the replay from ever publishing, so
@@ -198,7 +202,7 @@ func TestServeMaxWaitersE2E(t *testing.T) {
 
 	parked := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(base + "/snapshot?min_version=99")
+		resp, err := http.Get(base + "/v1/t/default/snapshot?min_version=99")
 		if err != nil {
 			parked <- -1
 			return
@@ -246,21 +250,6 @@ func TestServeMaxWaitersE2E(t *testing.T) {
 		t.Fatalf("429 envelope: %v %+v", err, envelope)
 	}
 	resp.Body.Close()
-	// Legacy surface sheds identically.
-	resp, err = http.Get(base + "/snapshot?min_version=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(e.Error, "too many waiters") {
-		t.Fatalf("legacy over-cap: %d %q", resp.StatusCode, e.Error)
-	}
 	shutdown() // releases the parked waiter with the shutdown 503
 	if code := <-parked; code != http.StatusServiceUnavailable {
 		t.Fatalf("parked waiter released with %d, want 503", code)

@@ -74,8 +74,8 @@ func TestEndToEndTimeline(t *testing.T) {
 			TopologyEpoch int    `json:"topology_epoch"`
 		} `json:"tenants"`
 	}
-	if code := getJSON(t, base+"/tenants", &statuses); code != http.StatusOK {
-		t.Fatalf("/tenants status %d", code)
+	if code := getJSON(t, base+"/v1/tenants", &statuses); code != http.StatusOK {
+		t.Fatalf("/v1/tenants status %d", code)
 	}
 	if len(statuses.Tenants) != 1 || statuses.Tenants[0].TopologyEpoch != 2 {
 		t.Fatalf("tenant status %+v, want the single script tenant on epoch 2", statuses.Tenants)

@@ -39,7 +39,7 @@
 //	go run ./cmd/tmbench -run fig13   # selected experiments
 //
 // The benchmarks in bench_test.go regenerate every table and figure
-// (BENCH_seed.json pins the checked-in baseline):
+// (BENCH_baseline.json pins the checked-in baseline):
 //
 //	go test -bench=. -benchmem
 package repro

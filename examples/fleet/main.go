@@ -5,7 +5,7 @@
 // stream, keeps its own sliding window and publishes its own versioned
 // snapshots; the fleet only shares compute. The same layer powers
 // `tmserve -fleet`, which serves these snapshots over HTTP
-// (/tenants, /t/{name}/snapshot) instead of printing them.
+// (/v1/tenants, /v1/t/{name}/snapshot) instead of printing them.
 package main
 
 import (

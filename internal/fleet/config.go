@@ -20,7 +20,7 @@ const ConfigFormat = 1
 // default the corresponding tmserve flag has, so a spec written from
 // the flag documentation behaves identically.
 type TenantSpec struct {
-	// Name identifies the tenant in URLs (/t/{name}/...), checkpoint
+	// Name identifies the tenant in URLs (/v1/t/{name}/...), checkpoint
 	// file names and logs. Required; letters, digits, '.', '_', '-'.
 	Name string `json:"name"`
 	// Source selects the subnetwork and its demand series:

@@ -173,7 +173,7 @@ func (t *Tenant) fail(err error) bool {
 	return true
 }
 
-// Status is the JSON shape /tenants and /healthz serve per tenant.
+// Status is the JSON shape /v1/tenants and /healthz serve per tenant.
 type Status struct {
 	Name     string      `json:"name"`
 	Source   string      `json:"source"`
@@ -975,7 +975,7 @@ func (f *Fleet) drain(ctx context.Context) {
 }
 
 // Statuses reports every tenant's Status in declaration order (the
-// /tenants payload).
+// /v1/tenants payload).
 func (f *Fleet) Statuses() []Status {
 	tenants := f.Tenants()
 	out := make([]Status, len(tenants))

@@ -90,9 +90,12 @@ func (t *Tenant) Checkpoint() (stream.Checkpoint, error) { return t.eng.Checkpoi
 // Restore installs a checkpoint on the tenant's engine. A script
 // tenant is first moved onto the checkpoint's topology epoch by
 // replaying its timeline's routing swaps (each applies immediately at
-// interval 0); the remaining scripted swaps are then armed. Used by
-// Fleet.RestoreAll at boot and by Fleet.Adopt when a shipped
-// checkpoint arrives from a previous owner.
+// interval 0), and the remaining scripted swaps are armed before the
+// checkpoint moves the cursor: a swap scheduled at the restored cursor
+// then waits for that interval, as it did in the engine that wrote the
+// checkpoint, instead of applying at once. Used by Fleet.RestoreAll at
+// boot and by Fleet.Adopt when a shipped checkpoint arrives from a
+// previous owner.
 func (t *Tenant) Restore(cp stream.Checkpoint) error {
 	if t.tl != nil {
 		for ep := t.eng.TopologyEpoch() + 1; ep <= cp.TopologyEpoch; ep++ {
@@ -106,13 +109,16 @@ func (t *Tenant) Restore(cp stream.Checkpoint) error {
 			}
 		}
 	}
+	if err := t.armSwaps(); err != nil {
+		return err
+	}
 	if err := t.eng.Restore(cp); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	t.restored = true
 	t.mu.Unlock()
-	return t.armSwaps()
+	return nil
 }
 
 // Handles returns every tenant as a lifecycle handle, in declaration

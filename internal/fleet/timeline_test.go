@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collector"
 	"repro/internal/runner"
 	"repro/internal/stream"
 )
@@ -119,5 +120,93 @@ func TestScriptTenantCheckpointAcrossSwap(t *testing.T) {
 	cancel2()
 	if err := <-done2; err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("resumed Run: %v", err)
+	}
+}
+
+// TestScriptRestoreAtSwapBoundary pins the epoch a script tenant
+// restores onto when its checkpoint's cursor sits exactly on a scripted
+// swap: the engine consumed intervals 0..13 on the failed topology
+// (epoch 1), and the restoration is scripted for interval 14. The
+// restored engine must report the checkpoint's epoch, as the killed one
+// did, and apply the restoration swap only when it consumes interval 14
+// — the same interval an uninterrupted run applies it at.
+func TestScriptRestoreAtSwapBoundary(t *testing.T) {
+	spec := TenantSpec{
+		Name: "script-eu", Source: "scenario:script:" + scriptFile(t),
+		Cycles: 1, Pace: "0", Window: 3, ResolveEvery: 3,
+		Method: "entropy", ResolveMaxIter: 2000, ResolveTol: 1e-5,
+	}
+	const boundary = 14 // the scripted restore interval
+
+	// The killed process: intervals 0..13 consumed, swaps armed.
+	f := New(runner.NewPool(1), Options{})
+	ten, err := f.Add(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ten.armSwaps(); err != nil {
+		t.Fatal(err)
+	}
+	tl := ten.Timeline()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := collector.NewStore(ten.Scenario().Net.NumPairs())
+	done := make(chan error, 1)
+	go func() { done <- ten.Engine().Run(ctx, store) }()
+	feed := func(from, to int) {
+		for iv := from; iv < to; iv++ {
+			for p, mbps := range tl.Steps[iv].Demand {
+				store.Ingest(collector.RateRecord{LSP: p, Interval: iv, RateMbps: mbps, Poller: "boundary-test"})
+			}
+		}
+		waitTenant(t, ten, "feed", time.Now().Add(time.Minute), func(s stream.Snapshot) bool {
+			return s.Interval == to-1
+		})
+	}
+	feed(0, boundary)
+	cp := ten.Engine().Checkpoint()
+	if cp.Next != boundary || cp.TopologyEpoch != 1 {
+		t.Fatalf("checkpoint at cursor %d epoch %d, want %d and 1", cp.Next, cp.TopologyEpoch, boundary)
+	}
+
+	f2 := New(runner.NewPool(1), Options{})
+	ten2, err := f2.Add(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ten2.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if got := ten2.Engine().TopologyEpoch(); got != cp.TopologyEpoch {
+		t.Fatalf("restored engine on epoch %d, checkpoint says %d", got, cp.TopologyEpoch)
+	}
+
+	// Consuming the boundary interval applies the restoration swap, in
+	// the killed engine and the restored one alike.
+	feed(boundary, boundary+1)
+	if got := ten.Engine().TopologyEpoch(); got != 2 {
+		t.Fatalf("uninterrupted engine on epoch %d after interval %d, want 2", got, boundary)
+	}
+	cancel()
+	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: %v", err)
+	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	store2 := collector.NewStore(ten2.Scenario().Net.NumPairs())
+	done2 := make(chan error, 1)
+	go func() { done2 <- ten2.Engine().Run(ctx2, store2) }()
+	for p, mbps := range tl.Steps[boundary].Demand {
+		store2.Ingest(collector.RateRecord{LSP: p, Interval: boundary, RateMbps: mbps, Poller: "boundary-test"})
+	}
+	waitTenant(t, ten2, "the boundary interval", time.Now().Add(time.Minute), func(s stream.Snapshot) bool {
+		return s.Interval == boundary
+	})
+	if got := ten2.Engine().TopologyEpoch(); got != 2 {
+		t.Fatalf("restored engine on epoch %d after interval %d, want 2", got, boundary)
+	}
+	cancel2()
+	if err := <-done2; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("restored Run: %v", err)
 	}
 }

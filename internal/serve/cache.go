@@ -23,9 +23,8 @@ type Entry struct {
 	Time     time.Time
 	// ETag is the strong validator v1 conditional gets use ("v<version>").
 	ETag string
-	// JSON is json.Marshal(snapshot) plus a trailing newline — the exact
-	// bytes the pre-hub daemon's json.Encoder wrote, so legacy routes
-	// serving cache entries stay byte-compatible.
+	// JSON is json.Marshal(snapshot) plus a trailing newline — exactly
+	// the bytes json.Encoder writes for the snapshot.
 	JSON []byte
 	// DeltaFrom/Delta encode the patch from the previously observed
 	// version; Delta is nil when this entry is a chain head (first

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/leakcheck"
 	"repro/internal/stream"
 )
 
@@ -65,6 +66,7 @@ func v1Code(t *testing.T, rec *httptest.ResponseRecorder) string {
 // routes serve, every tenant-scoped v1 response names the node, and the
 // adopt endpoint maps the lifecycle sentinels onto the error envelope.
 func TestServerClusterEndpoints(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	node := &fakeNode{name: "n1"}
@@ -161,6 +163,7 @@ func TestServerClusterEndpoints(t *testing.T) {
 // endpoint and /v1/cluster/ is unrouted, so a plain daemon exposes no
 // handoff surface.
 func TestServerClusterRoutesOffByDefault(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := New(ctx, testFleet(t), Options{})

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fleet"
+	"repro/internal/leakcheck"
 )
 
 // stubNode fakes a cluster member's HTTP surface with canned answers —
@@ -64,6 +65,7 @@ func stubConfig(t *testing.T, routing string, n1, n2 *httptest.Server) cluster.C
 // listing with node reports, answers the admin surface, and degrades
 // to 503/404 when routing cannot resolve.
 func TestCoordinatorProxyAndAggregate(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	adopts1, adopts2 := 0, 0
 	n1 := stubNode(t, "n1", &adopts1)
@@ -174,6 +176,7 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 // TestCoordinatorRedirectMode: routing "redirect" answers 307 with the
 // owner's URL instead of proxying, and counts it.
 func TestCoordinatorRedirectMode(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	adopts := 0
 	n1 := stubNode(t, "n1", &adopts)
 	n2 := stubNode(t, "n2", &adopts)

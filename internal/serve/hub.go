@@ -39,13 +39,6 @@ type HubConfig struct {
 	// MaxWaiters caps concurrent long-poll waiters + SSE subscribers;
 	// <= 0 selects DefaultMaxWaiters.
 	MaxWaiters int
-	// CacheVersions is how many encoded versions to retain for delta
-	// chains and conditional gets; <= 0 selects DefaultCacheVersions.
-	CacheVersions int
-	// DeltaRatio is the encoded-delta / full-snapshot size ratio past
-	// which a publication is cached without a delta; <= 0 selects
-	// DefaultDeltaRatio.
-	DeltaRatio float64
 	// SubscriberBuffer is each subscription's channel depth; <= 0
 	// selects DefaultSubscriberBuffer.
 	SubscriberBuffer int
@@ -119,7 +112,7 @@ func NewHub(src Source, cfg HubConfig) *Hub {
 	return &Hub{
 		src:     src,
 		cfg:     cfg,
-		cache:   NewCache(cfg.CacheVersions),
+		cache:   NewCache(DefaultCacheVersions),
 		waiters: make(map[*waiter]struct{}),
 		subs:    make(map[*Subscription]struct{}),
 	}
@@ -164,7 +157,7 @@ func (h *Hub) installLocked(snap stream.Snapshot) *Entry {
 		e, _ := h.cache.Get(snap.Version)
 		return e // already observed (Run loop vs lazy prime race)
 	}
-	e, err := NewEntry(snap, h.prev, h.cfg.DeltaRatio)
+	e, err := NewEntry(snap, h.prev, DefaultDeltaRatio)
 	if err != nil {
 		h.encodeFailures.Add(1)
 		return nil // unmarshalable snapshot (a NaN, say): nothing to serve

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fleet"
+	"repro/internal/leakcheck"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -65,54 +66,38 @@ func TestMetricsPromEndpoint(t *testing.T) {
 	}
 }
 
-// TestTenantMetricsHeaders: the three JSON metrics routes carry the
-// same X-Snapshot-Version serving header the snapshot routes do (and
-// the v1 route its ETag), so a dashboard can correlate an error-history
-// read with the snapshot it belongs to.
+// TestTenantMetricsHeaders: the JSON metrics route carries the same
+// X-Snapshot-Version serving header and ETag the snapshot route does,
+// so a dashboard can correlate an error-history read with the snapshot
+// it belongs to.
 func TestTenantMetricsHeaders(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s, _, handler := testServer(t, ctx, Options{})
+	const path = "/v1/t/default/metrics"
 
 	// The fleet's engine has consumed nothing: no version header yet.
-	rec := get(t, handler, "/metrics", nil)
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Snapshot-Version") != "" {
-		t.Fatalf("pre-snapshot /metrics: %d version=%q", rec.Code, rec.Header().Get("X-Snapshot-Version"))
+	rec := get(t, handler, path, nil)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Snapshot-Version") != "" || rec.Header().Get("ETag") != "" {
+		t.Fatalf("pre-snapshot %s: %d version=%q etag=%q", path, rec.Code,
+			rec.Header().Get("X-Snapshot-Version"), rec.Header().Get("ETag"))
 	}
 
 	// Swap in a backend whose handle reports a position, mirroring a
 	// tenant with published state.
-	st := &stubBackend{handle: stubHandle{name: "default", version: 7}}
-	s.f = st
-	for _, route := range []struct {
-		path string
-		v1   bool
-	}{
-		{"/metrics", false},
-		{"/t/default/metrics", false},
-		{"/v1/t/default/metrics", true},
-	} {
-		rec := get(t, handler, route.path, nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: %d", route.path, rec.Code)
-		}
-		if route.path == "/metrics" {
-			// The single-tenant alias captured the original handle at
-			// mux-build time; it has no position. The tenant-scoped
-			// routes read through the backend.
-			continue
-		}
-		if got := rec.Header().Get("X-Snapshot-Version"); got != "7" {
-			t.Errorf("%s: X-Snapshot-Version %q, want 7", route.path, got)
-		}
-		if etag := rec.Header().Get("ETag"); route.v1 && etag != ETag(7) {
-			t.Errorf("%s: ETag %q, want %q", route.path, etag, ETag(7))
-		} else if !route.v1 && etag != "" {
-			t.Errorf("%s: legacy route grew an ETag %q", route.path, etag)
-		}
-		if cc := rec.Header().Get("Cache-Control"); cc != "no-cache" {
-			t.Errorf("%s: Cache-Control %q", route.path, cc)
-		}
+	s.f = &stubBackend{handle: stubHandle{name: "default", version: 7}}
+	rec = get(t, handler, path, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: %d", path, rec.Code)
+	}
+	if got := rec.Header().Get("X-Snapshot-Version"); got != "7" {
+		t.Errorf("X-Snapshot-Version %q, want 7", got)
+	}
+	if etag := rec.Header().Get("ETag"); etag != ETag(7) {
+		t.Errorf("ETag %q, want %q", etag, ETag(7))
+	}
+	if cc := rec.Header().Get("Cache-Control"); cc != "no-cache" {
+		t.Errorf("Cache-Control %q", cc)
 	}
 }
 
@@ -218,6 +203,7 @@ func TestHubCountsSkippedDeltasAndEncodeFailures(t *testing.T) {
 // /healthz as degraded=true plus a named cause — with the HTTP status
 // still 200, because cluster liveness probes gate on it.
 func TestHealthzDegraded(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	b := &degradedBackend{}
@@ -255,6 +241,7 @@ func (b *degradedBackend) Statuses() []fleet.Status {
 // scrape reports per-node health and routing counters, and the output
 // passes the exposition linter.
 func TestCoordinatorMetricsProm(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	adopts1, adopts2 := 0, 0
 	n1 := stubNode(t, "n1", &adopts1)

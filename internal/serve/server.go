@@ -57,9 +57,6 @@ type NodeAdmin interface {
 // Options configures a Server. The zero value of every field selects
 // its default.
 type Options struct {
-	// Single enables the single-tenant alias routes (/snapshot,
-	// /metrics) over the fleet's first tenant.
-	Single bool
 	// Node, when non-nil, enables the cluster-member admin surface:
 	// GET /v1/t/{name}/checkpoint (the migration handoff document) and
 	// POST /v1/cluster/adopt, plus the X-Tenant-Node response header on
@@ -69,11 +66,6 @@ type Options struct {
 	// plus SSE subscribers; a tenant spec's max_waiters overrides it.
 	// <= 0 selects DefaultMaxWaiters.
 	MaxWaiters int
-	// CacheVersions, DeltaRatio and SubscriberBuffer tune each tenant's
-	// hub; see HubConfig.
-	CacheVersions    int
-	DeltaRatio       float64
-	SubscriberBuffer int
 	// LongPollTimeout bounds ?min_version waits; <= 0 selects
 	// DefaultLongPollTimeout.
 	LongPollTimeout time.Duration
@@ -84,14 +76,12 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Server is the HTTP read path over a fleet: one hub per tenant, the
-// versioned /v1 API on top, and the legacy routes as byte-compatible
-// aliases. Construct with New, mount with Handler.
+// Server is the HTTP read path over a fleet: one hub per tenant and the
+// versioned /v1 API on top. Construct with New, mount with Handler.
 type Server struct {
 	runCtx  context.Context
 	f       Backend
 	opts    Options
-	single  fleet.Handle // first tenant, backing the single-tenant aliases
 	metrics *obs.Registry
 
 	hubMu sync.Mutex
@@ -107,9 +97,6 @@ func New(runCtx context.Context, f Backend, opts Options) *Server {
 	if opts.LongPollTimeout <= 0 {
 		opts.LongPollTimeout = DefaultLongPollTimeout
 	}
-	if opts.DeltaRatio <= 0 {
-		opts.DeltaRatio = DefaultDeltaRatio
-	}
 	s := &Server{
 		runCtx: runCtx,
 		f:      f,
@@ -117,9 +104,6 @@ func New(runCtx context.Context, f Backend, opts Options) *Server {
 		hubs:   make(map[string]*Hub),
 	}
 	for _, t := range f.Handles() {
-		if s.single == nil {
-			s.single = t
-		}
 		s.hubFor(t)
 	}
 	s.metrics = opts.Metrics
@@ -195,12 +179,7 @@ func (s *Server) hubFor(t fleet.Handle) *Hub {
 	if mw := t.Spec().MaxWaiters; mw > 0 {
 		max = mw
 	}
-	h := NewHub(t, HubConfig{
-		MaxWaiters:       max,
-		CacheVersions:    s.opts.CacheVersions,
-		DeltaRatio:       s.opts.DeltaRatio,
-		SubscriberBuffer: s.opts.SubscriberBuffer,
-	})
+	h := NewHub(t, HubConfig{MaxWaiters: max})
 	s.hubs[t.Name()] = h
 	go h.Run(s.runCtx)
 	return h
@@ -218,30 +197,18 @@ func (s *Server) Hub(name string) (*Hub, bool) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/tenants", s.handleTenants)
 	mux.Handle("/metrics/prom", s.metrics.Handler())
+	mux.HandleFunc("/v1/tenants", s.handleV1Tenants)
 	// Tenant-scoped routes. Path patterns with wildcards need Go 1.22's
 	// mux; this repo still builds on 1.21, so the prefix is split by hand.
-	mux.HandleFunc("/t/", s.handleLegacyTenant)
-	mux.HandleFunc("/v1/tenants", s.handleV1Tenants)
 	mux.HandleFunc("/v1/t/", s.handleV1Tenant)
 	if s.opts.Node != nil {
 		mux.HandleFunc("/v1/cluster/", s.handleV1Cluster)
 	}
-	if s.opts.Single && s.single != nil {
-		t := s.single
-		mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-			s.serveSnapshot(w, r, s.hubFor(t))
-		})
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			writeTenantMetrics(w, t, false)
-		})
-	}
 	return mux
 }
 
-// ---- legacy surface (byte-compatible with the pre-serve daemon) ----
-
+// handleHealthz answers liveness plus every tenant's status.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	statuses := s.f.Statuses()
 	resp := map[string]any{"ok": s.f.Healthy(), "tenants": statuses}
@@ -259,77 +226,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp["degraded"] = true
 		resp["causes"] = causes
 	}
-	if s.opts.Single && s.single != nil {
-		version, _, ok := s.single.Position()
-		resp["have_snapshot"] = ok
-		resp["version"] = version
-	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": s.f.Statuses()})
-}
-
-func (s *Server) handleLegacyTenant(w http.ResponseWriter, r *http.Request) {
-	name, endpoint, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/t/"), "/")
-	if !ok {
-		// /t/eu without an endpoint: the tenant may well exist, so say
-		// what is actually missing instead of "unknown tenant".
-		writeLegacyError(w, http.StatusNotFound, fmt.Sprintf("missing endpoint: /t/%s/snapshot or /t/%s/metrics", name, name))
-		return
-	}
-	t, have := s.f.Handle(name)
-	if !have {
-		writeLegacyError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q (see /tenants)", name))
-		return
-	}
-	switch endpoint {
-	case "snapshot":
-		s.serveSnapshot(w, r, s.hubFor(t))
-	case "metrics":
-		writeTenantMetrics(w, t, false)
-	default:
-		writeLegacyError(w, http.StatusNotFound, fmt.Sprintf("unknown endpoint %q (snapshot or metrics)", endpoint))
-	}
-}
-
-// serveSnapshot answers one legacy snapshot request through the hub,
-// including the ?min_version long-poll. Bodies are the hub's cached
-// bytes — identical to what json.Encoder wrote before the cache.
-func (s *Server) serveSnapshot(w http.ResponseWriter, r *http.Request, h *Hub) {
-	e, reply := s.fetchEntry(w, r, h)
-	if !reply {
-		return
-	}
-	if e == nil {
-		writeLegacyError(w, http.StatusServiceUnavailable, "no snapshot yet")
-		return
-	}
-	writeEntry(w, e, nil)
 }
 
 // fetchEntry resolves a snapshot request's entry: the ?min_version
 // long-poll (with the cap, timeout, shutdown and client-disconnect
-// handling) or the current entry. reply=false means the response is
-// already fully handled — an error was written, or the client vanished
-// and nothing must be (the recorder-based disconnect test pins that no
-// header is touched on that path). A nil entry with reply=true means
-// "no snapshot yet"; the caller picks its surface's error shape.
-func (s *Server) fetchEntry(w http.ResponseWriter, r *http.Request, h *Hub) (*Entry, bool) {
-	legacy := !strings.HasPrefix(r.URL.Path, "/v1/")
+// handling) or the current entry. A nil entry means the response is
+// already fully handled — an error was written (including "no snapshot
+// yet"), or the client vanished and nothing must be (the recorder-based
+// disconnect test pins that no header is touched on that path).
+func (s *Server) fetchEntry(w http.ResponseWriter, r *http.Request, h *Hub) *Entry {
 	mv := r.URL.Query().Get("min_version")
 	if mv == "" {
-		return h.Current(), true
+		e := h.Current()
+		if e == nil {
+			writeV1Error(w, http.StatusServiceUnavailable, "no_snapshot", "no snapshot yet")
+		}
+		return e
 	}
 	min, err := strconv.ParseUint(mv, 10, 64)
 	if err != nil {
-		if legacy {
-			writeLegacyError(w, http.StatusBadRequest, "bad min_version")
-		} else {
-			writeV1Error(w, http.StatusBadRequest, "bad_request", "bad min_version")
-		}
-		return nil, false
+		writeV1Error(w, http.StatusBadRequest, "bad_request", "bad min_version")
+		return nil
 	}
 	// Long poll, bounded so an abandoned stream cannot pin the waiter
 	// forever, and released early on daemon shutdown.
@@ -338,7 +256,7 @@ func (s *Server) fetchEntry(w http.ResponseWriter, r *http.Request, h *Hub) (*En
 	defer context.AfterFunc(s.runCtx, cancel)()
 	e, err := h.WaitMin(ctx, min)
 	if err == nil {
-		return e, true
+		return e
 	}
 	// Four distinct failure causes, four distinct answers: a hub at its
 	// waiter cap sheds load with 429 + Retry-After, a vanished client
@@ -348,30 +266,16 @@ func (s *Server) fetchEntry(w http.ResponseWriter, r *http.Request, h *Hub) (*En
 	switch {
 	case errors.Is(err, ErrTooManyWaiters):
 		w.Header().Set("Retry-After", "1")
-		if legacy {
-			writeLegacyError(w, http.StatusTooManyRequests, "too many waiters; retry later")
-		} else {
-			writeV1Error(w, http.StatusTooManyRequests, "too_many_waiters", "tenant long-poll capacity reached; retry later")
-		}
+		writeV1Error(w, http.StatusTooManyRequests, "too_many_waiters", "tenant long-poll capacity reached; retry later")
 	case r.Context().Err() != nil:
 		// Client disconnected (or its own deadline fired).
 	case s.runCtx.Err() != nil:
-		if legacy {
-			writeLegacyError(w, http.StatusServiceUnavailable, "daemon shutting down")
-		} else {
-			writeV1Error(w, http.StatusServiceUnavailable, "shutting_down", "daemon shutting down")
-		}
+		writeV1Error(w, http.StatusServiceUnavailable, "shutting_down", "daemon shutting down")
 	default:
-		if legacy {
-			writeLegacyError(w, http.StatusGatewayTimeout, "timed out waiting for version")
-		} else {
-			writeV1Error(w, http.StatusGatewayTimeout, "timeout", "timed out waiting for version")
-		}
+		writeV1Error(w, http.StatusGatewayTimeout, "timeout", "timed out waiting for version")
 	}
-	return nil, false
+	return nil
 }
-
-// ---- v1 surface ----
 
 // v1Tenant is one row of GET /v1/tenants: the fleet status plus the
 // tenant's serving-side hub statistics.
@@ -429,7 +333,7 @@ func (s *Server) handleV1Tenant(w http.ResponseWriter, r *http.Request) {
 	case "events":
 		s.serveV1Events(w, r, s.hubFor(t))
 	case "metrics":
-		writeTenantMetrics(w, t, true)
+		writeTenantMetrics(w, t)
 	case "checkpoint":
 		// The handoff document, served only by cluster members: a
 		// standby (or the coordinator, migrating) pulls it and restores
@@ -497,15 +401,10 @@ func (s *Server) handleV1Cluster(w http.ResponseWriter, r *http.Request) {
 
 // serveV1Snapshot is the negotiated read: conditional get via
 // If-None-Match, delta via Accept (+ ?since or the conditional ETag as
-// the base), gzip via Accept-Encoding, and the same ?min_version
-// long-poll as the legacy route.
+// the base), gzip via Accept-Encoding, and the ?min_version long-poll.
 func (s *Server) serveV1Snapshot(w http.ResponseWriter, r *http.Request, h *Hub) {
-	e, reply := s.fetchEntry(w, r, h)
-	if !reply {
-		return
-	}
+	e := s.fetchEntry(w, r, h)
 	if e == nil {
-		writeV1Error(w, http.StatusServiceUnavailable, "no_snapshot", "no snapshot yet")
 		return
 	}
 	inm := r.Header.Get("If-None-Match")
@@ -526,7 +425,7 @@ func (s *Server) serveV1Snapshot(w http.ResponseWriter, r *http.Request, h *Hub)
 			// A delta chain longer than the ratio of the full body is
 			// no win on the wire; DeltaChain then reports nil and the
 			// response falls back to the full snapshot.
-			maxBytes := int(s.opts.DeltaRatio * float64(len(e.JSON)))
+			maxBytes := int(DefaultDeltaRatio * float64(len(e.JSON)))
 			if chain := h.Cache().DeltaChain(base, maxBytes); chain != nil {
 				writeDeltaDoc(w, e, base, chain)
 				return
@@ -674,56 +573,45 @@ func writeSSEEntry(w http.ResponseWriter, e *Entry) {
 // ---- response helpers ----
 
 // writeEntry serves a cached snapshot entry: the immutable encoded
-// bytes, the serving headers the whole surface agrees on, and — only
-// for v1 requests (r non-nil with a /v1/ path) — gzip when the client
-// accepts it. Legacy responses stay byte-identical to the seed daemon.
+// bytes (exactly what json.Encoder writes for the snapshot), the
+// serving headers and ETag, and gzip when the client accepts it.
 func writeEntry(w http.ResponseWriter, e *Entry, r *http.Request) {
 	hdr := w.Header()
 	hdr.Set("Content-Type", "application/json")
 	hdr.Set("Cache-Control", "no-cache")
 	hdr.Set("X-Snapshot-Version", strconv.FormatUint(e.Version, 10))
 	body := e.JSON
-	if r != nil && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		if gz := e.Gzip(); gz != nil {
 			hdr.Set("Content-Encoding", "gzip")
 			hdr.Set("Vary", "Accept-Encoding")
 			body = gz
 		}
 	}
-	if r != nil {
-		hdr.Set("ETag", e.ETag)
-	}
+	hdr.Set("ETag", e.ETag)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }
 
 // writeTenantMetrics serves one tenant's estimation-error history with
-// the same serving headers the snapshot routes carry: the newest
-// snapshot version the points lead up to (X-Snapshot-Version), plus —
-// on the v1 surface — its ETag, so a dashboard can correlate a metrics
-// read with the snapshot it belongs to.
-func writeTenantMetrics(w http.ResponseWriter, t fleet.Handle, v1 bool) {
+// the same serving headers the snapshot route carries: the newest
+// snapshot version the points lead up to (X-Snapshot-Version) and its
+// ETag, so a dashboard can correlate a metrics read with the snapshot
+// it belongs to.
+func writeTenantMetrics(w http.ResponseWriter, t fleet.Handle) {
 	if version, _, ok := t.Position(); ok {
 		w.Header().Set("X-Snapshot-Version", strconv.FormatUint(version, 10))
-		if v1 {
-			w.Header().Set("ETag", ETag(version))
-		}
+		w.Header().Set("ETag", ETag(version))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"points": t.Metrics()})
 }
 
-// writeJSON answers a legacy-shaped JSON response; the body bytes are
-// exactly what the seed daemon's json.Encoder produced.
+// writeJSON answers a JSON response encoded by json.Encoder.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeLegacyError answers with the legacy {"error":"..."} envelope.
-func writeLegacyError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
 }
 
 // v1Error is the uniform v1 error envelope: {"error":{"code","message"}}.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -14,26 +15,32 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/fleet"
+	"repro/internal/leakcheck"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/runner"
 	"repro/internal/stream"
 )
 
-// testFleet builds a one-tenant fleet around an idle feed, the same
-// shape cmd/tmserve's handler tests use.
-func testFleet(t *testing.T) *fleet.Fleet {
+// testFleet builds a fleet of idle-feed tenants (just "default" when no
+// names are given), the same shape cmd/tmserve's handler tests use.
+func testFleet(t *testing.T, names ...string) *fleet.Fleet {
 	t.Helper()
+	if len(names) == 0 {
+		names = []string{"default"}
+	}
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := fleet.New(runner.NewPool(1), fleet.Options{})
-	if _, err := f.AddFeed(fleet.TenantSpec{Name: "default"}, sc, fleet.Feed{
-		Store:   collector.NewStore(sc.Net.NumPairs()),
-		Collect: func(context.Context) error { return nil },
-	}); err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		if _, err := f.AddFeed(fleet.TenantSpec{Name: name}, sc, fleet.Feed{
+			Store:   collector.NewStore(sc.Net.NumPairs()),
+			Collect: func(context.Context) error { return nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return f
 }
@@ -41,18 +48,14 @@ func testFleet(t *testing.T) *fleet.Fleet {
 // testServer builds a Server over an idle fleet and swaps the tenant's
 // hub for one over a hand-driven fake source, so tests control exactly
 // what is published. Returns the server, the source, and the handler.
+// Every goroutine the server starts must be gone once the test has
+// cancelled runCtx.
 func testServer(t *testing.T, runCtx context.Context, opts Options) (*Server, *fakeSource, http.Handler) {
 	t.Helper()
-	opts.Single = true
+	t.Cleanup(leakcheck.Check(t))
 	s := New(runCtx, testFleet(t), opts)
 	src := newFakeSource()
-	max := opts.MaxWaiters
-	h := NewHub(src, HubConfig{
-		MaxWaiters:       max,
-		CacheVersions:    opts.CacheVersions,
-		DeltaRatio:       opts.DeltaRatio,
-		SubscriberBuffer: opts.SubscriberBuffer,
-	})
+	h := NewHub(src, HubConfig{MaxWaiters: opts.MaxWaiters})
 	s.hubs["default"] = h
 	go h.Run(runCtx)
 	return s, src, s.Handler()
@@ -84,27 +87,27 @@ func get(t *testing.T, handler http.Handler, path string, hdr map[string]string)
 	return rec
 }
 
-// TestServerLegacyByteCompat: the legacy routes serve exactly the bytes
-// the pre-cache daemon's json.Encoder wrote, now with the uniform
-// serving headers.
-func TestServerLegacyByteCompat(t *testing.T) {
+// TestServerByteCompat: the snapshot route serves exactly the bytes
+// json.Encoder writes for the snapshot, with the uniform serving
+// headers and no encoding the client did not ask for — on the plain
+// read and on the ?min_version fast path alike.
+func TestServerByteCompat(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, src, handler := testServer(t, ctx, Options{})
 	snap := serveSnap(3)
 	src.Publish(snap)
 
-	want, err := json.Marshal(snap)
-	if err != nil {
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n')
-	for _, path := range []string{"/snapshot", "/t/default/snapshot"} {
+	for _, path := range []string{"/v1/t/default/snapshot", "/v1/t/default/snapshot?min_version=3"} {
 		rec := get(t, handler, path, nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET %s: %d", path, rec.Code)
 		}
-		if rec.Body.String() != string(want) {
+		if rec.Body.String() != want.String() {
 			t.Fatalf("GET %s: body differs from json.Encoder output", path)
 		}
 		h := rec.Header()
@@ -114,21 +117,31 @@ func TestServerLegacyByteCompat(t *testing.T) {
 			t.Fatalf("GET %s: headers %v", path, h)
 		}
 		if h.Get("Content-Encoding") != "" {
-			t.Fatalf("GET %s: legacy route negotiated an encoding", path)
+			t.Fatalf("GET %s: negotiated an encoding without Accept-Encoding", path)
 		}
 	}
-	// min_version long-poll satisfied from cache, same bytes.
-	rec := get(t, handler, "/snapshot?min_version=3", nil)
-	if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
-		t.Fatalf("long-poll fast path: %d", rec.Code)
+}
+
+// TestServerOnlyV1Routes: the route table holds only /v1 rows plus
+// /metrics/prom and /healthz, and the pre-v1 paths — the tenant routes
+// and the single-tenant aliases — are not served, whether the server
+// fronts one tenant or several.
+func TestServerOnlyV1Routes(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	for _, rt := range append(Routes(), CoordinatorRoutes()...) {
+		if !strings.HasPrefix(rt.Pattern, "/v1/") && rt.Pattern != "/metrics/prom" && rt.Pattern != "/healthz" {
+			t.Errorf("route table lists %s %s outside /v1", rt.Method, rt.Pattern)
+		}
 	}
-	// Legacy error envelope is the flat string.
-	rec = get(t, handler, "/t/nosuch/snapshot", nil)
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusNotFound || !strings.Contains(e.Error, "nosuch") {
-		t.Fatalf("legacy unknown tenant: %d %q", rec.Code, rec.Body.String())
+	for _, names := range [][]string{{"default"}, {"default", "eu"}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		handler := New(ctx, testFleet(t, names...), Options{}).Handler()
+		for _, path := range []string{"/tenants", "/t/default/snapshot", "/t/default/metrics", "/snapshot", "/metrics"} {
+			if rec := get(t, handler, path, nil); rec.Code != http.StatusNotFound {
+				t.Errorf("%d tenant(s): GET %s answered %d, want 404", len(names), path, rec.Code)
+			}
+		}
+		cancel()
 	}
 }
 
@@ -327,8 +340,8 @@ func TestServerV1Errors(t *testing.T) {
 	}
 }
 
-// TestServerWaiterCap429: both surfaces shed load with 429 +
-// Retry-After at the waiter cap.
+// TestServerWaiterCap429: long-polls and SSE subscriptions shed load
+// with 429 + Retry-After at the waiter cap.
 func TestServerWaiterCap429(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -358,10 +371,6 @@ func TestServerWaiterCap429(t *testing.T) {
 	}
 	if json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code != "too_many_waiters" {
 		t.Fatalf("v1 over-cap envelope: %s", rec.Body.String())
-	}
-	rec = get(t, handler, "/snapshot?min_version=9", nil)
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
-		t.Fatalf("legacy over-cap: %d", rec.Code)
 	}
 	// SSE subscription is refused at the cap too.
 	rec = get(t, handler, "/v1/t/default/events", nil)

@@ -25,6 +25,11 @@ import (
 // of guessing at field semantics.
 const Format = 1
 
+// MaxIntervals bounds a script's length — over 200 days of 5-minute
+// polls. Compile materializes one demand vector per interval, so an
+// unbounded length would be an unbounded allocation.
+const MaxIntervals = 1 << 16
+
 // Script is one parsed timeline script, with every event anchor
 // resolved to a polling-interval index.
 type Script struct {
@@ -162,6 +167,9 @@ func Parse(data []byte) (*Script, error) {
 	}
 	if raw.Intervals < 1 {
 		return nil, fmt.Errorf("timeline: intervals %d, need at least 1", raw.Intervals)
+	}
+	if raw.Intervals > MaxIntervals {
+		return nil, fmt.Errorf("timeline: intervals %d, at most %d", raw.Intervals, MaxIntervals)
 	}
 	s := &Script{Base: raw.Base, Intervals: raw.Intervals}
 	if raw.Step != "" {

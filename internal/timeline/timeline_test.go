@@ -101,6 +101,11 @@ func TestParseRejectsMalformedScripts(t *testing.T) {
 			`intervals 0`,
 		},
 		{
+			"too many intervals",
+			`{"format":1,"intervals":9223372036854775807}`,
+			`intervals 9223372036854775807, at most 65536`,
+		},
+		{
 			"diurnal amplitude out of range",
 			`{"format":1,"intervals":10,"events":[{"at":0,"diurnal":{"period":4,"amplitude":1.5}}]}`,
 			`amplitude 1.5`,

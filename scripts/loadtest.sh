@@ -56,13 +56,13 @@ done
 
 say "waiting for both tenants' first snapshot"
 for _ in $(seq 1 120); do
-  serving=$(curl -sf "$base/tenants" | jq '[.tenants[] | select(.have_snapshot)] | length')
+  serving=$(curl -sf "$base/v1/tenants" | jq '[.tenants[] | select(.have_snapshot)] | length')
   [ "$serving" = "2" ] && break
   sleep 0.25
 done
-serving=$(curl -sf "$base/tenants" | jq '[.tenants[] | select(.have_snapshot)] | length')
+serving=$(curl -sf "$base/v1/tenants" | jq '[.tenants[] | select(.have_snapshot)] | length')
 if [ "$serving" != "2" ]; then
-  say "only $serving/2 tenants have a snapshot"; curl -s "$base/tenants" | jq .; exit 1
+  say "only $serving/2 tenants have a snapshot"; curl -s "$base/v1/tenants" | jq .; exit 1
 fi
 
 say "driving the client mix for 10s"
