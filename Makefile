@@ -18,16 +18,20 @@ test-short:
 # plain `go test` runs): the serve delta codec (FuzzDelta: the size
 # bound, NewEntry's bytes and hostile delta bytes), the four estimators
 # (FuzzEstimate: hostile loads and mis-sized priors and warm starts),
-# checkpoint restore (FuzzCheckpoint: hostile checkpoint bytes), then the
-# timeline DSL (FuzzTimeline: hostile scripts through Parse and Compile). A
-# failing input is written to the target's corpus directory; commit it
-# as a regression seed.
+# checkpoint restore (FuzzCheckpoint: hostile checkpoint bytes), the
+# timeline DSL (FuzzTimeline: hostile scripts through Parse and Compile),
+# then the fleet and cluster configs (FuzzFleetConfig, FuzzClusterConfig:
+# reject with a named error or round-trip through JSON). A failing input
+# is written to the target's corpus directory; commit it as a regression
+# seed.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeline$$' -fuzztime $(FUZZTIME) ./internal/timeline
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterConfig$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

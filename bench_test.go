@@ -124,30 +124,23 @@ func BenchmarkFig15PriorComparison(b *testing.B)     { runDriver(b, "fig15") }
 func BenchmarkFig16DirectMeasurement(b *testing.B)   { runDriver(b, "fig16") }
 func BenchmarkTable2Summary(b *testing.B)            { runDriver(b, "table2") }
 
-// Extension experiments (paper §6 future work; see EXPERIMENTS.md).
+// Extension experiments (paper §6 future work; see METHODS.md).
 func BenchmarkExt1NoiseSensitivity(b *testing.B)   { runDriver(b, "ext1") }
 func BenchmarkExt2UnevaluatedMethods(b *testing.B) { runDriver(b, "ext2") }
 func BenchmarkExt3ECMPMismatch(b *testing.B)       { runDriver(b, "ext3") }
 func BenchmarkExt4TrafficEngineering(b *testing.B) { runDriver(b, "ext4") }
 
-// --- Ablations (design choices called out in DESIGN.md §5) ---
+// --- Ablations (design choices; METHODS.md names the methods) ---
 
-// BenchmarkAblationBayesSolvers compares the exact Lawson-Hanson NNLS
-// solution of the MAP problem (eq. 7) with the FISTA solve the library uses
-// by default, on the European network.
+// BenchmarkAblationBayesSolvers times the FISTA solve of the MAP problem
+// (eq. 7) on the European network; TestBayesianNNLSAgreesWithFISTA checks
+// it against the exact NNLS optimum.
 func BenchmarkAblationBayesSolvers(b *testing.B) {
 	s := benchSuite(b)
 	prior := core.Gravity(s.InstEU)
 	b.Run("fista", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := core.Bayesian(s.InstEU, prior, 1000, core.SolveOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("nnls-exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.BayesianNNLS(s.InstEU, prior, 1000); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -174,9 +167,9 @@ func BenchmarkAblationEntropySolvers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationWCBWarmStart measures what sharing one warm-started
-// simplex instance across the 2P worst-case-bound LPs saves versus cold
-// starts.
+// BenchmarkAblationWCBWarmStart times the 2P worst-case-bound LPs sharing
+// one warm-started simplex instance, and reports its pivot count.
+// TestWorstCaseBoundsWarmMatchesCold compares it with cold starts.
 func BenchmarkAblationWCBWarmStart(b *testing.B) {
 	s := benchSuite(b)
 	b.Run("warm", func(b *testing.B) {
@@ -190,44 +183,27 @@ func BenchmarkAblationWCBWarmStart(b *testing.B) {
 		}
 		b.ReportMetric(float64(pivots), "pivots")
 	})
-	b.Run("cold", func(b *testing.B) {
-		var pivots int
-		for i := 0; i < b.N; i++ {
-			bounds, err := core.WorstCaseBoundsCold(s.InstEU)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pivots = bounds.Pivots
-		}
-		b.ReportMetric(float64(pivots), "pivots")
-	})
 }
 
-// BenchmarkAblationFanoutConstraint compares the paper's simplex-constrained
-// fanout estimator with the unconstrained least-squares variant.
+// BenchmarkAblationFanoutConstraint times the paper's simplex-constrained
+// fanout estimator and reports its MRE.
 func BenchmarkAblationFanoutConstraint(b *testing.B) {
 	s := benchSuite(b)
 	start := s.EU.BusyWindow(experiments.BusyWindowSamples)
 	loads := s.EU.LoadSeries(start, 10)
 	mean := s.EU.Series.MeanDemand(start, 10)
 	th := core.ShareThreshold(mean, 0.9)
-	for _, tc := range []struct {
-		name          string
-		unconstrained bool
-	}{{"simplex", false}, {"unconstrained", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.FanoutConfig{Unconstrained: tc.unconstrained}
-			var mre float64
-			for i := 0; i < b.N; i++ {
-				est, err := core.EstimateFanouts(s.EU.Rt, loads, cfg, core.SolveOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mre = core.MRE(est.MeanDemand, mean, th)
+	b.Run("simplex", func(b *testing.B) {
+		var mre float64
+		for i := 0; i < b.N; i++ {
+			est, err := core.EstimateFanouts(s.EU.Rt, loads, core.SolveOptions{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(mre, "MRE")
-		})
-	}
+			mre = core.MRE(est.MeanDemand, mean, th)
+		}
+		b.ReportMetric(mre, "MRE")
+	})
 }
 
 // BenchmarkAblationGreedyVsLargest compares the two direct-measurement

@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -50,7 +51,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if err := run(ctx, *path, *method, *reg, *window, *sigmaInv2, *parallel); err != nil {
+	if err := run(ctx, os.Stdout, *path, *method, *reg, *window, *sigmaInv2, *parallel); err != nil {
 		fmt.Fprintf(os.Stderr, "tmestimate: %v\n", err)
 		os.Exit(1)
 	}
@@ -63,7 +64,7 @@ type estimation struct {
 	thresh float64
 }
 
-func run(ctx context.Context, path, methods string, reg float64, window int, sigmaInv2 float64, parallel int) error {
+func run(ctx context.Context, w io.Writer, path, methods string, reg float64, window int, sigmaInv2 float64, parallel int) error {
 	sc, err := netsim.LoadFile(path)
 	if err != nil {
 		return err
@@ -99,7 +100,7 @@ func run(ctx context.Context, path, methods string, reg float64, window int, sig
 		case "fanout":
 			var fe *core.FanoutEstimate
 			loads := sc.LoadSeries(start, window)
-			if fe, err = core.EstimateFanouts(sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{}); err == nil {
+			if fe, err = core.EstimateFanouts(sc.Rt, loads, core.SolveOptions{}); err == nil {
 				out.est = fe.MeanDemand
 				out.truth = sc.Series.MeanDemand(start, window)
 				out.thresh = core.ShareThreshold(out.truth, 0.9)
@@ -136,7 +137,7 @@ func run(ctx context.Context, path, methods string, reg float64, window int, sig
 		return fmt.Errorf("no methods given")
 	}
 
-	fmt.Printf("scenario: %s (%s, %d PoPs, %d demands)\n",
+	fmt.Fprintf(w, "scenario: %s (%s, %d PoPs, %d demands)\n",
 		path, sc.Region, sc.Net.NumPoPs(), sc.Net.NumPairs())
 	pool := runner.NewPool(parallel)
 	_, err = runner.Run(ctx, pool, jobs, func(res runner.Result[estimation]) error {
@@ -144,10 +145,10 @@ func run(ctx context.Context, path, methods string, reg float64, window int, sig
 			return fmt.Errorf("%s: %w", res.ID, res.Err)
 		}
 		e := res.Value
-		fmt.Printf("method:   %s (%.1fs)\n", res.ID, res.Duration.Seconds())
-		fmt.Printf("MRE over demands carrying 90%% of traffic (%d demands): %.4f\n",
+		fmt.Fprintf(w, "method:   %s (%.1fs)\n", res.ID, res.Duration.Seconds())
+		fmt.Fprintf(w, "MRE over demands carrying 90%% of traffic (%d demands): %.4f\n",
 			core.CountAbove(e.truth, e.thresh), core.MRE(e.est, e.truth, e.thresh))
-		fmt.Printf("rank correlation with truth: %.4f\n", core.RankCorrelation(e.est, e.truth))
+		fmt.Fprintf(w, "rank correlation with truth: %.4f\n", core.RankCorrelation(e.est, e.truth))
 		return nil
 	})
 	return err

@@ -25,8 +25,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,27 +39,36 @@ import (
 )
 
 func main() {
-	region := flag.String("region", "europe", "subnetwork to generate: europe or america")
-	family := flag.String("family", "", "scenario-family spec (e.g. scaled:100, ecmp:25:150); overrides -region; 'help' lists families")
-	tlScript := flag.String("timeline", "", "timeline script to compile (overrides -region/-family); writes the scripted series + epochs as JSON")
-	seed := flag.Int64("seed", 1, "deterministic generator seed")
-	out := flag.String("out", "", "output file (default <region>.json or <family spec with : replaced>.json)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "tmgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("tmgen", flag.ContinueOnError)
+	region := fs.String("region", "europe", "subnetwork to generate: europe or america")
+	family := fs.String("family", "", "scenario-family spec (e.g. scaled:100, ecmp:25:150); overrides -region; 'help' lists families")
+	tlScript := fs.String("timeline", "", "timeline script to compile (overrides -region/-family); writes the scripted series + epochs as JSON")
+	seed := fs.Int64("seed", 1, "deterministic generator seed")
+	outPath := fs.String("out", "", "output file (default <region>.json or <family spec with : replaced>.json)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *family == "help" {
-		fmt.Println("Scenario families (spec grammar -> description):")
+		fmt.Fprintln(out, "Scenario families (spec grammar -> description):")
 		for _, f := range scenario.Families() {
-			fmt.Printf("  %-28s %s\n", f.Usage, f.Desc)
+			fmt.Fprintf(out, "  %-28s %s\n", f.Usage, f.Desc)
 		}
-		return
+		return nil
 	}
 
 	if *tlScript != "" {
-		if err := compileTimeline(*tlScript, *seed, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "tmgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return compileTimeline(out, *tlScript, *seed, *outPath)
 	}
 
 	var (
@@ -71,42 +82,40 @@ func main() {
 		if err == nil {
 			sc = in.Sc
 			if in.Note != "" {
-				fmt.Println(in.Note)
+				fmt.Fprintln(out, in.Note)
 			}
 		}
-		if *out == "" {
-			*out = strings.ReplaceAll(*family, ":", "-") + ".json"
+		if *outPath == "" {
+			*outPath = strings.ReplaceAll(*family, ":", "-") + ".json"
 		}
 	case *region == "europe":
 		sc, err = netsim.BuildEurope(*seed)
 	case *region == "america":
 		sc, err = netsim.BuildAmerica(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "tmgen: unknown region %q (want europe or america)\n", *region)
-		os.Exit(2)
+		return fmt.Errorf("unknown region %q (want europe or america)", *region)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmgen: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if *out == "" {
-		*out = *region + ".json"
+	if *outPath == "" {
+		*outPath = *region + ".json"
 	}
-	if err := sc.SaveFile(*out); err != nil {
-		fmt.Fprintf(os.Stderr, "tmgen: %v\n", err)
-		os.Exit(1)
+	if err := sc.SaveFile(*outPath); err != nil {
+		return err
 	}
 	model := sc.Model
 	if model == "" {
 		model = netsim.RoutingSPF
 	}
-	fmt.Printf("wrote %s: %d PoPs, %d demands, %d interior links, %d intervals, %s routing\n",
-		*out, sc.Net.NumPoPs(), sc.Net.NumPairs(), sc.Net.InteriorLinks(), len(sc.Series.Demands), model)
+	fmt.Fprintf(out, "wrote %s: %d PoPs, %d demands, %d interior links, %d intervals, %s routing\n",
+		*outPath, sc.Net.NumPoPs(), sc.Net.NumPairs(), sc.Net.InteriorLinks(), len(sc.Series.Demands), model)
+	return nil
 }
 
 // compileTimeline parses a script, compiles it against its base
 // instance and writes the compiled series (demand vectors included).
-func compileTimeline(path string, seed int64, out string) error {
+func compileTimeline(w io.Writer, path string, seed int64, out string) error {
 	s, err := timeline.ParseFile(path)
 	if err != nil {
 		return err
@@ -130,7 +139,7 @@ func compileTimeline(path string, seed int64, out string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d intervals, %d epochs, %d events over %s\n",
+	fmt.Fprintf(w, "wrote %s: %d intervals, %d epochs, %d events over %s\n",
 		out, len(tl.Steps), len(tl.Epochs), len(tl.Script.Events), tl.Base.Region)
 	return nil
 }

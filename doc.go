@@ -9,7 +9,7 @@
 // generator calibrated to the paper's statistical findings
 // (internal/traffic), every estimation method the paper evaluates
 // (internal/core), the numerical machinery they need — dense/sparse linear
-// algebra, a warm-startable simplex LP, NNLS, FISTA, iterative proportional
+// algebra, a warm-startable simplex LP, FISTA, iterative proportional
 // fitting (internal/linalg, internal/sparse, internal/solver) — and one
 // experiment driver per table and figure of the evaluation section
 // (internal/experiments).

@@ -71,7 +71,7 @@ func run(region string) error {
 	}
 	fmt.Printf("%-28s MRE %.3f\n", "bayes w. WCB prior", score(bayesWCB))
 
-	fan, err := core.EstimateFanouts(sc.Rt, sc.LoadSeries(start, 20), core.FanoutConfig{}, core.SolveOptions{})
+	fan, err := core.EstimateFanouts(sc.Rt, sc.LoadSeries(start, 20), core.SolveOptions{})
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fleet"
+	"repro/internal/leakcheck"
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -43,7 +44,8 @@ var euSpec = fleet.TenantSpec{
 // config), its cluster runtime (standby sync loops) and its HTTP
 // server. A cleanup stops the member and waits its fleet out before
 // the test's temp dirs vanish (the shutdown checkpoint save needs
-// them).
+// them). Each test registers its leak check as its first cleanup, so
+// the check runs last, once every member and listener has stopped.
 func startMember(t *testing.T, ctx context.Context, cfg cluster.Config, name string, srv *httptest.Server) *member {
 	t.Helper()
 	dir := t.TempDir()
@@ -122,6 +124,7 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 // TestRemoteHandle: the HTTP-backed handle observes a remote tenant
 // through the same surface a local one has.
 func TestRemoteHandle(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srvs := newListeners(t, 2)
@@ -168,6 +171,7 @@ func TestRemoteHandle(t *testing.T) {
 // coordinator promotes the standby, and the tenant serves on from the
 // synced state — warm, with its version history intact.
 func TestStandbySyncAndFailover(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srvs := newListeners(t, 2)
@@ -290,6 +294,7 @@ func TestStandbySyncAndFailover(t *testing.T) {
 // TestCoordinatorMigrate moves a tenant between two healthy nodes by
 // checkpoint handoff and verifies the target serves it warm.
 func TestCoordinatorMigrate(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srvs := newListeners(t, 2)
@@ -354,6 +359,7 @@ func TestCoordinatorMigrate(t *testing.T) {
 // TestCoordinatorRedirect: routing "redirect" answers 307 with the
 // owner's address instead of proxying.
 func TestCoordinatorRedirect(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srvs := newListeners(t, 2)
@@ -402,6 +408,7 @@ func TestCoordinatorRedirect(t *testing.T) {
 // TestNodeAdoptColdWithoutCheckpoint: adopting a tenant nobody ever
 // checkpointed starts it cold — still a successful adoption.
 func TestNodeAdoptColdWithoutCheckpoint(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srvs := newListeners(t, 2)

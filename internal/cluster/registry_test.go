@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 // flakyNode is a /healthz endpoint whose answer a test flips.
@@ -33,6 +35,7 @@ func newFlakyNode(t *testing.T) *flakyNode {
 func (n *flakyNode) addr() string { return strings.TrimPrefix(n.srv.URL, "http://") }
 
 func TestRegistryThresholdAndRecovery(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	a, b := newFlakyNode(t), newFlakyNode(t)
 	cfg := Config{
 		Format:  ConfigFormat,

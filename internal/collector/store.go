@@ -114,7 +114,7 @@ func (s *Store) LatestInterval() int {
 // records for them from then on. A streaming consumer that has folded an
 // interval into its own window calls this so an endless collection run
 // holds O(window) rather than O(elapsed time) in the store. Batch users
-// (tmcollect, the examples) never call it and keep the full history.
+// (the examples) never call it and keep the full history.
 func (s *Store) Prune(before int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

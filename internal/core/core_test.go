@@ -322,27 +322,3 @@ func TestBayesianRejectsBadReg(t *testing.T) {
 		t.Fatal("expected error for negative reg")
 	}
 }
-
-func TestBayesianNNLSAgreesWithFISTA(t *testing.T) {
-	f := europe(t)
-	prior := Gravity(f.inst)
-	exact, err := BayesianNNLS(f.inst, prior, 100)
-	if err != nil {
-		t.Fatalf("BayesianNNLS: %v", err)
-	}
-	approx, _, err := Bayesian(f.inst, prior, 100, SolveOptions{})
-	if err != nil {
-		t.Fatalf("Bayesian: %v", err)
-	}
-	// Compare objectives — the quadratic is strongly convex so both should
-	// reach the same optimum.
-	obj := func(s linalg.Vector) float64 {
-		r := linalg.Sub(linalg.NewVector(len(f.inst.Loads)), f.rt.LinkLoads(s), f.inst.Loads)
-		d := linalg.Sub(linalg.NewVector(len(s)), s, prior)
-		return r.Norm2()*r.Norm2() + d.Norm2()*d.Norm2()/100
-	}
-	oe, oa := obj(exact), obj(approx)
-	if oa > oe*(1+1e-3)+1e-6 {
-		t.Fatalf("FISTA objective %v worse than NNLS %v", oa, oe)
-	}
-}

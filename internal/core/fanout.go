@@ -8,16 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// FanoutConfig tunes the constant-fanout estimator (§4.2.4), the paper's
-// novel method.
-type FanoutConfig struct {
-	// Unconstrained drops the per-source simplex constraint (Σ_m α_nm = 1,
-	// α >= 0), solving the plain least-squares problem instead. Kept for
-	// the constraint-ablation benchmark; the constrained form is the
-	// paper's.
-	Unconstrained bool
-}
-
 // FanoutEstimate holds the result of the constant-fanout estimation.
 type FanoutEstimate struct {
 	// Alpha[p] is the estimated fanout of demand p: the fraction of its
@@ -30,8 +20,8 @@ type FanoutEstimate struct {
 	Iterations int
 }
 
-// EstimateFanouts solves the paper's constant-fanout problem over a window
-// of link-load measurements:
+// EstimateFanouts solves the paper's constant-fanout problem (§4.2.4, its
+// novel method) over a window of link-load measurements:
 //
 //	minimize Σ_k ‖R·S[k]·α − t[k]‖²
 //	subject to Σ_m α_nm = 1 for every source n,  α >= 0
@@ -48,7 +38,7 @@ type FanoutEstimate struct {
 // does not depend on the start. The per-interval scalings, gradient
 // staging, source groups and simplex-projection scratch are drawn from the
 // workspace; the returned Alpha and MeanDemand are freshly allocated.
-func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, cfg FanoutConfig, opt SolveOptions) (*FanoutEstimate, error) {
+func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, opt SolveOptions) (*FanoutEstimate, error) {
 	ws, maxIter, tol := opt.budget(defaultMaxIter)
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("core: EstimateFanouts needs at least one sample")
@@ -125,9 +115,6 @@ func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, cfg FanoutConf
 		for _, g := range groups {
 			ws.projectGroupSimplex(a, g)
 		}
-	}
-	if cfg.Unconstrained {
-		project = func(a linalg.Vector) { a.ClampNonNegative() }
 	}
 	var alpha linalg.Vector
 	if opt.X0 != nil {

@@ -98,7 +98,7 @@ func FuzzEstimate(f *testing.F) {
 		check("Bayesian", x, err)
 		x, _, err = core.Vardi(rt, loads, core.DefaultVardiConfig(), opt)
 		check("Vardi", x, err)
-		fe, err := core.EstimateFanouts(rt, loads, core.FanoutConfig{}, opt)
+		fe, err := core.EstimateFanouts(rt, loads, opt)
 		if err != nil {
 			check("EstimateFanouts", nil, err)
 		} else {

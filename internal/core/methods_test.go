@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/solver"
 	"repro/internal/traffic"
 )
 
@@ -65,6 +67,37 @@ func TestWCBMidpointBeatsGravityPrior(t *testing.T) {
 	}
 }
 
+// worstCaseBoundsCold is the reference WorstCaseBounds is checked against:
+// a fresh LP per pair, so no objective starts from another's basis. Pivots
+// sums every LP's count.
+func worstCaseBoundsCold(in *Instance) (*Bounds, error) {
+	dense := in.Rt.R.ToDense()
+	p := in.NumPairs()
+	b := &Bounds{Lower: linalg.NewVector(p), Upper: linalg.NewVector(p)}
+	c := linalg.NewVector(p)
+	for pair := 0; pair < p; pair++ {
+		lp, err := solver.NewLP(dense, in.Loads)
+		if err != nil {
+			return nil, err
+		}
+		c.Zero()
+		c[pair] = 1
+		_, hi, err := lp.Maximize(c)
+		if errors.Is(err, solver.ErrUnbounded) {
+			hi = math.Inf(1)
+		} else if err != nil {
+			return nil, err
+		}
+		_, lo, err := lp.Minimize(c)
+		if err != nil {
+			return nil, err
+		}
+		b.Lower[pair], b.Upper[pair] = math.Max(lo, 0), hi
+		b.Pivots += lp.Pivots()
+	}
+	return b, nil
+}
+
 func TestWorstCaseBoundsWarmMatchesCold(t *testing.T) {
 	// Use the smaller network but verify warm-started bounds are identical
 	// to cold-started ones.
@@ -73,7 +106,7 @@ func TestWorstCaseBoundsWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
-	cold, err := WorstCaseBoundsCold(f.inst)
+	cold, err := worstCaseBoundsCold(f.inst)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -110,7 +143,7 @@ func TestBoundsWidthNonNegative(t *testing.T) {
 func TestEstimateFanoutsRecoversDemands(t *testing.T) {
 	f := europe(t)
 	loads := f.loadSeries(10)
-	est, err := EstimateFanouts(f.rt, loads, FanoutConfig{}, SolveOptions{})
+	est, err := EstimateFanouts(f.rt, loads, SolveOptions{})
 	if err != nil {
 		t.Fatalf("EstimateFanouts: %v", err)
 	}
@@ -145,7 +178,7 @@ func TestFanoutWindowLengthHelps(t *testing.T) {
 	// that same snapshot, so it scores deceptively well on its own noise.)
 	f := europe(t)
 	mreAt := func(k int) float64 {
-		est, err := EstimateFanouts(f.rt, f.loadSeries(k), FanoutConfig{}, SolveOptions{})
+		est, err := EstimateFanouts(f.rt, f.loadSeries(k), SolveOptions{})
 		if err != nil {
 			t.Fatalf("EstimateFanouts(%d, SolveOptions{}): %v", k, err)
 		}
@@ -161,7 +194,7 @@ func TestFanoutWindowLengthHelps(t *testing.T) {
 
 func TestEstimateFanoutsRejectsEmpty(t *testing.T) {
 	f := europe(t)
-	if _, err := EstimateFanouts(f.rt, nil, FanoutConfig{}, SolveOptions{}); err == nil {
+	if _, err := EstimateFanouts(f.rt, nil, SolveOptions{}); err == nil {
 		t.Fatal("expected error for empty series")
 	}
 }

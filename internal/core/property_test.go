@@ -135,7 +135,7 @@ func TestPropertyFanoutRows(t *testing.T) {
 		}
 		// The simplex projection runs every iteration, so the row-sum
 		// invariant holds at any budget — no need for full convergence.
-		est, err := core.EstimateFanouts(in.Sc.Rt, in.Loads[:10], core.FanoutConfig{}, core.SolveOptions{MaxIter: 2000})
+		est, err := core.EstimateFanouts(in.Sc.Rt, in.Loads[:10], core.SolveOptions{MaxIter: 2000})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}

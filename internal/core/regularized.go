@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/linalg"
 	"repro/internal/solver"
+	"repro/internal/topology"
 )
 
 // Bayesian computes the MAP estimate of eq. (7):
@@ -56,30 +56,6 @@ func checkRegularized(method string, in *Instance, prior linalg.Vector, reg floa
 	return nil
 }
 
-// BayesianNNLS solves the same MAP problem exactly with Lawson–Hanson NNLS
-// on the stacked system [R; σ⁻¹·I]·s = [t; σ⁻¹·prior]. Exponentially more
-// expensive than FISTA on large networks; retained as the reference
-// implementation for the solver-ablation benchmark.
-func BayesianNNLS(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector, error) {
-	if reg <= 0 {
-		return nil, fmt.Errorf("core: BayesianNNLS needs positive regularization, got %v", reg)
-	}
-	l, p := in.Rt.R.Rows(), in.Rt.R.Cols()
-	w := 1 / math.Sqrt(reg)
-	a := linalg.NewMatrix(l+p, p)
-	dense := in.Rt.R.ToDense()
-	copy(a.Data[:l*p], dense.Data)
-	for i := 0; i < p; i++ {
-		a.Set(l+i, i, w)
-	}
-	b := linalg.NewVector(l + p)
-	copy(b[:l], in.Loads)
-	for i := 0; i < p; i++ {
-		b[l+i] = w * prior[i]
-	}
-	return solver.NNLS(a, b), nil
-}
-
 // Entropy computes the entropy-penalized estimate of eq. (6) (Zhang et
 // al.'s tomogravity criterion):
 //
@@ -109,16 +85,6 @@ func Entropy(in *Instance, prior linalg.Vector, reg float64, opt SolveOptions) (
 // fitting — the 1937 method, which uses only the marginals, not the
 // interior links.
 func Kruithof(in *Instance, prior linalg.Vector) (linalg.Vector, error) {
-	net := in.Rt.Net
-	n := net.NumPoPs()
-	pm := linalg.NewMatrix(n, n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src != dst {
-				pm.Set(src, dst, prior[net.PairIndex(src, dst)])
-			}
-		}
-	}
 	te := in.IngressTotals()
 	tx := in.EgressTotals()
 	// Balance the marginal totals (they can disagree slightly when loads
@@ -126,19 +92,33 @@ func Kruithof(in *Instance, prior linalg.Vector) (linalg.Vector, error) {
 	if s := tx.Sum(); s > 0 {
 		tx.Scale(te.Sum() / s)
 	}
-	bal, _, err := solver.KruithofBalance(pm, te, tx, 2000, 1e-10)
+	s, err := KruithofPairs(in.Rt.Net, prior, te, tx, 2000, 1e-10)
 	if err != nil {
 		return nil, fmt.Errorf("core: Kruithof: %w", err)
 	}
-	s := linalg.NewVector(net.NumPairs())
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src != dst {
-				s[net.PairIndex(src, dst)] = bal.At(src, dst)
-			}
-		}
-	}
 	return s, nil
+}
+
+// KruithofPairs scales the demand vector x (indexed like net's pairs) to
+// the per-PoP ingress totals te and egress totals tx by iterative
+// proportional fitting (solver.KruithofBalance on the PoP×PoP matrix),
+// within maxIter sweeps and tolerance tol. x is not mutated.
+func KruithofPairs(net *topology.Network, x, te, tx linalg.Vector, maxIter int, tol float64) (linalg.Vector, error) {
+	n := net.NumPoPs()
+	pm := linalg.NewMatrix(n, n)
+	for p := 0; p < net.NumPairs(); p++ {
+		src, dst := net.PairFromIndex(p)
+		pm.Set(src, dst, x[p])
+	}
+	bal, _, err := solver.KruithofBalance(pm, te, tx, maxIter, tol)
+	if err != nil {
+		return nil, err
+	}
+	out := linalg.NewVector(net.NumPairs())
+	for p := range out {
+		out[p] = bal.At(net.PairFromIndex(p))
+	}
+	return out, nil
 }
 
 // KruithofGeneral applies Krupp's extension of Kruithof's projection to the

@@ -159,16 +159,15 @@ func TestVardiWarmStartEquivalent(t *testing.T) {
 // premise of the paper's Figs. 4–5).
 func TestFanoutWarmStartEquivalent(t *testing.T) {
 	_, _, sc, loads0, loads1 := warmWindows(t)
-	cfg := core.FanoutConfig{}
-	prev, err := core.EstimateFanouts(sc.Rt, loads0, cfg, core.SolveOptions{})
+	prev, err := core.EstimateFanouts(sc.Rt, loads0, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.EstimateFanouts(sc.Rt, loads1, cfg, core.SolveOptions{})
+	cold, err := core.EstimateFanouts(sc.Rt, loads1, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := core.EstimateFanouts(sc.Rt, loads1, cfg, core.SolveOptions{X0: prev.Alpha})
+	warm, err := core.EstimateFanouts(sc.Rt, loads1, core.SolveOptions{X0: prev.Alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestFanoutWarmStartEquivalent(t *testing.T) {
 	if warm.Iterations >= cold.Iterations {
 		t.Fatalf("warm start consumed %d iterations vs %d cold — want fewer", warm.Iterations, cold.Iterations)
 	}
-	if _, err := core.EstimateFanouts(sc.Rt, loads1, cfg, core.SolveOptions{X0: linalg.NewVector(2)}); err == nil {
+	if _, err := core.EstimateFanouts(sc.Rt, loads1, core.SolveOptions{X0: linalg.NewVector(2)}); err == nil {
 		t.Fatal("mis-sized fanout warm start accepted")
 	}
 }

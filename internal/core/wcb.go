@@ -44,35 +44,16 @@ func (b *Bounds) Width() linalg.Vector {
 // sharing a single warm-started simplex instance across all objectives:
 // phase 1 runs once and each successive objective re-optimizes from the
 // previous optimal basis, which cuts the pivot count by an order of
-// magnitude versus cold starts (see BenchmarkAblationWCBWarmStart).
+// magnitude versus a fresh LP per objective (TestWorstCaseBoundsWarmMatchesCold).
 func WorstCaseBounds(in *Instance) (*Bounds, error) {
-	return worstCaseBounds(in, true)
-}
-
-// WorstCaseBoundsCold recreates the LP from scratch for every objective.
-// Functionally identical to WorstCaseBounds; exists for the warm-start
-// ablation.
-func WorstCaseBoundsCold(in *Instance) (*Bounds, error) {
-	return worstCaseBounds(in, false)
-}
-
-func worstCaseBounds(in *Instance, warm bool) (*Bounds, error) {
-	dense := in.Rt.R.ToDense()
 	p := in.NumPairs()
 	b := &Bounds{Lower: linalg.NewVector(p), Upper: linalg.NewVector(p)}
-	lp, err := solver.NewLP(dense, in.Loads)
+	lp, err := solver.NewLP(in.Rt.R.ToDense(), in.Loads)
 	if err != nil {
 		return nil, fmt.Errorf("core: worst-case bounds: %w", err)
 	}
 	c := linalg.NewVector(p)
-	coldPivots := 0
 	for pair := 0; pair < p; pair++ {
-		if !warm {
-			coldPivots += lp.Pivots()
-			if lp, err = solver.NewLP(dense, in.Loads); err != nil {
-				return nil, fmt.Errorf("core: worst-case bounds: %w", err)
-			}
-		}
 		c.Zero()
 		c[pair] = 1
 		_, hi, err := lp.Maximize(c)
@@ -92,10 +73,6 @@ func worstCaseBounds(in *Instance, warm bool) (*Bounds, error) {
 		}
 		b.Lower[pair], b.Upper[pair] = lo, hi
 	}
-	if warm {
-		b.Pivots = lp.Pivots()
-	} else {
-		b.Pivots = coldPivots + lp.Pivots()
-	}
+	b.Pivots = lp.Pivots()
 	return b, nil
 }

@@ -60,7 +60,7 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 					return []linalg.Vector{x}, err
 				}},
 				{"fanout", func(opt core.SolveOptions) ([]linalg.Vector, error) {
-					fe, err := core.EstimateFanouts(in.Sc.Rt, loads, core.FanoutConfig{}, opt)
+					fe, err := core.EstimateFanouts(in.Sc.Rt, loads, opt)
 					if err != nil {
 						return nil, err
 					}

@@ -104,7 +104,7 @@ func (s *Suite) Fig10FanoutWindows(ctx context.Context) (*Report, error) {
 	err := s.forEach(ctx, len(windows), func(i int) error {
 		k := windows[i]
 		loads := reg.sc.LoadSeries(reg.start, k)
-		est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{})
+		est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.SolveOptions{})
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func (s *Suite) Fig11FanoutMRE(ctx context.Context) (*Report, error) {
 		err := s.forEach(ctx, len(windows), func(i int) error {
 			k := windows[i]
 			loads := reg.sc.LoadSeries(reg.start, k)
-			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{})
+			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.SolveOptions{})
 			if err != nil {
 				return err
 			}

@@ -215,7 +215,7 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		err = s.forEach(ctx, len(fanWindows), func(i int) error {
 			k := fanWindows[i]
 			loads := reg.sc.LoadSeries(reg.start, k)
-			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{}, core.SolveOptions{})
+			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.SolveOptions{})
 			if err != nil {
 				return err
 			}

@@ -77,12 +77,6 @@ func TestNorms(t *testing.T) {
 	if got := v.Norm2(); !almostEqual(got, 5, tol) {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := v.Norm1(); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
-	if got := v.NormInf(); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
 }
 
 func TestNorm2Overflow(t *testing.T) {
@@ -97,9 +91,6 @@ func TestMinMaxSum(t *testing.T) {
 	v := Vector{2, -1, 5, 3}
 	if mx, i := v.Max(); mx != 5 || i != 2 {
 		t.Errorf("Max = %v,%d", mx, i)
-	}
-	if mn, i := v.Min(); mn != -1 || i != 1 {
-		t.Errorf("Min = %v,%d", mn, i)
 	}
 	if s := v.Sum(); s != 9 {
 		t.Errorf("Sum = %v", s)
@@ -196,7 +187,11 @@ func TestMulVecTEqualsTransposeMul(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMatrix(rng, 4, 4)
-	p := Mul(m, Identity(4))
+	id := NewMatrix(4, 4)
+	for i := 0; i < 4; i++ {
+		id.Set(i, i, 1)
+	}
+	p := Mul(m, id)
 	for i := range m.Data {
 		if !almostEqual(p.Data[i], m.Data[i], tol) {
 			t.Fatal("M*I != M")
@@ -278,9 +273,10 @@ func TestQRLeastSquaresResidualOrthogonal(t *testing.T) {
 		t.Fatalf("Solve: %v", err)
 	}
 	r := Sub(NewVector(10), a.MulVec(nil, x), b)
-	atr := a.MulVecT(nil, r)
-	if atr.NormInf() > 1e-8 {
-		t.Fatalf("residual not orthogonal: |Aᵀr|∞ = %v", atr.NormInf())
+	for j, v := range a.MulVecT(nil, r) {
+		if math.Abs(v) > 1e-8 {
+			t.Fatalf("residual not orthogonal: (Aᵀr)[%d] = %v", j, v)
+		}
 	}
 }
 

@@ -161,26 +161,6 @@ func RelL1(a, b Vector) float64 {
 	return num / den
 }
 
-// Norm1 returns the sum of absolute values of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute value of v (0 for an empty vector).
-func (v Vector) NormInf() float64 {
-	var s float64
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	var s float64
@@ -196,18 +176,6 @@ func (v Vector) Max() (float64, int) {
 	best, idx := math.Inf(-1), -1
 	for i, x := range v {
 		if x > best {
-			best, idx = x, i
-		}
-	}
-	return best, idx
-}
-
-// Min returns the minimum element of v and its index, or (+Inf, -1) for an
-// empty vector.
-func (v Vector) Min() (float64, int) {
-	best, idx := math.Inf(1), -1
-	for i, x := range v {
-		if x < best {
 			best, idx = x, i
 		}
 	}

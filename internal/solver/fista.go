@@ -6,29 +6,14 @@ import (
 	"repro/internal/linalg"
 )
 
-// LinOp is a linear operator with products against vectors. Both
-// *sparse.Matrix and the DenseOp wrapper satisfy it.
+// LinOp is a linear operator with products against vectors;
+// *sparse.Matrix satisfies it.
 type LinOp interface {
 	MulVec(dst, x linalg.Vector) linalg.Vector
 	MulVecT(dst, x linalg.Vector) linalg.Vector
 	Rows() int
 	Cols() int
 }
-
-// DenseOp adapts a dense *linalg.Matrix to the LinOp interface.
-type DenseOp struct{ M *linalg.Matrix }
-
-// MulVec computes dst = M·x.
-func (o DenseOp) MulVec(dst, x linalg.Vector) linalg.Vector { return o.M.MulVec(dst, x) }
-
-// MulVecT computes dst = Mᵀ·x.
-func (o DenseOp) MulVecT(dst, x linalg.Vector) linalg.Vector { return o.M.MulVecT(dst, x) }
-
-// Rows returns the row count.
-func (o DenseOp) Rows() int { return o.M.Rows }
-
-// Cols returns the column count.
-func (o DenseOp) Cols() int { return o.M.Cols }
 
 // OperatorNormSq estimates ‖A‖₂² (the largest eigenvalue of AᵀA) by power
 // iteration, within a few percent — sufficient for a safe gradient step.

@@ -1,13 +1,13 @@
 // Package solver provides the mathematical-programming building blocks
 // behind the estimation methods of the paper's §4: a two-phase primal
 // simplex LP solver with warm starting (the worst-case bound programs of
-// §4.3.1), Lawson–Hanson non-negative least squares (Vardi's moment
-// systems, §4.2.2), accelerated projected gradient (FISTA) for
-// box-constrained quadratics (the Bayesian estimator of eq. 7 and the
-// constant-fanout problem of §4.2.4), a projected-gradient solver for
-// entropy-regularized objectives (eq. 6), Euclidean projection onto the
-// probability simplex (the per-source fanout constraints), and
-// Kruithof/Krupp iterative proportional fitting (§4.2.1).
+// §4.3.1), accelerated projected gradient (FISTA) for non-negative
+// least squares (Vardi's moment systems, §4.2.2, and the Bayesian
+// estimator of eq. 7) and for the constant-fanout problem of §4.2.4, a
+// projected-gradient solver for entropy-regularized objectives (eq. 6),
+// Euclidean projection onto the probability simplex (the per-source
+// fanout constraints), and Kruithof/Krupp iterative proportional fitting
+// (§4.2.1).
 //
 // All solvers are deterministic and depend only on the standard library.
 package solver
@@ -48,7 +48,7 @@ type LP struct {
 	inBasis []bool         // column j currently basic
 	nArt    int            // number of artificial columns (phase 1 only)
 	rowsOff []bool         // redundant rows discovered in phase 1
-	pivots  int            // cumulative pivot count (for ablation benches)
+	pivots  int            // cumulative pivot count (Bounds.Pivots)
 	price   linalg.Vector  // scratch: c_Bᵀ·B⁻¹A for all columns
 }
 

@@ -21,7 +21,11 @@ func NNLS(a *linalg.Matrix, b linalg.Vector) linalg.Vector {
 	w := linalg.NewVector(n)   // gradient Aᵀ(b − A·x)
 	resid := b.Clone()         // b − A·x
 
-	tol := 1e-10 * (1 + a.MaxAbs()) * (1 + b.NormInf())
+	var bMax float64 // ‖b‖∞
+	for _, v := range b {
+		bMax = math.Max(bMax, math.Abs(v))
+	}
+	tol := 1e-10 * (1 + a.MaxAbs()) * (1 + bMax)
 	maxOuter := 3 * n
 	for outer := 0; outer < maxOuter; outer++ {
 		a.MulVecT(w, resid)

@@ -54,15 +54,3 @@ func ProjectSimplexInto(v []float64, radius float64, scratch []float64) []float6
 	}
 	return scratch
 }
-
-// ProjectBox overwrites v with its projection onto { x : lo <= x_i <= hi }.
-// Use lo = 0, hi = +Inf for the non-negative orthant.
-func ProjectBox(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
-}

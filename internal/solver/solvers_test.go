@@ -10,6 +10,21 @@ import (
 	"repro/internal/sparse"
 )
 
+// DenseOp adapts a dense *linalg.Matrix to the LinOp interface.
+type DenseOp struct{ M *linalg.Matrix }
+
+// MulVec computes dst = M·x.
+func (o DenseOp) MulVec(dst, x linalg.Vector) linalg.Vector { return o.M.MulVec(dst, x) }
+
+// MulVecT computes dst = Mᵀ·x.
+func (o DenseOp) MulVecT(dst, x linalg.Vector) linalg.Vector { return o.M.MulVecT(dst, x) }
+
+// Rows returns the row count.
+func (o DenseOp) Rows() int { return o.M.Rows }
+
+// Cols returns the column count.
+func (o DenseOp) Cols() int { return o.M.Cols }
+
 func randDense(rng *rand.Rand, rows, cols int) *linalg.Matrix {
 	m := linalg.NewMatrix(rows, cols)
 	for i := range m.Data {
@@ -173,17 +188,6 @@ func TestProjectSimplexOptimality(t *testing.T) {
 		}
 		if distP > distC+1e-9 {
 			t.Fatalf("projection farther than candidate: %v > %v", distP, distC)
-		}
-	}
-}
-
-func TestProjectBox(t *testing.T) {
-	v := []float64{-1, 0.5, 2}
-	ProjectBox(v, 0, 1)
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("ProjectBox = %v", v)
 		}
 	}
 }

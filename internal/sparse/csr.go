@@ -122,19 +122,6 @@ func NewFromTriplets(rows, cols int, ts []Triplet) *Matrix {
 	return m
 }
 
-// NewFromDense converts a dense matrix to CSR, dropping exact zeros.
-func NewFromDense(d *linalg.Matrix) *Matrix {
-	b := NewBuilder(d.Rows, d.Cols)
-	for i := 0; i < d.Rows; i++ {
-		for j, x := range d.Row(i) {
-			if x != 0 {
-				b.Add(i, j, x)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // ToDense converts m to a dense matrix.
 func (m *Matrix) ToDense() *linalg.Matrix {
 	d := linalg.NewMatrix(m.rows, m.cols)
@@ -302,10 +289,6 @@ func (m *Matrix) TInto(dst *Matrix) *Matrix {
 	return dst
 }
 
-// SelectRows returns a new matrix consisting of the given rows of m, in
-// order. Row indices may repeat.
-func (m *Matrix) SelectRows(rows []int) *Matrix { return m.SelectRowsInto(nil, rows) }
-
 // SelectRowsInto writes the selected rows of m (in order, repeats
 // allowed) into dst, reusing dst's backing arrays when they are large
 // enough (nil dst allocates). dst must not be m. Each source row's
@@ -376,17 +359,4 @@ func VStack(ms ...*Matrix) *Matrix {
 		off += m.rows
 	}
 	return b.Build()
-}
-
-// ColumnSupport returns, for each column, the list of rows with a nonzero
-// entry in that column.
-func (m *Matrix) ColumnSupport() [][]int {
-	sup := make([][]int, m.cols)
-	for r := 0; r < m.rows; r++ {
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			c := m.colIdx[k]
-			sup[c] = append(sup[c], r)
-		}
-	}
-	return sup
 }

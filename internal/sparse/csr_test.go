@@ -79,12 +79,14 @@ func TestBuilderBoundsPanic(t *testing.T) {
 func TestDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := linalg.NewMatrix(6, 9)
+	b := NewBuilder(6, 9)
 	for i := range d.Data {
 		if rng.Float64() < 0.3 {
 			d.Data[i] = rng.NormFloat64()
+			b.Add(i/9, i%9, d.Data[i])
 		}
 	}
-	back := NewFromDense(d).ToDense()
+	back := b.Build().ToDense()
 	for i := range d.Data {
 		if d.Data[i] != back.Data[i] {
 			t.Fatal("dense round trip mismatch")
@@ -148,7 +150,7 @@ func TestSelectRows(t *testing.T) {
 	b.Add(1, 1, 2)
 	b.Add(2, 0, 3)
 	m := b.Build()
-	s := m.SelectRows([]int{2, 0, 2})
+	s := m.SelectRowsInto(nil, []int{2, 0, 2})
 	if s.Rows() != 3 {
 		t.Fatalf("Rows = %d", s.Rows())
 	}
@@ -179,20 +181,6 @@ func TestVStack(t *testing.T) {
 	}
 	if s.At(0, 0) != 1 || s.At(1, 2) != 2 || s.At(2, 1) != 7 {
 		t.Fatal("VStack wrong content")
-	}
-}
-
-func TestColumnSupport(t *testing.T) {
-	b := NewBuilder(3, 2)
-	b.Add(0, 0, 1)
-	b.Add(2, 0, 1)
-	b.Add(1, 1, 1)
-	sup := b.Build().ColumnSupport()
-	if len(sup[0]) != 2 || sup[0][0] != 0 || sup[0][1] != 2 {
-		t.Fatalf("support col 0 = %v", sup[0])
-	}
-	if len(sup[1]) != 1 || sup[1][0] != 1 {
-		t.Fatalf("support col 1 = %v", sup[1])
 	}
 }
 

@@ -257,20 +257,3 @@ func PoissonSample(rng *rand.Rand, lambda float64) float64 {
 	x := lambda + math.Sqrt(lambda)*rng.NormFloat64()
 	return math.Max(0, math.Round(x))
 }
-
-// TruncatedNormal draws from N(mean, stddev²) truncated below at lo, by
-// rejection with a clamp fallback after a bounded number of attempts.
-func TruncatedNormal(rng *rand.Rand, mean, stddev, lo float64) float64 {
-	for i := 0; i < 32; i++ {
-		x := mean + stddev*rng.NormFloat64()
-		if x >= lo {
-			return x
-		}
-	}
-	return lo
-}
-
-// Lognormal draws exp(N(mu, sigma²)).
-func Lognormal(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
-}

@@ -220,25 +220,3 @@ func TestPoissonSampleEdge(t *testing.T) {
 		t.Fatal("non-positive lambda should give 0")
 	}
 }
-
-func TestTruncatedNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		if x := TruncatedNormal(rng, 0, 1, 0); x < 0 {
-			t.Fatal("truncated sample below bound")
-		}
-	}
-	// Impossible region: falls back to the bound.
-	if x := TruncatedNormal(rng, -100, 0.001, 0); x != 0 {
-		t.Fatalf("clamp fallback = %v", x)
-	}
-}
-
-func TestLognormalPositive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 100; i++ {
-		if Lognormal(rng, 0, 1) <= 0 {
-			t.Fatal("lognormal must be positive")
-		}
-	}
-}

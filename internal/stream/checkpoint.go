@@ -156,8 +156,8 @@ func (e *Engine) Restore(cp Checkpoint) error {
 		ring = ring[len(ring)-e.cfg.Window:]
 	}
 	entries := make([]windowEntry, len(ring))
-	loadSum := linalg.NewVector(rt.R.Rows())
-	demandSum := linalg.NewVector(rt.Net.NumPairs())
+	loadSum := newWindowSum(rt.R.Rows())
+	demandSum := newWindowSum(rt.Net.NumPairs())
 	next := cp.Next
 	for i, ce := range ring {
 		if len(ce.Demand) != rt.Net.NumPairs() {
@@ -173,8 +173,8 @@ func (e *Engine) Restore(cp Checkpoint) error {
 			return fmt.Errorf("stream: checkpoint ring entry %d has a negative or non-finite demand, or link loads past %g Mbps", i, maxLoad)
 		}
 		entries[i] = windowEntry{interval: ce.Interval, demand: demand, loads: loads}
-		linalg.Axpy(1, loads, loadSum)
-		linalg.Axpy(1, demand, demandSum)
+		loadSum.add(loads)
+		demandSum.add(demand)
 		if ce.Interval >= next {
 			next = ce.Interval + 1 // cursor can never trail the ring
 		}

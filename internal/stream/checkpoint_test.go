@@ -277,8 +277,8 @@ func TestRestoreShrinksWindow(t *testing.T) {
 	linalg.Axpy(1, ring[0].demand, wantSum)
 	linalg.Axpy(1, ring[1].demand, wantSum)
 	for p := range wantSum {
-		if d := math.Abs(shrunk.demandSum[p] - wantSum[p]); d > 1e-12 {
-			t.Fatalf("demand sum rebuilt wrong at %d: %v vs %v", p, shrunk.demandSum[p], wantSum[p])
+		if d := math.Abs(shrunk.demandSum.sum[p] - wantSum[p]); d > 1e-12 {
+			t.Fatalf("demand sum rebuilt wrong at %d: %v vs %v", p, shrunk.demandSum.sum[p], wantSum[p])
 		}
 	}
 	shrunk.stateMu.Unlock()

@@ -326,9 +326,9 @@ type Engine struct {
 	epoch     int           // active topology epoch tag (0 = as created)
 	swaps     []pendingSwap // scheduled hot-swaps, ordered by interval
 	ring      []windowEntry
-	loadSum   linalg.Vector
-	demandSum linalg.Vector
-	next      int // next interval index to consume
+	loadSum   windowSum // Σ ring loads (L)
+	demandSum windowSum // Σ ring demands (P)
+	next      int       // next interval index to consume
 	consumed  int
 	skipped   int
 	prevMean  linalg.Vector // last window mean, for the drift signal
@@ -443,8 +443,8 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 		metrics:   make([]MetricPoint, 0, min(cfg.MetricsHistory, 64)),
 		rt:        rt,
 		cfg:       cfg,
-		loadSum:   linalg.NewVector(rt.R.Rows()),
-		demandSum: linalg.NewVector(rt.Net.NumPairs()),
+		loadSum:   newWindowSum(rt.R.Rows()),
+		demandSum: newWindowSum(rt.Net.NumPairs()),
 		curEvery:  cfg.ResolveEvery,
 		teBuf:     linalg.NewVector(rt.Net.NumPoPs()),
 		txBuf:     linalg.NewVector(rt.Net.NumPoPs()),
@@ -588,8 +588,8 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	te := sizedBuf(&e.teBuf, net.NumPoPs())
 	tx := sizedBuf(&e.txBuf, net.NumPoPs())
 	e.ring = append(e.ring, windowEntry{interval: interval, demand: rates, loads: loads})
-	linalg.Axpy(1, loads, e.loadSum)
-	linalg.Axpy(1, rates, e.demandSum)
+	e.loadSum.add(loads)
+	e.demandSum.add(rates)
 	if e.cfg.Window > 0 && len(e.ring) > e.cfg.Window {
 		// Slide by copying down rather than re-slicing, so the ring keeps
 		// its full capacity forever (a re-sliced ring sheds one slot per
@@ -597,8 +597,8 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 		old := e.ring[0]
 		copy(e.ring, e.ring[1:])
 		e.ring = e.ring[:len(e.ring)-1]
-		linalg.Axpy(-1, old.loads, e.loadSum)
-		linalg.Axpy(-1, old.demand, e.demandSum)
+		e.loadSum.evict(old.loads, e.ring, entryLoads)
+		e.demandSum.evict(old.demand, e.ring, entryDemand)
 	}
 	e.consumed++
 	e.next = interval + 1
@@ -610,10 +610,10 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	// sums, so the per-interval cost is O(L + P) plus the gravity product
 	// — no re-averaging of the window.
 	for pop := 0; pop < net.NumPoPs(); pop++ {
-		te[pop] = e.loadSum[rt.IngressRow(pop)] / k
-		tx[pop] = e.loadSum[rt.EgressRow(pop)] / k
+		te[pop] = e.loadSum.sum[rt.IngressRow(pop)] / k
+		tx[pop] = e.loadSum.sum[rt.EgressRow(pop)] / k
 	}
-	mean := e.demandSum.Clone()
+	mean := e.demandSum.sum.Clone()
 	mean.Scale(1 / k)
 
 	// Window drift and the re-solve schedule decision. A drift trigger
@@ -708,6 +708,53 @@ func inRange(v linalg.Vector) bool {
 	}
 	return true
 }
+
+// absorbRatio bounds how far a window sum may fall below its peak before
+// it is recomputed from the ring. Adding a rate to a sum rounds it to
+// the sum's precision, so a sum that once held 1e140 has absorbed every
+// rate of 100 added while it did, and evicting the 1e140 leaves them lost
+// (1e140 + 100 − 1e140 = 0), or a negative sum with uneven rates. A sum
+// within absorbRatio of its peak has lost at most 2^-33 of its value per
+// update, and no clean replay falls that far.
+const absorbRatio = 1 << 20
+
+// windowSum is a running per-coordinate sum of one vector of the window
+// ring, with the peak each coordinate has reached since it was last
+// summed exactly.
+type windowSum struct {
+	sum, peak linalg.Vector
+}
+
+func newWindowSum(n int) windowSum {
+	return windowSum{sum: linalg.NewVector(n), peak: linalg.NewVector(n)}
+}
+
+func (w *windowSum) add(v linalg.Vector) {
+	linalg.Axpy(1, v, w.sum)
+	for i, s := range w.sum {
+		w.peak[i] = max(w.peak[i], s)
+	}
+}
+
+// evict subtracts an entry that left the window, then re-sums from the
+// remaining ring entries (of tells which of their vectors) every
+// coordinate that fell more than absorbRatio below its peak.
+func (w *windowSum) evict(v linalg.Vector, ring []windowEntry, of func(windowEntry) linalg.Vector) {
+	linalg.Axpy(-1, v, w.sum)
+	for i, s := range w.sum {
+		if w.peak[i] <= absorbRatio*s {
+			continue
+		}
+		s = 0
+		for _, we := range ring {
+			s += of(we)[i]
+		}
+		w.sum[i], w.peak[i] = s, s
+	}
+}
+
+func entryLoads(we windowEntry) linalg.Vector  { return we.loads }
+func entryDemand(we windowEntry) linalg.Vector { return we.demand }
 
 // detectAnomalyLocked advances the drift-anomaly detector by one
 // consumed interval (stateMu held, called from consume). The baseline
@@ -892,7 +939,7 @@ func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool
 		return lam, n, warmEst != nil, nil
 	case MethodFanout:
 		opt.X0 = warmAlpha
-		fe, err := core.EstimateFanouts(w.rt, w.loads, core.FanoutConfig{}, opt)
+		fe, err := core.EstimateFanouts(w.rt, w.loads, opt)
 		if err != nil {
 			return nil, 0, false, err
 		}

@@ -442,3 +442,61 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("unknown method accepted")
 	}
 }
+
+// TestHugeRateEvictionKeepsWindowSums passes one rate of 1e140 (below
+// maxLoad, so consumed) through a 2-interval window of 100s. While it sits
+// in the window it absorbs every rate added to its pair's sums; evicting
+// it must not lose them: once the spike has left, every snapshot's mean
+// and gravity match the exact window, and none is ever negative. Pair 1
+// carries uneven rates, which without the re-sum drove its sum negative.
+func TestHugeRateEvictionKeepsWindowSums(t *testing.T) {
+	sc, err := netsim.BuildEurope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := sc.Net.NumPairs()
+	eng, err := New(sc.Rt, Config{Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uneven := []float64{100, 3, 37.3, 12.9, 250}
+	intervals := make([]linalg.Vector, 5)
+	for k := range intervals {
+		v := linalg.NewVector(P)
+		v.Fill(100)
+		v[1] = uneven[k]
+		if k == 1 {
+			v[0], v[1] = 1e140, 1e140
+		}
+		intervals[k] = v
+		eng.consume(k, v.Clone(), P)
+		snap, _ := eng.Latest()
+		for name, x := range map[string]linalg.Vector{"mean": snap.Mean, "gravity": snap.Gravity} {
+			for p, y := range x {
+				if !(y >= 0) {
+					t.Fatalf("interval %d: %s[%d] = %v", k, name, p, y)
+				}
+			}
+		}
+		if k < 3 {
+			continue // the spike is still in the window
+		}
+		want := linalg.NewVector(P)
+		linalg.Axpy(0.5, intervals[k-1], want)
+		linalg.Axpy(0.5, intervals[k], want)
+		for p := range want {
+			if math.Abs(snap.Mean[p]-want[p]) > 1e-12*want[p] {
+				t.Fatalf("interval %d: mean[%d] = %v, want %v", k, p, snap.Mean[p], want[p])
+			}
+		}
+		inst, err := core.NewInstance(sc.Rt, sc.Rt.LinkLoads(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, g := range core.Gravity(inst) {
+			if math.Abs(snap.Gravity[p]-g) > 1e-9*(1+g) {
+				t.Fatalf("interval %d: gravity[%d] = %v, want %v", k, p, snap.Gravity[p], g)
+			}
+		}
+	}
+}

@@ -3,8 +3,8 @@ package stream
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/linalg"
-	"repro/internal/solver"
 	"repro/internal/topology"
 )
 
@@ -100,15 +100,15 @@ func (e *Engine) applySwapLocked(sw pendingSwap) {
 		// that never saw the announcement.
 		return
 	}
-	loadSum := linalg.NewVector(sw.rt.R.Rows())
+	loadSum := newWindowSum(sw.rt.R.Rows())
 	for i := range e.ring {
 		loads := sw.rt.LinkLoads(e.ring[i].demand)
 		e.ring[i].loads = loads
-		linalg.Axpy(1, loads, loadSum)
+		loadSum.add(loads)
 	}
 	e.loadSum = loadSum
 	if e.warmEst != nil && len(e.ring) > 0 {
-		e.warmEst = remapWarm(sw.rt.Net, e.warmEst, e.demandSum, len(e.ring))
+		e.warmEst = remapWarm(sw.rt.Net, e.warmEst, e.demandSum.sum, len(e.ring))
 	}
 	e.rt = sw.rt
 	e.epoch = sw.epoch
@@ -135,50 +135,33 @@ func remapWarm(net *topology.Network, warm, demandSum linalg.Vector, k int) lina
 	if tot <= 0 {
 		return warm // an all-zero window pins no margins
 	}
-	pm := linalg.NewMatrix(n, n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src != dst {
-				pm.Set(src, dst, warm[net.PairIndex(src, dst)])
-			}
-		}
-	}
 	// IPF cannot scale mass into an empty row or column; seed any that
 	// carry target traffic with the gravity product so balancing has
 	// something to move.
-	for src := 0; src < n; src++ {
-		if te[src] > 0 && pm.Row(src).Sum() == 0 {
-			for dst := 0; dst < n; dst++ {
-				if dst != src {
-					pm.Set(src, dst, te[src]*tx[dst]/tot)
-				}
-			}
+	seeded := warm.Clone()
+	rows := linalg.NewVector(n)
+	for p, v := range seeded {
+		src, _ := net.PairFromIndex(p)
+		rows[src] += v
+	}
+	for p := range seeded {
+		if src, dst := net.PairFromIndex(p); te[src] > 0 && rows[src] == 0 {
+			seeded[p] = te[src] * tx[dst] / tot
 		}
 	}
-	for dst := 0; dst < n; dst++ {
-		var s float64
-		for src := 0; src < n; src++ {
-			s += pm.At(src, dst)
-		}
-		if tx[dst] > 0 && s == 0 {
-			for src := 0; src < n; src++ {
-				if src != dst {
-					pm.Set(src, dst, te[src]*tx[dst]/tot)
-				}
-			}
+	cols := linalg.NewVector(n)
+	for p, v := range seeded {
+		_, dst := net.PairFromIndex(p)
+		cols[dst] += v
+	}
+	for p := range seeded {
+		if src, dst := net.PairFromIndex(p); tx[dst] > 0 && cols[dst] == 0 {
+			seeded[p] = te[src] * tx[dst] / tot
 		}
 	}
-	bal, _, err := solver.KruithofBalance(pm, te, tx, 200, 1e-9)
+	bal, err := core.KruithofPairs(net, seeded, te, tx, 200, 1e-9)
 	if err != nil {
 		return warm // keep the old iterate; it is still a usable start
 	}
-	out := linalg.NewVector(net.NumPairs())
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src != dst {
-				out[net.PairIndex(src, dst)] = bal.At(src, dst)
-			}
-		}
-	}
-	return out
+	return bal
 }

@@ -263,32 +263,3 @@ func RemoveAdjacency(net *Network, linkID int) *Network {
 	}
 	return c
 }
-
-// AddRouterToPoP grows PoP pop with an extra core router connected to every
-// existing router of the PoP by a pair of high-capacity intra-PoP links.
-// Used to model PoPs whose transit routers carry through-traffic.
-func AddRouterToPoP(net *Network, pop int, metric float64) *Network {
-	c := &Network{Name: net.Name}
-	c.PoPs = append([]PoP(nil), net.PoPs...)
-	c.Routers = append([]Router(nil), net.Routers...)
-	c.Links = append([]Link(nil), net.Links...)
-	id := len(c.Routers)
-	c.Routers = append(c.Routers, Router{
-		ID: id, PoP: pop,
-		Name: fmt.Sprintf("%s-cr%d", c.PoPs[pop].Name, len(c.PoPs[pop].Routers)+1),
-	})
-	rs := append([]int(nil), c.PoPs[pop].Routers...)
-	c.PoPs[pop].Routers = append(rs, id)
-	for _, r := range rs {
-		for _, pair := range [2][2]int{{r, id}, {id, r}} {
-			c.Links = append(c.Links, Link{
-				ID: len(c.Links), Kind: Interior, Src: pair[0], Dst: pair[1],
-				CapacityMbps: 100000, Metric: metric,
-			})
-		}
-	}
-	if err := c.validate(); err != nil {
-		panic(err)
-	}
-	return c
-}

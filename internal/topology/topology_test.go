@@ -298,28 +298,6 @@ func TestRouteCSPFFallsBackWhenNothingFits(t *testing.T) {
 	}
 }
 
-func TestAddRouterToPoP(t *testing.T) {
-	net := Europe(1)
-	grown := AddRouterToPoP(net, 0, 0.1)
-	if len(grown.PoPs[0].Routers) != 2 {
-		t.Fatalf("PoP 0 routers = %d, want 2", len(grown.PoPs[0].Routers))
-	}
-	if len(grown.Routers) != len(net.Routers)+1 {
-		t.Fatal("router not added")
-	}
-	if len(grown.Links) != len(net.Links)+2 {
-		t.Fatalf("links = %d, want +2", len(grown.Links))
-	}
-	// Original untouched.
-	if len(net.PoPs[0].Routers) != 1 {
-		t.Fatal("AddRouterToPoP mutated its input")
-	}
-	// Routing still works, and demands still terminate at head-ends.
-	if _, err := grown.Route(); err != nil {
-		t.Fatalf("Route on grown network: %v", err)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	a := Europe(99)
 	b := Europe(99)
