@@ -20,8 +20,10 @@ test-short:
 # (FuzzEstimate: hostile loads and mis-sized priors and warm starts),
 # checkpoint restore (FuzzCheckpoint: hostile checkpoint bytes), the
 # timeline DSL (FuzzTimeline: hostile scripts through Parse and Compile),
-# then the fleet and cluster configs (FuzzFleetConfig, FuzzClusterConfig:
-# reject with a named error or round-trip through JSON). A failing input
+# the fleet and cluster configs (FuzzFleetConfig, FuzzClusterConfig:
+# reject with a named error or round-trip through JSON), then the
+# exposition linter (FuzzLint: accept or reject with a "line N:" or
+# "histogram" error, never panic). A failing input
 # is written to the target's corpus directory; commit it as a regression
 # seed.
 FUZZTIME ?= 15s
@@ -32,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeline$$' -fuzztime $(FUZZTIME) ./internal/timeline
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterConfig$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

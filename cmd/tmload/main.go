@@ -18,18 +18,15 @@
 // snapshot, checking the version matches the X-Snapshot-Version header.
 // Clients spread round-robin across -tenants.
 //
-// Pointing -url at a cluster coordinator (tmserve -coordinator) works
-// in both routing modes: proxied reads look like a single daemon, and
-// 307 redirects are followed transparently — bounded by -max-redirects
-// and loop-detected — with the summary reporting how many redirects
-// were followed and how requests spread across the nodes behind the
-// coordinator.
+// -url may name a cluster coordinator (tmserve -coordinator): it
+// proxies every tenant read to the owning node, so it loads like a
+// single daemon.
 //
 // Usage:
 //
 //	tmload -url http://127.0.0.1:7080 -clients 200 -duration 10s
 //	tmload -pattern burst -sse-frac 0.3 -max-p99 500ms -tenants eu,us
-//	tmload -url http://coordinator:7080 -tenants eu,us -max-redirects 3
+//	tmload -url http://coordinator:7080 -tenants eu,us
 package main
 
 import (
@@ -42,7 +39,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,7 +58,6 @@ type config struct {
 	sseFrac      float64
 	deltaFrac    float64
 	maxP99       time.Duration
-	maxRedirects int
 }
 
 func main() {
@@ -76,7 +71,6 @@ func main() {
 	flag.Float64Var(&cfg.sseFrac, "sse-frac", 0.25, "fraction of clients subscribing via SSE instead of polling")
 	flag.Float64Var(&cfg.deltaFrac, "delta-frac", 0.5, "fraction of pollers requesting and verifying delta responses")
 	flag.DurationVar(&cfg.maxP99, "max-p99", 0, "fail (exit 1) when p99 request latency exceeds this; 0 = no bound")
-	flag.IntVar(&cfg.maxRedirects, "max-redirects", 5, "follow at most this many 307s per request (a coordinator in redirect mode answers one per read); 0 = fail on any redirect")
 	flag.Parse()
 	res, err := run(context.Background(), cfg, os.Stdout)
 	if err != nil {
@@ -113,9 +107,6 @@ func (cfg config) validate() error {
 	}
 	if strings.TrimSpace(cfg.tenants) == "" {
 		return fmt.Errorf("-tenants is empty")
-	}
-	if cfg.maxRedirects < 0 {
-		return fmt.Errorf("-max-redirects %d is negative", cfg.maxRedirects)
 	}
 	return nil
 }
@@ -157,66 +148,6 @@ type Result struct {
 	Errors    uint64
 	ErrorMsgs []string // first few distinct error messages
 	Hist      *Hist
-
-	// Redirects counts 3xx hops the clients followed, and PerNode the
-	// wire-level requests by host — one entry against a plain daemon or
-	// a proxying coordinator, one per member node behind a redirecting
-	// coordinator.
-	Redirects uint64
-	PerNode   map[string]uint64
-}
-
-// countingTransport observes every request actually put on the wire —
-// including the intermediate hops that the redirect-following client
-// hides from the caller — tallying requests per host and 3xx answers.
-type countingTransport struct {
-	base http.RoundTripper
-
-	mu        sync.Mutex
-	hosts     map[string]uint64
-	redirects uint64
-}
-
-func (t *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := t.base.RoundTrip(req)
-	if err != nil {
-		return resp, err
-	}
-	t.mu.Lock()
-	t.hosts[req.URL.Host]++
-	if resp.StatusCode >= 300 && resp.StatusCode < 400 && resp.Header.Get("Location") != "" {
-		t.redirects++
-	}
-	t.mu.Unlock()
-	return resp, nil
-}
-
-func (t *countingTransport) snapshot() (perNode map[string]uint64, redirects uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	perNode = make(map[string]uint64, len(t.hosts))
-	for h, n := range t.hosts {
-		perNode[h] = n
-	}
-	return perNode, t.redirects
-}
-
-// checkRedirect bounds and loop-detects redirect chains: a coordinator
-// in redirect mode answers exactly one 307 per read, so a chain longer
-// than -max-redirects — or one that revisits a URL — is a routing bug
-// worth failing loudly on, not following forever.
-func checkRedirect(max int) func(*http.Request, []*http.Request) error {
-	return func(req *http.Request, via []*http.Request) error {
-		if len(via) > max {
-			return fmt.Errorf("stopped after %d redirects", max)
-		}
-		for _, v := range via {
-			if v.URL.String() == req.URL.String() {
-				return fmt.Errorf("redirect loop at %s", req.URL)
-			}
-		}
-		return nil
-	}
 }
 
 // run executes one load generation and prints the summary to out.
@@ -229,8 +160,7 @@ func run(ctx context.Context, cfg config, out io.Writer) (*Result, error) {
 		tenants[i] = strings.TrimSpace(tenants[i])
 	}
 	transport := &http.Transport{MaxIdleConnsPerHost: cfg.clients + 8}
-	counting := &countingTransport{base: transport, hosts: make(map[string]uint64)}
-	client := &http.Client{Transport: counting, CheckRedirect: checkRedirect(cfg.maxRedirects)}
+	client := &http.Client{Transport: transport}
 	defer transport.CloseIdleConnections()
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.duration)
@@ -280,24 +210,10 @@ func run(ctx context.Context, cfg config, out io.Writer) (*Result, error) {
 		}
 		res.Hist.Merge(r.hist)
 	}
-	res.PerNode, res.Redirects = counting.snapshot()
 	fmt.Fprintf(out, "tmload: %d clients (%s arrivals, %.0f%% sse) against %s for %v\n",
 		cfg.clients, cfg.pattern, cfg.sseFrac*100, cfg.url, cfg.duration)
 	fmt.Fprintf(out, "tmload: %d requests: %d full, %d not-modified, %d delta, %d sse events, %d errors\n",
 		res.Requests, res.OK, res.NotMod, res.Deltas, res.SSEEvents, res.Errors)
-	if res.Redirects > 0 || len(res.PerNode) > 1 {
-		nodes := make([]string, 0, len(res.PerNode))
-		for h := range res.PerNode {
-			nodes = append(nodes, h)
-		}
-		sort.Strings(nodes)
-		parts := make([]string, len(nodes))
-		for i, h := range nodes {
-			parts[i] = fmt.Sprintf("%s=%d", h, res.PerNode[h])
-		}
-		fmt.Fprintf(out, "tmload: %d redirects followed; requests per node: %s\n",
-			res.Redirects, strings.Join(parts, " "))
-	}
 	fmt.Fprintf(out, "tmload: latency p50=%v p90=%v p99=%v max=%v\n",
 		res.Hist.Quantile(0.50), res.Hist.Quantile(0.90), res.Hist.Quantile(0.99), res.Hist.Max())
 	for _, msg := range res.ErrorMsgs {

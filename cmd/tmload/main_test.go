@@ -111,7 +111,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c config) config { c.sseFrac = 1.5; return c }(ok),
 		func(c config) config { c.deltaFrac = -0.1; return c }(ok),
 		func(c config) config { c.tenants = " "; return c }(ok),
-		func(c config) config { c.maxRedirects = -1; return c }(ok),
 	}
 	for i, c := range bad {
 		if err := c.validate(); err == nil {
@@ -256,71 +255,6 @@ func TestRunAgainstStub(t *testing.T) {
 	}
 	if res.Hist.Quantile(0.99) == 0 {
 		t.Fatal("no latency samples recorded")
-	}
-}
-
-// TestFollowsCoordinatorRedirects drives the pollers through a stub
-// coordinator that 307s every tenant read to the owning node, the way
-// tmserve -coordinator does in redirect routing: reads succeed
-// transparently, the redirects are counted, and the per-node tally
-// shows traffic on both hosts.
-func TestFollowsCoordinatorRedirects(t *testing.T) {
-	stub := newStubAPI(t)
-	node := httptest.NewServer(stub)
-	defer node.Close()
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Tenant-Node", "n1")
-		http.Redirect(w, r, node.URL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-	}))
-	defer coord.Close()
-	var buf strings.Builder
-	res, err := run(context.Background(), config{
-		url: coord.URL, tenants: "default", clients: 4, duration: 300 * time.Millisecond,
-		pattern: "burst", pollInterval: 20 * time.Millisecond, maxRedirects: 5,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors > 0 {
-		t.Fatalf("%d errors through the redirecting coordinator: %v", res.Errors, res.ErrorMsgs)
-	}
-	if res.OK == 0 {
-		t.Fatalf("no successful reads: %+v", res)
-	}
-	if res.Redirects == 0 {
-		t.Fatalf("no redirects counted: %+v", res)
-	}
-	coordHost := strings.TrimPrefix(coord.URL, "http://")
-	nodeHost := strings.TrimPrefix(node.URL, "http://")
-	if res.PerNode[coordHost] == 0 || res.PerNode[nodeHost] == 0 {
-		t.Fatalf("per-node tally missing a host: %v (coord %s, node %s)", res.PerNode, coordHost, nodeHost)
-	}
-	if !strings.Contains(buf.String(), "redirects followed; requests per node:") {
-		t.Fatalf("summary does not report the redirect tally:\n%s", buf.String())
-	}
-}
-
-// TestRedirectLoopDetected pins the guard rails: a coordinator stuck
-// redirecting a request back to itself must surface as a counted
-// client error naming the loop, not an infinite chain.
-func TestRedirectLoopDetected(t *testing.T) {
-	var srv *httptest.Server
-	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Redirect(w, r, srv.URL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-	}))
-	defer srv.Close()
-	res, err := run(context.Background(), config{
-		url: srv.URL, tenants: "default", clients: 1, duration: 150 * time.Millisecond,
-		pattern: "burst", pollInterval: 20 * time.Millisecond, maxRedirects: 5,
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors == 0 || len(res.ErrorMsgs) == 0 {
-		t.Fatalf("redirect loop went unnoticed: %+v", res)
-	}
-	if !strings.Contains(res.ErrorMsgs[0], "redirect loop") {
-		t.Fatalf("error %q does not name the loop", res.ErrorMsgs[0])
 	}
 }
 

@@ -184,6 +184,10 @@ func TestEndToEndClusterHandoff(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Still n1 at the kill: no probe marked the busy owner down early.
+	if code, hdr := clusterGet(t, snapURL, nil); code != http.StatusOK || hdr.Get("X-Tenant-Node") != "n1" {
+		t.Fatalf("before the kill, reads answered %d by %q, want 200 by n1", code, hdr.Get("X-Tenant-Node"))
+	}
 	stopN1()
 
 	// Phase 3: the coordinator's probes must notice, promote n2, and

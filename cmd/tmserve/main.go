@@ -18,9 +18,8 @@
 // as a member node (-node <name>) hosting the tenants the config
 // assigns to it, syncing standby checkpoints and answering adoption
 // requests, or as the coordinator (-coordinator) — the fleet-wide
-// front door that aggregates /v1/tenants across nodes, proxies (or 307
-// redirects, routing "redirect") tenant reads to the owning node, and
-// promotes standbys via checkpoint handoff when an owner fails health
+// front door that aggregates /v1/tenants across nodes, proxies tenant
+// reads to the owning node, and promotes standbys via checkpoint handoff when an owner fails health
 // probes (internal/cluster; see docs/API.md and README "Running a
 // cluster").
 //
@@ -437,13 +436,9 @@ func runClusterNode(ctx context.Context, cc cluster.Config, cfg config, out io.W
 // members and forwards tenant reads to their owners.
 func runCoordinator(ctx context.Context, cc cluster.Config, cfg config, out io.Writer) error {
 	co := cluster.NewCoordinator(cc, nil, logger(out))
-	style := "proxying"
-	if cc.Redirect() {
-		style = "redirecting"
-	}
 	return listenAndServe(ctx, cfg, func(addr net.Addr) {
-		fmt.Fprintf(out, "tmserve: coordinator on %s: %d node(s), %d tenant(s), %s tenant reads\n",
-			addr, len(cc.Nodes), len(cc.Tenants), style)
+		fmt.Fprintf(out, "tmserve: coordinator on %s: %d node(s), %d tenant(s), proxying tenant reads\n",
+			addr, len(cc.Nodes), len(cc.Tenants))
 	}, func(runCtx context.Context) (http.Handler, <-chan error) {
 		go co.Run(runCtx)
 		return serve.NewCoordinator(co, nil).Handler(), nil

@@ -110,6 +110,21 @@ func twoNodeConfig(srvs []*httptest.Server, standby bool) cluster.Config {
 	}
 }
 
+// waitVersion blocks until the member's own tenant eu publishes
+// version min.
+func waitVersion(t *testing.T, ctx context.Context, m *member, min uint64) stream.Snapshot {
+	t.Helper()
+	ten, ok := m.f.Tenant("eu")
+	if !ok {
+		t.Fatalf("%s does not host eu", m.name)
+	}
+	snap, err := ten.WaitVersion(ctx, min)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -121,9 +136,10 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 	}
 }
 
-// TestRemoteHandle: the HTTP-backed handle observes a remote tenant
-// through the same surface a local one has.
-func TestRemoteHandle(t *testing.T) {
+// TestPullCheckpoint: the handoff pull fetches a live owner's
+// checkpoint and names the tenant and node when the owner is
+// unreachable.
+func TestPullCheckpoint(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -132,37 +148,15 @@ func TestRemoteHandle(t *testing.T) {
 	m1 := startMember(t, ctx, cfg, "n1", srvs[0])
 	m1.srv.Start()
 
-	r := cluster.NewRemote(euSpec, m1.addr, nil)
-	if r.Name() != "eu" || r.Spec().Source != "europe" {
-		t.Fatalf("identity: %s %s", r.Name(), r.Spec().Source)
-	}
-	snap, err := r.WaitVersion(ctx, 2)
-	if err != nil || snap.Version < 2 {
-		t.Fatalf("WaitVersion: v%d, %v", snap.Version, err)
-	}
-	if got, ok := r.Latest(); !ok || got.Version < 2 {
-		t.Fatalf("Latest: ok=%v v%d", ok, got.Version)
-	}
-	st := r.Status()
-	if st.Name != "eu" || !st.HaveSnapshot {
-		t.Fatalf("Status: %+v", st)
-	}
-	if v, _, ok := r.Position(); !ok || v < 2 {
-		t.Fatalf("Position: ok=%v v%d", ok, v)
-	}
-	waitFor(t, "metrics", 5*time.Second, func() bool { return len(r.Metrics()) > 0 })
-	cp, err := r.Checkpoint()
+	waitVersion(t, ctx, m1, 2)
+	cp, err := cluster.PullCheckpoint(ctx, http.DefaultClient, m1.addr, "eu")
 	if err != nil || cp.Snapshot == nil {
-		t.Fatalf("Checkpoint: %v (snapshot %v)", err, cp.Snapshot != nil)
+		t.Fatalf("pull: %v (snapshot %v)", err, cp.Snapshot != nil)
 	}
 
-	// An unreachable owner degrades, not errors.
-	ghost := cluster.NewRemote(euSpec, "127.0.0.1:1", nil)
-	if st := ghost.Status(); st.State != fleet.StateUnreachable {
-		t.Fatalf("ghost status %q, want unreachable", st.State)
-	}
-	if _, ok := ghost.Latest(); ok {
-		t.Fatal("ghost served a snapshot")
+	_, err = cluster.PullCheckpoint(ctx, http.DefaultClient, "127.0.0.1:1", "eu")
+	if err == nil || !strings.Contains(err.Error(), "cluster: pull checkpoint for eu from 127.0.0.1:1") {
+		t.Fatalf("pull from an unreachable owner: %v", err)
 	}
 }
 
@@ -183,10 +177,7 @@ func TestStandbySyncAndFailover(t *testing.T) {
 
 	// Let the owner publish, then let the standby sync a checkpoint
 	// that has a snapshot in it.
-	owner := cluster.NewRemote(euSpec, m1.addr, nil)
-	if _, err := owner.WaitVersion(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
+	waitVersion(t, ctx, m1, 3)
 	standbyFile := filepath.Join(m2.dir, "eu.ckpt")
 	var synced stream.Checkpoint
 	waitFor(t, "standby checkpoint sync", 10*time.Second, func() bool {
@@ -214,6 +205,13 @@ func TestStandbySyncAndFailover(t *testing.T) {
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/t/eu/snapshot", nil))
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Tenant-Node") != "n1" {
 		t.Fatalf("proxied read: %d via %q", rec.Code, rec.Header().Get("X-Tenant-Node"))
+	}
+
+	// The healthz view is the coordinator's.
+	rec = httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"coordinator":true`) {
+		t.Fatalf("healthz: %d %s", rec.Code, rec.Body.String())
 	}
 
 	// Kill the owner (listener down ~ network partition: the engine may
@@ -304,11 +302,7 @@ func TestCoordinatorMigrate(t *testing.T) {
 	m1.srv.Start()
 	m2.srv.Start()
 
-	owner := cluster.NewRemote(euSpec, m1.addr, nil)
-	pre, err := owner.WaitVersion(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre := waitVersion(t, ctx, m1, 3)
 
 	co := cluster.NewCoordinator(cfg, nil, t.Logf)
 	co.Registry().Sweep(ctx)
@@ -353,55 +347,6 @@ func TestCoordinatorMigrate(t *testing.T) {
 	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/cluster/migrate?tenant=eu", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("migrate without target: %d", rec.Code)
-	}
-}
-
-// TestCoordinatorRedirect: routing "redirect" answers 307 with the
-// owner's address instead of proxying.
-func TestCoordinatorRedirect(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srvs := newListeners(t, 2)
-	cfg := twoNodeConfig(srvs, true)
-	cfg.Routing = "redirect"
-	m1 := startMember(t, ctx, cfg, "n1", srvs[0])
-	m1.srv.Start()
-
-	owner := cluster.NewRemote(euSpec, m1.addr, nil)
-	if _, err := owner.WaitVersion(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	co := cluster.NewCoordinator(cfg, nil, t.Logf)
-	co.Registry().Sweep(ctx)
-	handler := serve.NewCoordinator(co, nil).Handler()
-
-	rec := httptest.NewRecorder()
-	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/t/eu/snapshot?min_version=1", nil))
-	if rec.Code != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect mode answered %d", rec.Code)
-	}
-	loc := rec.Header().Get("Location")
-	if loc != "http://"+m1.addr+"/v1/t/eu/snapshot?min_version=1" {
-		t.Fatalf("Location %q", loc)
-	}
-	if rec.Header().Get("X-Tenant-Node") != "n1" {
-		t.Fatalf("X-Tenant-Node %q", rec.Header().Get("X-Tenant-Node"))
-	}
-	// Following the redirect lands on the node and succeeds.
-	resp, err := http.Get(loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("redirected fetch: %d", resp.StatusCode)
-	}
-	// The healthz view reports the down standby (never started).
-	rec = httptest.NewRecorder()
-	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"coordinator":true`) {
-		t.Fatalf("healthz: %d %s", rec.Code, rec.Body.String())
 	}
 }
 

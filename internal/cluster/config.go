@@ -59,13 +59,11 @@ type Config struct {
 	// from the ring over the standby-marked nodes (all other nodes when
 	// none are marked).
 	Standbys map[string]string `json:"standbys,omitempty"`
-	// Routing selects how the coordinator answers tenant-scoped reads:
-	// "proxy" (default) forwards to the owner, "redirect" answers 307
-	// with the owner's address.
-	Routing string `json:"routing,omitempty"`
 	// ProbeEvery is the registry's health-probe interval (Go duration,
 	// default 1s); ProbeFailures is how many consecutive failures mark a
-	// node down (default 3).
+	// node down (default 3). A probe waits at least 1s for an answer, so
+	// a sub-second interval detects a refused connection sooner but
+	// never fails over a node that is only slow to answer.
 	ProbeEvery    string `json:"probe_every,omitempty"`
 	ProbeFailures int    `json:"probe_failures,omitempty"`
 	// SyncEvery is the standby checkpoint-sync interval (default 2s).
@@ -130,11 +128,6 @@ func Parse(data []byte) (Config, error) {
 		if cfg.Owner(tenant) == node {
 			return Config{}, fmt.Errorf("cluster: tenant %q has node %q as both owner and standby", tenant, node)
 		}
-	}
-	switch cfg.Routing {
-	case "", "proxy", "redirect":
-	default:
-		return Config{}, fmt.Errorf("cluster: routing %q is not proxy or redirect", cfg.Routing)
 	}
 	for _, d := range []struct{ name, val string }{
 		{"probe_every", cfg.ProbeEvery}, {"sync_every", cfg.SyncEvery},
@@ -258,10 +251,6 @@ func (c Config) StandbyOn(node string) []fleet.TenantSpec {
 	}
 	return out
 }
-
-// Redirect reports whether the coordinator answers 307 redirects
-// instead of proxying.
-func (c Config) Redirect() bool { return c.Routing == "redirect" }
 
 func (c Config) probeEvery() time.Duration {
 	if c.ProbeEvery == "" {

@@ -41,9 +41,6 @@ func TestParseValid(t *testing.T) {
 	if sb := cfg.StandbyFor("us"); sb != "n3" {
 		t.Fatalf("ring standby %q, want n3", sb)
 	}
-	if cfg.Redirect() {
-		t.Fatal("default routing should be proxy")
-	}
 	if cfg.probeEvery() != DefaultProbeEvery || cfg.probeFailures() != DefaultProbeFailures || cfg.syncEvery() != DefaultSyncEvery {
 		t.Fatal("defaults not applied")
 	}
@@ -79,7 +76,7 @@ func TestParseRejections(t *testing.T) {
 		{"placement unknown tenant", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "placement": {"b":"n"}}`, "unknown tenant"},
 		{"placement unknown node", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "placement": {"a":"m"}}`, "unknown node"},
 		{"standby is owner", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"},{"name":"m","addr":"x:2"}], "placement": {"a":"n"}, "standbys": {"a":"n"}}`, "both owner and standby"},
-		{"bad routing", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "routing": "teleport"}`, "not proxy or redirect"},
+		{"routing removed", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "routing": "redirect"}`, `unknown field "routing"`},
 		{"bad probe_every", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "probe_every": "soon"}`, "not a positive duration"},
 		{"negative sync_every", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "sync_every": "-1s"}`, "not a positive duration"},
 	}

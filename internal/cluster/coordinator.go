@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/fleet"
@@ -17,15 +16,14 @@ import (
 var ErrNodeDown = errors.New("owning node is down")
 
 // NodeReport is one node's row on the coordinator's /v1/tenants
-// payload: the registry's health view plus routing counters and the
-// tenants currently routed to it.
+// payload: the registry's health view plus the proxied-request counter
+// and the tenants currently routed to it.
 type NodeReport struct {
 	NodeStatus
-	// Proxied and Redirected count tenant-scoped requests the
-	// coordinator sent this node's way, by answer style.
-	Proxied    uint64   `json:"proxied"`
-	Redirected uint64   `json:"redirected"`
-	Tenants    []string `json:"tenants,omitempty"`
+	// Proxied counts tenant-scoped requests the coordinator proxied to
+	// this node.
+	Proxied uint64   `json:"proxied"`
+	Tenants []string `json:"tenants,omitempty"`
 }
 
 // Coordinator is the cluster's routing brain: it tracks which node
@@ -40,10 +38,9 @@ type Coordinator struct {
 	logf   func(format string, args ...any)
 	reg    *Registry
 
-	mu         sync.Mutex
-	owners     map[string]string // tenant -> node currently serving it
-	proxied    map[string]uint64
-	redirected map[string]uint64
+	mu      sync.Mutex
+	owners  map[string]string // tenant -> node currently serving it
+	proxied map[string]uint64
 }
 
 // NewCoordinator builds the coordinator over a cluster config. client
@@ -56,12 +53,11 @@ func NewCoordinator(cfg Config, client *http.Client, logf func(string, ...any)) 
 		logf = func(string, ...any) {}
 	}
 	c := &Coordinator{
-		cfg:        cfg,
-		client:     client,
-		logf:       logf,
-		owners:     make(map[string]string, len(cfg.Tenants)),
-		proxied:    make(map[string]uint64),
-		redirected: make(map[string]uint64),
+		cfg:     cfg,
+		client:  client,
+		logf:    logf,
+		owners:  make(map[string]string, len(cfg.Tenants)),
+		proxied: make(map[string]uint64),
 	}
 	for _, t := range cfg.Tenants {
 		c.owners[t.Name] = cfg.Owner(t.Name)
@@ -76,9 +72,6 @@ func (c *Coordinator) Run(ctx context.Context) { c.reg.Run(ctx) }
 
 // Registry exposes the health view (tests force sweeps through it).
 func (c *Coordinator) Registry() *Registry { return c.reg }
-
-// Redirect reports the configured answer style for tenant reads.
-func (c *Coordinator) Redirect() bool { return c.cfg.Redirect() }
 
 // Owner returns the node currently serving a tenant.
 func (c *Coordinator) Owner(tenant string) (string, bool) {
@@ -121,7 +114,7 @@ func (c *Coordinator) reconcile(ctx context.Context) {
 			continue
 		}
 		node, _ := c.cfg.Node(standby)
-		err := postAdopt(ctx, c.client, node.Addr, strings.NewReader(fmt.Sprintf(`{"tenant":%q}`, t.Name)))
+		err := postAdopt(ctx, c.client, node.Addr, t.Name, nil)
 		if err != nil && !errors.Is(err, fleet.ErrAlreadyHosted) {
 			c.logf("cluster: tenant %s: promote %s: %v", t.Name, standby, err)
 			continue
@@ -165,8 +158,7 @@ func (c *Coordinator) pickStandby(tenant, current string) (string, bool) {
 // (draining it is future work); routing just stops sending readers
 // there.
 func (c *Coordinator) Migrate(ctx context.Context, tenant, to string) error {
-	spec, ok := c.cfg.TenantSpec(tenant)
-	if !ok {
+	if _, ok := c.cfg.TenantSpec(tenant); !ok {
 		return fmt.Errorf("%w: %q", fleet.ErrUnknownTenant, tenant)
 	}
 	target, ok := c.cfg.Node(to)
@@ -184,11 +176,11 @@ func (c *Coordinator) Migrate(ctx context.Context, tenant, to string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: migrate %s: %w", tenant, err)
 	}
-	cp, err := NewRemote(spec, source.Addr, c.client).Checkpoint()
+	cp, err := pullCheckpoint(ctx, c.client, source.Addr, tenant)
 	if err != nil {
 		return err
 	}
-	if err := NewRemote(spec, target.Addr, c.client).Restore(cp); err != nil {
+	if err := postAdopt(ctx, c.client, target.Addr, tenant, &cp); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -198,17 +190,11 @@ func (c *Coordinator) Migrate(ctx context.Context, tenant, to string) error {
 	return nil
 }
 
-// CountProxied and CountRedirected record one routed request each —
-// the serving layer calls them as it answers.
+// CountProxied records one proxied request — the serving layer calls
+// it as it answers.
 func (c *Coordinator) CountProxied(node string) {
 	c.mu.Lock()
 	c.proxied[node]++
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) CountRedirected(node string) {
-	c.mu.Lock()
-	c.redirected[node]++
 	c.mu.Unlock()
 }
 
@@ -220,11 +206,7 @@ func (c *Coordinator) Report() []NodeReport {
 	defer c.mu.Unlock()
 	out := make([]NodeReport, 0, len(status))
 	for _, st := range status {
-		row := NodeReport{
-			NodeStatus: st,
-			Proxied:    c.proxied[st.Name],
-			Redirected: c.redirected[st.Name],
-		}
+		row := NodeReport{NodeStatus: st, Proxied: c.proxied[st.Name]}
 		for _, t := range c.cfg.Tenants {
 			if c.owners[t.Name] == st.Name {
 				row.Tenants = append(row.Tenants, t.Name)

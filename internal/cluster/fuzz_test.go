@@ -13,7 +13,8 @@ import (
 // bytes; none may panic. The committed seeds
 // (testdata/fuzz/FuzzClusterConfig) are a valid config, empty maps,
 // unknown fields, format 99, duplicate names, negative numbers, bad
-// durations, an owner that is its own standby and truncated JSON.
+// durations, an owner that is its own standby, truncated JSON and the
+// removed "routing" field.
 func FuzzClusterConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := Parse(data)

@@ -76,7 +76,6 @@ func (n *Node) syncLoop(ctx context.Context, spec fleet.TenantSpec) {
 	if !ok {
 		return
 	}
-	remote := NewRemote(spec, owner.Addr, n.client)
 	tick := time.NewTicker(n.cfg.syncEvery())
 	defer tick.Stop()
 	for {
@@ -88,7 +87,7 @@ func (n *Node) syncLoop(ctx context.Context, spec fleet.TenantSpec) {
 		if _, hosted := n.f.Tenant(spec.Name); hosted {
 			return
 		}
-		cp, err := remote.Checkpoint()
+		cp, err := pullCheckpoint(ctx, n.client, owner.Addr, spec.Name)
 		if err != nil {
 			continue
 		}

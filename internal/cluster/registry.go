@@ -20,6 +20,13 @@ type NodeStatus struct {
 	ProbeFailures uint64 `json:"probe_failures"`
 }
 
+// minProbeTimeout is the least time a probe waits for /healthz to
+// answer. A node that is gone refuses the connection and fails its
+// probe at once, whatever the cadence; a node that answers late because
+// it is busy (solving on a saturated CPU) is alive, and a sub-second
+// probe cadence must not fail it over to its standby.
+const minProbeTimeout = time.Second
+
 // nodeState is the registry's book-keeping for one node.
 type nodeState struct {
 	healthy     bool
@@ -109,9 +116,10 @@ func (r *Registry) Sweep(ctx context.Context) {
 }
 
 // probe is one GET /healthz with a bounded wait: a node that cannot
-// answer within the probe interval is as good as down.
+// answer within the probe interval (and at least minProbeTimeout) is as
+// good as down.
 func (r *Registry) probe(ctx context.Context, n NodeSpec) bool {
-	ctx, cancel := context.WithTimeout(ctx, r.every)
+	ctx, cancel := context.WithTimeout(ctx, max(r.every, minProbeTimeout))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+n.Addr+"/healthz", nil)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/leakcheck"
 )
@@ -86,5 +87,39 @@ func TestRegistryThresholdAndRecovery(t *testing.T) {
 	}
 	if sweeps != 4 {
 		t.Fatalf("onSweep ran %d times, want 4", sweeps)
+	}
+}
+
+// TestRegistrySlowNodeStaysHealthy: a node that answers its probes
+// late — busy, not gone — stays up under a cadence far shorter than its
+// answer time, while a node refusing connections still goes down.
+func TestRegistrySlowNodeStaysHealthy(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(150 * time.Millisecond)
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(slow.Close)
+	gone := httptest.NewServer(http.NotFoundHandler())
+	goneAddr := strings.TrimPrefix(gone.URL, "http://")
+	gone.Close()
+	cfg := Config{
+		Format: ConfigFormat,
+		Nodes: []NodeSpec{
+			{Name: "slow", Addr: strings.TrimPrefix(slow.URL, "http://")},
+			{Name: "gone", Addr: goneAddr},
+		},
+		ProbeEvery:    "20ms",
+		ProbeFailures: 2,
+	}
+	reg := NewRegistry(cfg, nil, t.Logf)
+	for i := 0; i < 3; i++ {
+		reg.Sweep(context.Background())
+	}
+	if !reg.Healthy("slow") {
+		t.Fatal("a node answering in 150ms was marked down by a 20ms probe cadence")
+	}
+	if reg.Healthy("gone") {
+		t.Fatal("a node refusing connections stayed up")
 	}
 }

@@ -42,7 +42,6 @@ type Poller struct {
 
 	mu       sync.Mutex
 	lastSeen map[int]counterSample // per LSP
-	lost     int                   // datagrams lost (after retries)
 }
 
 type counterSample struct {
@@ -62,13 +61,6 @@ func NewPoller(cfg PollerConfig, clock *Clock, agents []*net.UDPAddr) *Poller {
 		cfg.Timeout = 250 * time.Millisecond
 	}
 	return &Poller{cfg: cfg, clock: clock, agents: agents, lastSeen: make(map[int]counterSample)}
-}
-
-// Lost reports how many poll requests went unanswered after retries.
-func (p *Poller) Lost() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lost
 }
 
 // pollAgent walks one agent's full LSP table once and returns its samples.
@@ -113,9 +105,6 @@ func (p *Poller) pollAgent(addr *net.UDPAddr) (map[int]counterSample, error) {
 			break
 		}
 		if resp == nil {
-			p.mu.Lock()
-			p.lost++
-			p.mu.Unlock()
 			continue // this batch is lost for this cycle; rates resync next poll
 		}
 		for k, v := range resp.Counters {

@@ -133,8 +133,8 @@ func TestBoundsWidthNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, w := range b.Width() {
-		if w < -1e-6 {
+	for p := range b.Lower {
+		if w := b.Upper[p] - b.Lower[p]; w < -1e-6 {
 			t.Fatalf("pair %d negative width %v", p, w)
 		}
 	}

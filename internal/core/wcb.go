@@ -28,15 +28,6 @@ func (b *Bounds) Midpoint() linalg.Vector {
 	return m
 }
 
-// Width returns upper − lower, the per-demand uncertainty.
-func (b *Bounds) Width() linalg.Vector {
-	w := linalg.NewVector(len(b.Lower))
-	for i := range w {
-		w[i] = b.Upper[i] - b.Lower[i]
-	}
-	return w
-}
-
 // WorstCaseBounds solves the 2·P linear programs
 //
 //	max / min  s_p   subject to  R·s = t,  s >= 0

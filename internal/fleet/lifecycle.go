@@ -20,31 +20,18 @@ var (
 	ErrAlreadyHosted = errors.New("tenant already hosted here")
 )
 
-// StateUnreachable is the lifecycle state a remotely-owned tenant
-// reports when its owning node cannot be reached: not failed (the
-// engine may be fine behind a partition), but not observable either.
-const StateUnreachable TenantState = "unreachable"
-
-// Handle is the tenant lifecycle surface the serving and cluster
-// layers program against: status, snapshot serving (Latest,
-// WaitVersion, Metrics, Position) and the checkpoint half of
-// persistence — Checkpoint ships the tenant's state out, Restore
-// installs shipped state. A locally-owned *Tenant and a remotely-owned
-// tenant (internal/cluster's HTTP-backed handle) satisfy it
-// identically, which is what makes checkpoint-handoff migration
-// possible: the code that syncs, ships and restores state never knows
-// which side of the process boundary a tenant lives on. The run half
-// of the lifecycle (ingestion, collection, the persist loop) stays
-// with the owning runtime — Fleet.Run or Fleet.Adopt locally, the peer
-// node's fleet remotely — and moves between owners only through
-// Checkpoint/Restore.
+// Handle is the read and checkpoint surface the serving layer reaches
+// a tenant through: identity, snapshot serving (Latest, WaitVersion,
+// Metrics, Position) and Checkpoint, the handoff document the cluster
+// ships between nodes. *Tenant is the one implementation; tests and
+// the benchmark wrap it to observe or fake reads. The rest of the
+// lifecycle (Status, Restore, the run and persist loops) stays on
+// *Tenant and its fleet.
 type Handle interface {
 	// Name returns the tenant's unique name.
 	Name() string
 	// Spec returns the spec the tenant was declared with.
 	Spec() TenantSpec
-	// Status reports lifecycle state and snapshot position.
-	Status() Status
 	// Latest returns the most recent published snapshot, if any.
 	Latest() (stream.Snapshot, bool)
 	// WaitVersion blocks until a snapshot with Version >= min is
@@ -57,15 +44,9 @@ type Handle interface {
 	// Checkpoint captures the tenant's current engine state — the
 	// migration handoff document.
 	Checkpoint() (stream.Checkpoint, error)
-	// Restore installs a checkpoint: warm-start iterate, topology epoch,
-	// metrics history and all. For a local tenant the engine must not
-	// have consumed past it; a remote handle ships the checkpoint to the
-	// owning node instead.
-	Restore(cp stream.Checkpoint) error
 }
 
-// Compile-time proof that a locally-owned tenant satisfies the
-// lifecycle interface.
+// Compile-time proof that *Tenant is a Handle.
 var _ Handle = (*Tenant)(nil)
 
 // Latest returns the tenant's most recent published snapshot.
@@ -83,8 +64,8 @@ func (t *Tenant) Metrics() []stream.MetricPoint { return t.eng.Metrics() }
 func (t *Tenant) Position() (uint64, int, bool) { return t.eng.Position() }
 
 // Checkpoint captures the tenant's current engine state. Safe while
-// the tenant runs; never fails locally (the error is for remote
-// handles, where the wire can).
+// the tenant runs; never fails (the error keeps the Handle method
+// open to wrappers that can).
 func (t *Tenant) Checkpoint() (stream.Checkpoint, error) { return t.eng.Checkpoint(), nil }
 
 // Restore installs a checkpoint on the tenant's engine. A script

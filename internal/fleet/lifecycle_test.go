@@ -57,7 +57,8 @@ func TestHandleDelegation(t *testing.T) {
 	if err != nil || cp.Snapshot == nil {
 		t.Fatalf("Checkpoint: %v (snapshot %v)", err, cp.Snapshot != nil)
 	}
-	if st := h.Status(); st.Name != "eu" || !st.HaveSnapshot {
+	ten, _ := f.Tenant("eu")
+	if st := ten.Status(); st.Name != "eu" || !st.HaveSnapshot {
 		t.Fatalf("Status: %+v", st)
 	}
 	cancel()

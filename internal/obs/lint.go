@@ -15,8 +15,10 @@ import (
 // samples, at most once each), metric and label name charsets, label
 // escape sequences, parseable values, no duplicate samples, no family
 // interleaving, and histogram coherence (cumulative buckets, a +Inf
-// bucket matching _count, a _sum series). It returns the first error
-// with its line number, or nil for a clean stream.
+// bucket matching _count, a _sum series). It returns the first error,
+// prefixed "line N: " for a line-level fault (an overlong line
+// included) and "histogram " for an incoherent histogram found at the
+// end, or nil for a clean stream.
 //
 // The registry's own tests run Lint over live WriteTo output, and the
 // obs-smoke script runs it against a running daemon's /metrics/prom
@@ -41,7 +43,7 @@ func Lint(r io.Reader) error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return fmt.Errorf("line %d: %w", line+1, err)
 	}
 	return l.finish()
 }

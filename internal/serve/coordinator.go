@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httputil"
-	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -22,12 +21,11 @@ import (
 type proxyTargetKey struct{}
 
 // Coordinator is the cluster's HTTP front door: /v1/tenants aggregates
-// every member node, and tenant-scoped reads are proxied (or
-// 307-redirected) to the owning node with the v1 error envelope and
-// the ETag/delta/SSE semantics passing through unchanged — a client
-// cannot tell a coordinator from a node except by the extra rows in
-// the listing and the X-Tenant-Node header naming who actually
-// answered.
+// every member node, and tenant-scoped reads are proxied to the owning
+// node with the v1 error envelope and the ETag/delta/SSE semantics
+// passing through unchanged — a client cannot tell a coordinator from
+// a node except by the extra rows in the listing and the X-Tenant-Node
+// header naming who actually answered.
 type Coordinator struct {
 	c       *cluster.Coordinator
 	client  *http.Client
@@ -72,10 +70,10 @@ func (co *Coordinator) Handler() http.Handler {
 
 // RegisterCoordinatorMetrics declares the coordinator's per-node
 // telemetry families on reg, collected from the cluster report each
-// scrape: health, cumulative probe failures, and the proxy/redirect
-// routing counters. Exported (with the report function as a seam) so
-// the doc drift gate can enumerate the coordinator's families without
-// standing up a cluster.
+// scrape: health, cumulative probe failures, and the proxied-request
+// counter. Exported (with the report function as a seam) so the doc
+// drift gate can enumerate the coordinator's families without standing
+// up a cluster.
 func RegisterCoordinatorMetrics(reg *obs.Registry, report func() []cluster.NodeReport) {
 	node := []string{"node"}
 	each := func(emit obs.Emit, field func(n cluster.NodeReport) float64) {
@@ -98,10 +96,6 @@ func RegisterCoordinatorMetrics(reg *obs.Registry, report func() []cluster.NodeR
 	reg.CounterFunc("tm_node_proxied_total", "Tenant-scoped requests proxied to the member node.", node,
 		func(emit obs.Emit) {
 			each(emit, func(n cluster.NodeReport) float64 { return float64(n.Proxied) })
-		})
-	reg.CounterFunc("tm_node_redirected_total", "Tenant-scoped requests 307-redirected to the member node.", node,
-		func(emit obs.Emit) {
-			each(emit, func(n cluster.NodeReport) float64 { return float64(n.Redirected) })
 		})
 }
 
@@ -190,8 +184,7 @@ func (co *Coordinator) getJSON(ctx context.Context, addr, path string, out any) 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// handleTenant routes one tenant-scoped read to its owning node:
-// proxy (default) or 307 redirect, per the cluster config.
+// handleTenant proxies one tenant-scoped read to its owning node.
 func (co *Coordinator) handleTenant(w http.ResponseWriter, r *http.Request) {
 	name, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/t/"), "/")
 	node, err := co.c.Route(name)
@@ -211,12 +204,6 @@ func (co *Coordinator) handleTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Tenant-Node", node.Name)
-	if co.c.Redirect() {
-		co.c.CountRedirected(node.Name)
-		loc := url.URL{Scheme: "http", Host: node.Addr, Path: r.URL.Path, RawQuery: r.URL.RawQuery}
-		http.Redirect(w, r, loc.String(), http.StatusTemporaryRedirect)
-		return
-	}
 	co.c.CountProxied(node.Name)
 	ctx := context.WithValue(r.Context(), proxyTargetKey{}, node.Addr)
 	co.proxy.ServeHTTP(w, r.WithContext(ctx))

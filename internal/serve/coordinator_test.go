@@ -44,7 +44,7 @@ func stubNode(t *testing.T, name string, adopts *int) *httptest.Server {
 	return srv
 }
 
-func stubConfig(t *testing.T, routing string, n1, n2 *httptest.Server) cluster.Config {
+func stubConfig(t *testing.T, n1, n2 *httptest.Server) cluster.Config {
 	t.Helper()
 	cfg := cluster.Config{
 		Format:  cluster.ConfigFormat,
@@ -54,7 +54,6 @@ func stubConfig(t *testing.T, routing string, n1, n2 *httptest.Server) cluster.C
 			{Name: "n2", Addr: strings.TrimPrefix(n2.URL, "http://")},
 		},
 		Placement:     map[string]string{"eu": "n1"},
-		Routing:       routing,
 		ProbeFailures: 1,
 	}
 	return cfg
@@ -70,7 +69,7 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 	adopts1, adopts2 := 0, 0
 	n1 := stubNode(t, "n1", &adopts1)
 	n2 := stubNode(t, "n2", &adopts2)
-	c := cluster.NewCoordinator(stubConfig(t, "", n1, n2), nil, t.Logf)
+	c := cluster.NewCoordinator(stubConfig(t, n1, n2), nil, t.Logf)
 	c.Registry().Sweep(ctx)
 	handler := NewCoordinator(c, nil).Handler()
 
@@ -170,37 +169,5 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/t/eu/snapshot", nil))
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Tenant-Node") != "n1" {
 		t.Fatalf("read after failover back: %d via %q", rec.Code, rec.Header().Get("X-Tenant-Node"))
-	}
-}
-
-// TestCoordinatorRedirectMode: routing "redirect" answers 307 with the
-// owner's URL instead of proxying, and counts it.
-func TestCoordinatorRedirectMode(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	adopts := 0
-	n1 := stubNode(t, "n1", &adopts)
-	n2 := stubNode(t, "n2", &adopts)
-	c := cluster.NewCoordinator(stubConfig(t, "redirect", n1, n2), nil, t.Logf)
-	c.Registry().Sweep(context.Background())
-	handler := NewCoordinator(c, nil).Handler()
-
-	rec := httptest.NewRecorder()
-	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/t/eu/events?min_version=3", nil))
-	if rec.Code != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect: %d", rec.Code)
-	}
-	want := n1.URL + "/v1/t/eu/events?min_version=3"
-	if loc := rec.Header().Get("Location"); loc != want {
-		t.Fatalf("Location %q, want %q", loc, want)
-	}
-	if rec.Header().Get("X-Tenant-Node") != "n1" {
-		t.Fatalf("X-Tenant-Node %q", rec.Header().Get("X-Tenant-Node"))
-	}
-	var redirected uint64
-	for _, n := range c.Report() {
-		redirected += n.Redirected
-	}
-	if redirected != 1 {
-		t.Fatalf("redirected counter %d, want 1", redirected)
 	}
 }

@@ -122,7 +122,6 @@ type stubHandle struct {
 
 func (h stubHandle) Name() string           { return h.name }
 func (h stubHandle) Spec() fleet.TenantSpec { return fleet.TenantSpec{Name: h.name} }
-func (h stubHandle) Status() fleet.Status   { return fleet.Status{Name: h.name} }
 func (h stubHandle) Metrics() []stream.MetricPoint {
 	return []stream.MetricPoint{{Version: h.version}}
 }
@@ -134,7 +133,6 @@ func (h stubHandle) WaitVersion(ctx context.Context, min uint64) (stream.Snapsho
 	return stream.Snapshot{Version: h.version}, nil
 }
 func (h stubHandle) Checkpoint() (stream.Checkpoint, error) { return stream.Checkpoint{}, nil }
-func (h stubHandle) Restore(cp stream.Checkpoint) error     { return nil }
 
 // TestHubShedWaiters: refusals at the waiter cap are counted — the
 // signal behind tm_shed_waiters_total.
@@ -246,7 +244,7 @@ func TestCoordinatorMetricsProm(t *testing.T) {
 	adopts1, adopts2 := 0, 0
 	n1 := stubNode(t, "n1", &adopts1)
 	n2 := stubNode(t, "n2", &adopts2)
-	c := cluster.NewCoordinator(stubConfig(t, "", n1, n2), nil, t.Logf)
+	c := cluster.NewCoordinator(stubConfig(t, n1, n2), nil, t.Logf)
 	c.Registry().Sweep(ctx)
 	handler := NewCoordinator(c, nil).Handler()
 
@@ -270,7 +268,6 @@ func TestCoordinatorMetricsProm(t *testing.T) {
 		`tm_node_healthy{node="n1"} 1`,
 		`tm_node_healthy{node="n2"} 1`,
 		`tm_node_proxied_total{node="n1"} 1`,
-		`tm_node_redirected_total{node="n1"} 0`,
 		`tm_node_probe_failures_total{node="n1"} 0`,
 		`tm_node_tenants{node="n1"} 1`,
 	} {

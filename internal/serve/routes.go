@@ -38,24 +38,23 @@ func Routes() []Route {
 
 // CoordinatorRoutes returns the route table of coordinator mode — the
 // cluster's front door. Tenant-scoped reads are not answered locally:
-// they are proxied (or 307-redirected, per the cluster config's
-// routing) to the owning node, with the error envelope and
+// they are proxied to the owning node, with the error envelope and
 // ETag/delta/SSE semantics passing through unchanged and the
 // X-Tenant-Node header naming the owner.
 func CoordinatorRoutes() []Route {
 	return []Route{
 		{Method: "GET", Pattern: "/v1/tenants",
-			Summary: "fleet-wide tenant listing aggregated across member nodes, each row annotated with its node, plus per-node health and routing counters"},
+			Summary: "fleet-wide tenant listing aggregated across member nodes, each row annotated with its node, plus per-node health and proxied-request counters"},
 		{Method: "GET", Pattern: "/v1/t/{name}/snapshot",
-			Summary: "proxied or 307-redirected to the owning node; conditional gets, long-polls and delta negotiation pass through unchanged"},
+			Summary: "proxied to the owning node; conditional gets, long-polls and delta negotiation pass through unchanged"},
 		{Method: "GET", Pattern: "/v1/t/{name}/events",
-			Summary: "SSE stream, proxied unbuffered (or redirected) to the owning node"},
+			Summary: "SSE stream, proxied unbuffered to the owning node"},
 		{Method: "GET", Pattern: "/v1/t/{name}/metrics",
 			Summary: "estimation-error history from the owning node"},
 		{Method: "GET", Pattern: "/v1/t/{name}/checkpoint",
 			Summary: "the owning node's handoff checkpoint"},
 		{Method: "GET", Pattern: "/metrics/prom",
-			Summary: "Prometheus text-format telemetry: per-node health, probe-failure and proxy/redirect routing counters"},
+			Summary: "Prometheus text-format telemetry: per-node health, probe-failure and proxied-request counters"},
 		{Method: "POST", Pattern: "/v1/cluster/migrate",
 			Summary: "move a tenant via checkpoint handoff: ?tenant=X&to=node pulls the owner's checkpoint, ships it to the target's adopt endpoint and repoints routing"},
 		{Method: "GET", Pattern: "/healthz",

@@ -289,30 +289,6 @@ func (m *Matrix) TInto(dst *Matrix) *Matrix {
 	return dst
 }
 
-// SelectRowsInto writes the selected rows of m (in order, repeats
-// allowed) into dst, reusing dst's backing arrays when they are large
-// enough (nil dst allocates). dst must not be m. Each source row's
-// entries are already in CSR normal form, so the copy is direct.
-func (m *Matrix) SelectRowsInto(dst *Matrix, rows []int) *Matrix {
-	if dst == m {
-		panic("sparse: SelectRowsInto dst must not alias the receiver")
-	}
-	nnz := 0
-	for _, r := range rows {
-		nnz += m.rowPtr[r+1] - m.rowPtr[r]
-	}
-	dst = reshape(dst, len(rows), m.cols, nnz)
-	dst.rowPtr[0] = 0
-	at := 0
-	for i, r := range rows {
-		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
-		at += copy(dst.colIdx[at:], m.colIdx[lo:hi])
-		copy(dst.val[at-(hi-lo):], m.val[lo:hi])
-		dst.rowPtr[i+1] = at
-	}
-	return dst
-}
-
 // Scale returns a new matrix with every entry multiplied by a.
 func (m *Matrix) Scale(a float64) *Matrix { return m.ScaleInto(nil, a) }
 

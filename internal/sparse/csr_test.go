@@ -144,21 +144,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestSelectRows(t *testing.T) {
-	b := NewBuilder(3, 2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 2)
-	b.Add(2, 0, 3)
-	m := b.Build()
-	s := m.SelectRowsInto(nil, []int{2, 0, 2})
-	if s.Rows() != 3 {
-		t.Fatalf("Rows = %d", s.Rows())
-	}
-	if s.At(0, 0) != 3 || s.At(1, 0) != 1 || s.At(2, 0) != 3 {
-		t.Fatal("SelectRows wrong content")
-	}
-}
-
 func TestScale(t *testing.T) {
 	b := NewBuilder(1, 2)
 	b.Add(0, 0, 2)

@@ -172,29 +172,6 @@ func LinearRegression(xs, ys []float64) (slope, intercept, r2 float64) {
 	return slope, intercept, r2
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
-// interpolation. xs need not be sorted; it is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // CumulativeShare sorts xs descending and returns, for each prefix, the
 // fraction of the total accounted for by the prefix. Used for the paper's
 // Figure 2 ("top 20% of demands carry 80% of traffic").

@@ -118,22 +118,6 @@ func TestLinearRegressionExact(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 4 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); math.Abs(q-2.5) > 1e-12 {
-		t.Fatalf("median = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile should be NaN")
-	}
-}
-
 func TestCumulativeShare(t *testing.T) {
 	cs := CumulativeShare([]float64{1, 3, 4, 2})
 	want := []float64{0.4, 0.7, 0.9, 1.0}

@@ -2,6 +2,9 @@ package stream
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -169,5 +172,74 @@ func TestOnResolveHook(t *testing.T) {
 	}
 	if !warmSeen {
 		t.Error("no warm resolve reported")
+	}
+}
+
+// TestDriftCappedOnDenormalWindow: a window mean of denormals makes
+// the relative drift's denominator vanish. The published drift must
+// stay finite (maxDrift), every snapshot and checkpoint must still
+// encode, and the anomaly baseline must recover: a later 100× spike is
+// flagged exactly as in a control run whose first interval is normal.
+func TestDriftCappedOnDenormalWindow(t *testing.T) {
+	sc, err := netsim.BuildEurope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := sc.Net.NumPairs()
+	const spikeAt = 14
+	run := func(first float64) *Engine {
+		eng, err := New(sc.Rt, Config{Window: 2, MinCoverage: 1, AnomalyFactor: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := collector.NewStore(P)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		done := host(t, ctx, eng, store)
+		for iv := 0; iv <= spikeAt+1; iv++ {
+			rate := 100.0
+			switch iv {
+			case 0:
+				rate = first
+			case spikeAt:
+				rate = 100 * 100
+			}
+			for p := 0; p < P; p++ {
+				store.Ingest(collector.RateRecord{LSP: p, Interval: iv, RateMbps: rate})
+			}
+			if iv == 1 {
+				// The snapshot whose drift divides by the first window.
+				snap, err := eng.WaitVersion(ctx, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := json.Marshal(snap); err != nil {
+					t.Errorf("first=%g: snapshot does not encode: %v", first, err)
+				}
+			}
+		}
+		if _, err := eng.WaitVersion(ctx, spikeAt+2); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		<-done
+		return eng
+	}
+	for _, first := range []float64{1e-310, 100} {
+		eng := run(first)
+		points := eng.Metrics()
+		for i, p := range points {
+			if math.IsNaN(p.Drift) || p.Drift < 0 || p.Drift > maxDrift {
+				t.Errorf("first=%g: interval %d drift %v outside [0, maxDrift]", first, i, p.Drift)
+			}
+		}
+		if err := SaveCheckpoint(filepath.Join(t.TempDir(), "eu.ckpt"), eng.Checkpoint()); err != nil {
+			t.Errorf("first=%g: checkpoint does not save: %v", first, err)
+		}
+		if len(points) != spikeAt+2 || !points[spikeAt].AnomalyActive || points[spikeAt].Anomalies != 1 {
+			p := points[len(points)-1]
+			t.Errorf("first=%g: the 100x spike at interval %d was not flagged once (%d points, last active=%v anomalies=%d)",
+				first, spikeAt, len(points), p.AnomalyActive, p.Anomalies)
+		}
 	}
 }

@@ -151,6 +151,14 @@ type Config struct {
 	AnomalyMinDrift float64
 }
 
+// maxDrift caps Snapshot.Drift. The relative L1 distance divides by the
+// previous window mean's L1 norm, which a window of near-zero or
+// denormal demands drives toward zero; uncapped, the ratio overflows to
+// +Inf, which JSON cannot carry (snapshots, checkpoints) and which
+// would poison the anomaly baseline. A drift of maxDrift already means
+// the window mean grew a million-fold, past any threshold a host sets.
+const maxDrift = 1e6
+
 // Snapshot is one published state of the evolving traffic matrix. All
 // vectors returned by Latest/WaitVersion are private deep copies, safe
 // to retain, mutate and serialize.
@@ -169,7 +177,7 @@ type Snapshot struct {
 	Skipped int `json:"skipped"`
 	// Drift is the relative L1 distance between this window mean and the
 	// previous interval's — the signal the adaptive re-solve cadence
-	// watches (0 on the first interval).
+	// watches (0 on the first interval), capped at 1e6 (maxDrift).
 	Drift float64 `json:"drift"`
 	// TopologyEpoch counts the routing hot-swaps applied so far (see
 	// SwapRouting): 0 until the first swap, then the host-assigned tag
@@ -342,7 +350,6 @@ type Engine struct {
 	// ring of non-anomalous drifts with its running sum, the active
 	// flag and the episode counter.
 	anomRing   []float64
-	anomSum    float64
 	anomIdx    int
 	anomActive bool
 	anomCount  int
@@ -623,6 +630,9 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	var drift float64
 	if e.prevMean != nil {
 		drift = linalg.RelL1(mean, e.prevMean)
+		if !(drift < maxDrift) { // also catches +Inf and NaN
+			drift = maxDrift
+		}
 	}
 	e.prevMean = mean // never mutated after this point; safe to retain
 	anomActive, anomCount := e.detectAnomalyLocked(drift)
@@ -760,14 +770,21 @@ func entryDemand(we windowEntry) linalg.Vector { return we.demand }
 // consumed interval (stateMu held, called from consume). The baseline
 // is the mean of the last AnomalyWindow non-anomalous drifts; it only
 // starts judging once full, so a cold start's ramp-up drifts seed it
-// instead of tripping it.
+// instead of tripping it. A drift saturated at maxDrift is an overflow,
+// not a level, and never enters the baseline. The baseline is re-summed
+// from its short ring each interval, so no running sum can carry a
+// huge drift's cancellation error past its eviction.
 func (e *Engine) detectAnomalyLocked(drift float64) (active bool, count int) {
 	if e.cfg.AnomalyFactor <= 0 {
 		return false, 0
 	}
 	spike := false
 	if len(e.anomRing) == e.cfg.AnomalyWindow {
-		base := e.anomSum / float64(len(e.anomRing))
+		var sum float64
+		for _, d := range e.anomRing {
+			sum += d
+		}
+		base := sum / float64(len(e.anomRing))
 		spike = drift > e.cfg.AnomalyMinDrift && drift > e.cfg.AnomalyFactor*base
 	}
 	if spike {
@@ -782,11 +799,11 @@ func (e *Engine) detectAnomalyLocked(drift float64) (active bool, count int) {
 		if e.anomRing == nil {
 			e.anomRing = make([]float64, 0, e.cfg.AnomalyWindow)
 		}
-		if len(e.anomRing) < e.cfg.AnomalyWindow {
+		switch {
+		case drift >= maxDrift: // saturated: no level to learn from
+		case len(e.anomRing) < e.cfg.AnomalyWindow:
 			e.anomRing = append(e.anomRing, drift)
-			e.anomSum += drift
-		} else {
-			e.anomSum += drift - e.anomRing[e.anomIdx]
+		default:
 			e.anomRing[e.anomIdx] = drift
 			e.anomIdx = (e.anomIdx + 1) % len(e.anomRing)
 		}
