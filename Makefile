@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short fuzz bench bench-baseline bench-check docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
+.PHONY: build test test-short fuzz bench bench-baseline bench-check bench-module docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,16 @@ bench-check:
 	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
 	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline BENCH_baseline.json bench-check.out
 	@rm -f bench-check.out
+
+# The frozen end-to-end benchmark (bench/, a module of its own that
+# imports this one through a replace directive): vet it and run its
+# tests, which include TestSmoke's check of the batch MREs against
+# bench/tmperf/batch_reference.json (~15 s). Root `go test ./...` does
+# not reach it, so this is what catches a change here that breaks it
+# (CI's check job runs it).
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Docs gate: every package carries a package comment, the README flag
 # table matches the real flag sets, METHODS.md covers every estimation

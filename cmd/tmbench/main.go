@@ -48,7 +48,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tmbench", flag.ExitOnError)
 	runIDs := fs.String("run", "", "comma-separated experiment IDs to run (e.g. fig13,table2); empty = all")
-	only := fs.String("only", "", "run a single experiment by ID (deprecated alias of -run)")
 	seed := fs.Int64("seed", 1, "scenario seed")
 	parallel := fs.Int("parallel", 0, "worker pool size; 0 = GOMAXPROCS, 1 = serial")
 	timeout := fs.Duration("timeout", 0, "stop scheduling work after this long (in-flight solver calls finish); 0 = no timeout")
@@ -62,7 +61,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	drivers, err := selectDrivers(*runIDs, *only)
+	drivers, err := selectDrivers(*runIDs)
 	if err != nil {
 		return err
 	}
@@ -105,18 +104,14 @@ func run(args []string) error {
 	return nil
 }
 
-// selectDrivers resolves the -run/-only selection against the registry,
+// selectDrivers resolves the -run selection against the registry,
 // preserving the order the IDs were given in.
-func selectDrivers(runIDs, only string) ([]experiments.Driver, error) {
-	sel := runIDs
-	if sel == "" {
-		sel = only
-	}
-	if sel == "" {
+func selectDrivers(runIDs string) ([]experiments.Driver, error) {
+	if runIDs == "" {
 		return experiments.AllDrivers(), nil
 	}
 	var out []experiments.Driver
-	for _, id := range strings.Split(sel, ",") {
+	for _, id := range strings.Split(runIDs, ",") {
 		id = strings.TrimSpace(id)
 		if id == "" {
 			continue

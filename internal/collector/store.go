@@ -312,7 +312,7 @@ func (s *Store) Matrix(interval int) (linalg.Vector, int, bool) {
 // store (its bookkeeping recycled), so the vector can never be written
 // again and the caller may retain it without a copy. It exists for the
 // store's sole consumer on the streaming path — a consumer that prunes
-// as it consumes (stream.Config.PruneConsumed) already owns the store's
+// as it consumes (stream.Engine.Run) already owns the store's
 // history by contract; with multiple consumers, Take would make the
 // interval vanish for the others, so they must use Matrix. A record
 // arriving for a taken interval after the caller has pruned past it is

@@ -136,9 +136,8 @@ func Cao(rt *topology.Routing, loads []linalg.Vector, cfg CaoConfig) (linalg.Vec
 			rhs[l+i] = w * v
 		}
 		sys := b.Build()
-		// Each round's linearized system is a different matrix, so the
-		// cached operator norm never applies — drop it explicitly.
-		ws.InvalidateOperator()
+		// Each round's linearized system is a new matrix, so the
+		// workspace's per-pointer norm cache never matches it.
 		nextLam, res := solver.LeastSquaresNonneg(&ws, sys, rhs, nil, 0, lam, cfg.MaxIter, cfg.Tol)
 		if !nextLam.AllFinite() {
 			return nil, fmt.Errorf("core: Cao diverged at round %d (%d iters)", round, res.Iterations)

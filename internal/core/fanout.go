@@ -105,7 +105,7 @@ func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, opt SolveOptio
 	}
 	// Lipschitz constant of the summed quadratic: Σ_k ‖R·S_k‖² bounded by
 	// ‖R‖²·Σ_k max(S_k)².
-	rNorm := ws.opNormSq(rt.R)
+	rNorm := ws.sw.OperatorNormSq(rt.R)
 	var lip float64
 	for i := 0; i < k; i++ {
 		mx, _ := scales[i].Max()

@@ -31,7 +31,7 @@ func IterativeBayesian(in *Instance, prior linalg.Vector, cfg IterativeBayesianC
 		return nil, 0, fmt.Errorf("core: IterativeBayesian needs at least one round")
 	}
 	cur := prior.Clone()
-	ws := NewWorkspace(nil) // one workspace for every round's solve
+	ws := new(Workspace) // one workspace for every round's solve
 	for round := 0; round < cfg.Rounds; round++ {
 		inst := in
 		if cfg.Snapshots != nil {

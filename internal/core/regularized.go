@@ -25,7 +25,7 @@ func Bayesian(in *Instance, prior linalg.Vector, reg float64, opt SolveOptions) 
 	if err := checkRegularized("Bayesian", in, prior, reg, opt.X0); err != nil {
 		return nil, 0, err
 	}
-	x, res := solver.LeastSquaresNonneg(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, opt.X0, maxIter, tol)
+	x, res := solver.LeastSquaresNonneg(&ws.sw, in.Rt.R, in.Loads, prior, 1/reg, opt.X0, maxIter, tol)
 	if !x.AllFinite() {
 		return nil, 0, fmt.Errorf("core: Bayesian produced non-finite estimate (%d iters)", res.Iterations)
 	}
@@ -73,7 +73,7 @@ func Entropy(in *Instance, prior linalg.Vector, reg float64, opt SolveOptions) (
 	if err := checkRegularized("Entropy", in, prior, reg, opt.X0); err != nil {
 		return nil, 0, err
 	}
-	x, res := solver.EntropyRegularized(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, opt.X0, maxIter, tol)
+	x, res := solver.EntropyRegularized(&ws.sw, in.Rt.R, in.Loads, prior, 1/reg, opt.X0, maxIter, tol)
 	if !x.AllFinite() {
 		return nil, 0, fmt.Errorf("core: Entropy produced non-finite estimate (%d iters)", res.Iterations)
 	}

@@ -42,9 +42,9 @@ func DefaultVardiConfig() VardiConfig {
 // previous window's estimate only cuts the iteration count. The default
 // budget is 30000 iterations at tolerance 1e-9, adequate for the American
 // network. The moment assembly (transpose traversal, row indexing, stacked
-// system, operator norm) is served from the workspace's SolveCache and the
-// sample moments, right-hand side and solver buffers are drawn from the
-// workspace; only the returned estimate is freshly allocated.
+// system) and the stacked operator's norm are cached in the workspace,
+// and the sample moments, right-hand side and solver buffers are drawn
+// from it; only the returned estimate is freshly allocated.
 func Vardi(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, opt SolveOptions) (linalg.Vector, int, error) {
 	ws, maxIter, tol := opt.budget(vardiMaxIter)
 	if len(loads) < 2 {
@@ -85,7 +85,6 @@ func Vardi(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, opt Sol
 		x0 = vbuf(&ws.x0, p)
 		x0.Fill(tHat.Sum() / float64(l) / float64(p) * float64(l))
 	}
-	ws.sw.Prime(asm.stacked, asm.normSq)
 	lam, res := solver.LeastSquaresNonneg(&ws.sw, asm.stacked, rhs, nil, 0, x0, maxIter, tol)
 	if !lam.AllFinite() {
 		return nil, 0, fmt.Errorf("core: Vardi produced non-finite estimate (%d iters)", res.Iterations)
@@ -97,9 +96,10 @@ func Vardi(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, opt Sol
 // everything except the right-hand side, which depends on the window's
 // sample moments and is rebuilt per solve.
 type vardiAssembly struct {
+	r       *sparse.Matrix // the routing matrix it was built from
+	w       float64        // the moment weight √σ⁻²
 	keys    [][2]int       // stacked row -> unordered link pair, first-use order
 	stacked *sparse.Matrix // [R; w·second], the solve operator
-	normSq  float64        // ‖stacked‖₂²
 }
 
 // buildVardiAssembly assembles the window-independent part of Vardi's
@@ -116,7 +116,7 @@ type vardiAssembly struct {
 // classical assembly. Row indices are assigned in the same first-use order
 // a dense scan would produce, so the stacked system is bit-identical to
 // the classical assembly on 0/1 matrices.
-func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vardiAssembly {
+func buildVardiAssembly(r *sparse.Matrix, w float64) *vardiAssembly {
 	p := r.Cols()
 	rT := r.T() // p×l: row pair -> (link, fraction) in ascending link order
 	total := 0
@@ -163,10 +163,5 @@ func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vard
 		b.Add(e.row, e.pair, e.coeff)
 	}
 	second := b.Build()
-	stacked := sparse.VStack(r, second.Scale(w))
-	return &vardiAssembly{
-		keys:    keys,
-		stacked: stacked,
-		normSq:  sw.OperatorNormSq(stacked),
-	}
+	return &vardiAssembly{r: r, w: w, keys: keys, stacked: sparse.VStack(r, second.Scale(w))}
 }

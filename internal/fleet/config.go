@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // ConfigFormat is the version tag every fleet config must carry.
@@ -129,41 +131,87 @@ func ParseConfig(data []byte) (Config, error) {
 }
 
 // ValidateTenants checks a tenant list the way ParseConfig does: names
-// well-formed and unique, paces parse, ranges sane. The cluster config
-// (internal/cluster) embeds the same tenant list and validates it with
-// this, so the two config formats can never diverge on what a legal
-// tenant is.
+// well-formed and unique, and every spec valid (TenantSpec.validate).
+// The cluster config (internal/cluster) embeds the same tenant list and
+// validates it with this, so the two config formats can never diverge
+// on what a legal tenant is.
 func ValidateTenants(tenants []TenantSpec) error {
 	seen := make(map[string]bool, len(tenants))
-	for i, t := range tenants {
-		if !nameRe.MatchString(t.Name) {
-			return fmt.Errorf("fleet: tenant %d name %q is not a [A-Za-z0-9._-]+ identifier", i, t.Name)
+	for _, t := range tenants {
+		if err := t.validate(); err != nil {
+			return err
 		}
 		if seen[t.Name] {
 			return fmt.Errorf("fleet: duplicate tenant name %q", t.Name)
 		}
 		seen[t.Name] = true
-		if _, err := t.pace(); err != nil {
-			return fmt.Errorf("fleet: tenant %q: %w", t.Name, err)
+	}
+	return nil
+}
+
+// validate checks one spec without building its source: the name, the
+// durations, the method, and that every number lies in its documented
+// range — an out-of-range value is refused by name rather than
+// replaced by its default later. Fleet.Add, Adopt and AddFeed run it
+// before anything is built.
+func (s TenantSpec) validate() error {
+	if !nameRe.MatchString(s.Name) {
+		return fmt.Errorf("fleet: tenant name %q is not a [A-Za-z0-9._-]+ identifier", s.Name)
+	}
+	if err := s.checkFields(); err != nil {
+		return fmt.Errorf("fleet: tenant %q: %w", s.Name, err)
+	}
+	return nil
+}
+
+// checkFields is validate without the name check and the tenant prefix.
+func (s TenantSpec) checkFields() error {
+	if _, err := s.pace(); err != nil {
+		return err
+	}
+	if _, err := s.sloMaxCheckpointAge(); err != nil {
+		return err
+	}
+	switch stream.Method(s.Method) {
+	case "", stream.MethodEntropy, stream.MethodBayesian, stream.MethodVardi, stream.MethodFanout:
+	default:
+		return fmt.Errorf("unknown method %q", s.Method)
+	}
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"cycles", s.Cycles, -1},
+		{"window", s.Window, -1},
+		{"resolve_every", s.ResolveEvery, -1},
+		{"resolve_max_every", s.ResolveMaxEvery, 0},
+		{"resolve_max_iter", s.ResolveMaxIter, 0},
+		{"max_waiters", s.MaxWaiters, 0},
+		{"anomaly_window", s.AnomalyWindow, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("%s %d out of range (>= %d)", f.name, f.v, f.min)
 		}
-		if t.Cycles < -1 {
-			return fmt.Errorf("fleet: tenant %q: cycles %d out of range (>= -1)", t.Name, t.Cycles)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"drift_threshold", s.DriftThreshold},
+		{"reg", s.Reg},
+		{"sigma_inv2", s.SigmaInv2},
+		{"resolve_tol", s.ResolveTol},
+		{"slo_max_drift", s.SLOMaxDrift},
+		{"slo_max_resolve_mre", s.SLOMaxResolveMRE},
+		{"anomaly_factor", s.AnomalyFactor},
+		{"anomaly_min_drift", s.AnomalyMinDrift},
+	} {
+		if !(f.v >= 0) { // NaN fails too
+			return fmt.Errorf("%s %v out of range (>= 0)", f.name, f.v)
 		}
-		if t.MaxWaiters < 0 {
-			return fmt.Errorf("fleet: tenant %q: max_waiters %d is negative", t.Name, t.MaxWaiters)
-		}
-		if t.SLOMaxDrift < 0 {
-			return fmt.Errorf("fleet: tenant %q: slo_max_drift %v is negative", t.Name, t.SLOMaxDrift)
-		}
-		if t.SLOMaxResolveMRE < 0 {
-			return fmt.Errorf("fleet: tenant %q: slo_max_resolve_mre %v is negative", t.Name, t.SLOMaxResolveMRE)
-		}
-		if _, err := t.sloMaxCheckpointAge(); err != nil {
-			return fmt.Errorf("fleet: tenant %q: %w", t.Name, err)
-		}
-		if t.AnomalyFactor < 0 || t.AnomalyWindow < 0 || t.AnomalyMinDrift < 0 {
-			return fmt.Errorf("fleet: tenant %q: negative anomaly parameter", t.Name)
-		}
+	}
+	if !(s.MinCoverage >= 0 && s.MinCoverage <= 1) {
+		return fmt.Errorf("min_coverage %v out of range [0, 1]", s.MinCoverage)
 	}
 	return nil
 }

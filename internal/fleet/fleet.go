@@ -38,12 +38,10 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sparse"
 	"repro/internal/stream"
 	"repro/internal/timeline"
 	"repro/internal/traffic"
@@ -86,14 +84,6 @@ type Tenant struct {
 	// the engine (by Run, or by RestoreAll after moving a restored engine
 	// onto its checkpointed epoch).
 	tl *timeline.Timeline
-	// canon is the fleet SolveCache's canonical pointer for the tenant's
-	// routing matrix at Add time — the key the scheduler batches on, so
-	// tenants sharing a topology solve back-to-back and hit the cached
-	// operator norms / moment assemblies while they are hot. A scripted
-	// hot-swap makes it stale, which only weakens the batching hint;
-	// correctness never depends on it.
-	canon *sparse.Matrix
-
 	// lastSave is the UnixNano of the last successful checkpoint write
 	// (persistLoop or SaveAll), 0 before the first. Atomic so the
 	// scrape-time tm_checkpoint_age_seconds collector and the SLO
@@ -296,12 +286,6 @@ type Fleet struct {
 	pool    *runner.Pool
 	opts    Options
 	started atomic.Bool
-	// solve shares routing-matrix-derived solver artifacts (operator
-	// norms, Vardi moment assemblies) across all tenants: engines with
-	// equal routing matrices — the common case when many tenants replay
-	// the same scenario family — compute them once fleet-wide.
-	solve *core.SolveCache
-
 	// metrics is non-nil when Options.Metrics wired a registry in.
 	metrics *fleetMetrics
 
@@ -335,7 +319,6 @@ func New(pool *runner.Pool, opts Options) *Fleet {
 	f := &Fleet{
 		pool:     pool,
 		opts:     opts,
-		solve:    core.NewSolveCache(),
 		byName:   make(map[string]*Tenant),
 		inflight: make(map[string]bool),
 		kick:     make(chan struct{}, 1),
@@ -360,6 +343,9 @@ func (f *Fleet) Add(spec TenantSpec) (*Tenant, error) {
 // addSpec materializes a tenant from its spec; adopt relaxes the
 // "before Run" restriction for Adopt's running-fleet path.
 func (f *Fleet) addSpec(spec TenantSpec, adopt bool) (*Tenant, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	if strings.HasPrefix(spec.Source, "scenario:script:") {
 		return f.addScript(spec, adopt)
 	}
@@ -367,13 +353,7 @@ func (f *Fleet) addSpec(spec TenantSpec, adopt bool) (*Tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 	}
-	pace, err := spec.pace()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-	}
-	if spec.Cycles < -1 {
-		return nil, fmt.Errorf("fleet: tenant %q: cycles %d out of range (>= -1)", spec.Name, spec.Cycles)
-	}
+	pace, _ := spec.pace() // validated by addSpec
 	cycles := spec.cycles()
 	store := collector.NewStore(sc.Net.NumPairs())
 	feed := Feed{
@@ -406,10 +386,7 @@ func (f *Fleet) addScript(spec TenantSpec, adopt bool) (*Tenant, error) {
 	if err != nil {
 		return fail(err)
 	}
-	pace, err := spec.pace()
-	if err != nil {
-		return fail(err)
-	}
+	pace, _ := spec.pace() // validated by addSpec
 	// For a script tenant Cycles counts whole timeline passes — the
 	// script defines its own length in intervals — not single intervals:
 	// default 1, -1 repeats until the fleet stops.
@@ -437,33 +414,25 @@ func (f *Fleet) addScript(spec TenantSpec, adopt bool) (*Tenant, error) {
 
 // AddFeed declares a tenant over a caller-supplied measurement feed —
 // tmserve's live UDP/TCP deployment mode. The spec's Source/Seed/
-// Cycles/Pace fields are documentation only here; the feed rules.
+// Cycles/Pace fields are documentation only here (Cycles and Pace must
+// still be in range); the feed rules.
 func (f *Fleet) AddFeed(spec TenantSpec, sc *netsim.Scenario, feed Feed) (*Tenant, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	if feed.Store == nil || feed.Collect == nil {
 		return nil, fmt.Errorf("fleet: tenant %q: feed needs both a store and a collect function", spec.Name)
 	}
 	return f.add(spec, sc, feed, false)
 }
 
+// add creates the engine for a validated spec and registers the tenant.
 func (f *Fleet) add(spec TenantSpec, sc *netsim.Scenario, feed Feed, adopt bool) (*Tenant, error) {
 	if f.started.Load() && !adopt {
 		return nil, fmt.Errorf("fleet: Add after Run (Adopt joins tenants to a running fleet)")
 	}
-	if !nameRe.MatchString(spec.Name) {
-		return nil, fmt.Errorf("fleet: tenant name %q is not a [A-Za-z0-9._-]+ identifier", spec.Name)
-	}
-	if _, err := spec.sloMaxCheckpointAge(); err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-	}
-	if spec.SLOMaxDrift < 0 || spec.SLOMaxResolveMRE < 0 {
-		return nil, fmt.Errorf("fleet: tenant %q: negative SLO threshold", spec.Name)
-	}
-	cfg, err := streamConfig(spec)
-	if err != nil {
-		return nil, err
-	}
+	cfg := streamConfig(spec)
 	cfg.ResolveDispatch = f.kickScheduler
-	cfg.Solve = f.solve
 	if f.metrics != nil {
 		cfg.OnResolve = f.metrics.onResolve(spec.Name)
 	}
@@ -474,8 +443,7 @@ func (f *Fleet) add(spec TenantSpec, sc *netsim.Scenario, feed Feed, adopt bool)
 	// Echo the engine's effective method back into the spec, so Status
 	// (and hosts printing banners) report "entropy", not "".
 	spec.Method = string(cfg.Method)
-	t := &Tenant{spec: spec, sc: sc, eng: eng, feed: feed, state: StateIdle,
-		canon: f.solve.Canonical(sc.Rt.R)}
+	t := &Tenant{spec: spec, sc: sc, eng: eng, feed: feed, state: StateIdle}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.byName[spec.Name] != nil {
@@ -486,9 +454,9 @@ func (f *Fleet) add(spec TenantSpec, sc *netsim.Scenario, feed Feed, adopt bool)
 	return t, nil
 }
 
-// streamConfig maps a spec onto stream.Config, translating the spec's
-// "-1 means off" sentinels (0 is taken by "use the default").
-func streamConfig(spec TenantSpec) (stream.Config, error) {
+// streamConfig maps a validated spec onto stream.Config, translating
+// the spec's "-1 means off" sentinels (0 is taken by "use the default").
+func streamConfig(spec TenantSpec) stream.Config {
 	cfg := stream.Config{
 		Window:          6,
 		MinCoverage:     0.9,
@@ -503,25 +471,18 @@ func streamConfig(spec TenantSpec) (stream.Config, error) {
 		AnomalyFactor:   spec.AnomalyFactor,
 		AnomalyWindow:   spec.AnomalyWindow,
 		AnomalyMinDrift: spec.AnomalyMinDrift,
-		// Each tenant's engine is its store's only consumer, so consumed
-		// intervals are discarded — endless tenants hold O(window) state.
-		PruneConsumed: true,
 	}
 	switch {
 	case spec.Window > 0:
 		cfg.Window = spec.Window
 	case spec.Window == -1:
 		cfg.Window = 0 // expanding
-	case spec.Window < -1:
-		return cfg, fmt.Errorf("fleet: tenant %q: window %d out of range (>= -1)", spec.Name, spec.Window)
 	}
 	switch {
 	case spec.ResolveEvery > 0:
 		cfg.ResolveEvery = spec.ResolveEvery
 	case spec.ResolveEvery == -1:
 		cfg.ResolveEvery = 0 // incremental gravity only
-	case spec.ResolveEvery < -1:
-		return cfg, fmt.Errorf("fleet: tenant %q: resolve_every %d out of range (>= -1)", spec.Name, spec.ResolveEvery)
 	}
 	if spec.MinCoverage > 0 {
 		cfg.MinCoverage = spec.MinCoverage
@@ -529,7 +490,7 @@ func streamConfig(spec TenantSpec) (stream.Config, error) {
 	if spec.Method != "" {
 		cfg.Method = stream.Method(spec.Method)
 	}
-	return cfg, nil
+	return cfg
 }
 
 // buildSource resolves a spec's Source string into a scenario and the
@@ -889,38 +850,18 @@ func (f *Fleet) schedule(ctx context.Context) {
 	}
 }
 
-// claimNext picks the next tenant with a parked re-solve, skipping
-// tenants that are already solving — the per-tenant in-flight cap of
-// one that keeps a big drifting tenant from occupying more than one
-// pool slot. When the claiming slot just solved a tenant, prefer is
-// that tenant's canonical routing matrix and a pending tenant sharing
-// it is claimed first, so same-topology solves run back-to-back over
-// one hot set of cached matrix artifacts (a single routing-matrix
-// traversal/column-support build per wave instead of interleaving
-// topologies); otherwise the claim is round-robin from where the
-// previous one left off, preserving fairness across topology groups.
-func (f *Fleet) claimNext(prefer *sparse.Matrix) *Tenant {
+// claimNext picks the next tenant with a parked re-solve, round-robin
+// from where the previous claim left off, skipping tenants that are
+// already solving — the per-tenant in-flight cap of one that keeps a
+// big drifting tenant from occupying more than one pool slot.
+func (f *Fleet) claimNext() *Tenant {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.tenants)
-	claim := func(t *Tenant) bool {
-		if f.inflight[t.spec.Name] || !t.eng.ResolvePending() {
-			return false
-		}
-		f.inflight[t.spec.Name] = true
-		return true
-	}
-	if prefer != nil {
-		for i := 0; i < n; i++ {
-			t := f.tenants[(f.rr+i)%n]
-			if t.canon == prefer && claim(t) {
-				return t
-			}
-		}
-	}
 	for i := 0; i < n; i++ {
 		t := f.tenants[(f.rr+i)%n]
-		if claim(t) {
+		if !f.inflight[t.spec.Name] && t.eng.ResolvePending() {
+			f.inflight[t.spec.Name] = true
 			f.rr = (f.rr + i + 1) % n
 			return t
 		}
@@ -953,17 +894,13 @@ func (f *Fleet) quiesce() {
 // each claim is handed to a free pool helper when one exists and solved
 // on the calling goroutine otherwise, and a helper rejoins the drain
 // when its solve finishes — so every pool slot keeps pulling work until
-// the fleet is idle again. Each slot remembers the topology it just
-// solved and asks claimNext for a same-topology tenant first (see
-// claimNext for why).
+// the fleet is idle again.
 func (f *Fleet) drain(ctx context.Context) {
-	var last *sparse.Matrix
 	for ctx.Err() == nil {
-		t := f.claimNext(last)
+		t := f.claimNext()
 		if t == nil {
 			return
 		}
-		last = t.canon
 		solve := func() {
 			t.eng.TryResolve(ctx)
 			f.release(t)

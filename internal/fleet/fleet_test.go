@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,6 +71,53 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
+// TestSpecRangesRejected: an out-of-range spec field is refused by name
+// wherever a spec enters — ParseConfig, Add, Adopt and AddFeed — before
+// any source is built, instead of being replaced by its default in
+// stream.New or failing only later on the node that adds the tenant.
+// The source is left unresolvable, so an error naming it instead of
+// the field shows the check ran too late.
+func TestSpecRangesRejected(t *testing.T) {
+	cases := []struct{ field, value string }{
+		{"reg", "-5"},
+		{"sigma_inv2", "-1"},
+		{"resolve_max_iter", "-3"},
+		{"resolve_tol", "-1"},
+		{"min_coverage", "1.5"},
+		{"min_coverage", "-0.1"},
+		{"method", `"bogus"`},
+		{"window", "-7"},
+		{"resolve_every", "-2"},
+		{"resolve_max_every", "-1"},
+		{"drift_threshold", "-1"},
+	}
+	f := New(runner.NewPool(1), Options{})
+	for _, c := range cases {
+		fields := fmt.Sprintf(`"name":"x","source":"atlantis",%q:%s`, c.field, c.value)
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s with %s = %s: err = %v, want one naming %s", how, c.field, c.value, err, c.field)
+			}
+		}
+		_, err := ParseConfig([]byte(`{"format":1,"tenants":[{` + fields + `}]}`))
+		check("ParseConfig", err)
+		var spec TenantSpec
+		if err := json.Unmarshal([]byte("{"+fields+"}"), &spec); err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Add(spec)
+		check("Add", err)
+		_, err = f.Adopt(spec, nil)
+		check("Adopt", err)
+		_, err = f.AddFeed(spec, nil, Feed{})
+		check("AddFeed", err)
+	}
+	if n := len(f.Tenants()); n != 0 {
+		t.Fatalf("%d tenants registered from invalid specs", n)
+	}
+}
+
 // parkWork drives a tenant's engine directly (outside Fleet.Run) until
 // a re-solve is parked, so scheduler internals can be tested white-box.
 func parkWork(t *testing.T, ten *Tenant) {
@@ -112,22 +161,22 @@ func TestClaimRoundRobinAndCap(t *testing.T) {
 		parkWork(t, ten)
 	}
 
-	if got := f.claimNext(nil); got != tens[0] {
+	if got := f.claimNext(); got != tens[0] {
 		t.Fatalf("first claim = %v, want tenant a", got.Name())
 	}
-	if got := f.claimNext(nil); got != tens[1] {
+	if got := f.claimNext(); got != tens[1] {
 		t.Fatalf("second claim = %v, want tenant b (round-robin)", got.Name())
 	}
 	// a and b are in flight: the cap must skip them even though their
 	// parked work is still pending.
-	if got := f.claimNext(nil); got != tens[2] {
+	if got := f.claimNext(); got != tens[2] {
 		t.Fatalf("third claim = %v, want tenant c", got.Name())
 	}
-	if got := f.claimNext(nil); got != nil {
+	if got := f.claimNext(); got != nil {
 		t.Fatalf("all tenants in flight, but claimed %s", got.Name())
 	}
 	f.release(tens[1])
-	if got := f.claimNext(nil); got != tens[1] {
+	if got := f.claimNext(); got != tens[1] {
 		t.Fatalf("after releasing b, claim = %v, want b", got)
 	}
 	// Consume a's parked work: released but nothing pending -> skipped.
@@ -136,53 +185,8 @@ func TestClaimRoundRobinAndCap(t *testing.T) {
 	}
 	f.release(tens[0])
 	f.release(tens[2])
-	if got := f.claimNext(nil); got != tens[2] {
+	if got := f.claimNext(); got != tens[2] {
 		t.Fatalf("claim = %v, want c (a consumed, b in flight)", got)
-	}
-}
-
-// TestClaimPrefersSharedTopology pins the same-topology batching: a
-// slot that just solved a tenant claims a pending tenant with an equal
-// routing matrix before rotating on, and falls back to plain
-// round-robin when no same-topology work is pending.
-func TestClaimPrefersSharedTopology(t *testing.T) {
-	f := New(runner.NewPool(1), Options{})
-	spec := TenantSpec{Cycles: 4, Pace: "0", Window: 2, ResolveEvery: 2}
-	var tens []*Tenant
-	for _, tc := range []struct{ name, source string }{
-		{"a", "europe"}, {"b", "america"}, {"c", "europe"},
-	} {
-		s := spec
-		s.Name = tc.name
-		s.Source = tc.source
-		ten, err := f.Add(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tens = append(tens, ten)
-	}
-	if tens[0].canon != tens[2].canon {
-		t.Fatal("tenants a and c share a topology but got distinct canonical matrices")
-	}
-	if tens[0].canon == tens[1].canon {
-		t.Fatal("tenants a and b have different topologies but share a canonical matrix")
-	}
-	for _, ten := range tens {
-		parkWork(t, ten)
-	}
-
-	first := f.claimNext(nil)
-	if first != tens[0] {
-		t.Fatalf("first claim = %v, want tenant a", first.Name())
-	}
-	// Round-robin alone would give b next; the topology preference must
-	// jump to c, the other europe tenant.
-	if got := f.claimNext(first.canon); got != tens[2] {
-		t.Fatalf("same-topology claim = %v, want tenant c", got.Name())
-	}
-	// No europe work is pending anymore: fall back to round-robin (b).
-	if got := f.claimNext(first.canon); got != tens[1] {
-		t.Fatalf("fallback claim = %v, want tenant b", got.Name())
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 // re-marshals to JSON ParseConfig accepts again and that encodes to the
 // same bytes; none may panic. The committed seeds
 // (testdata/fuzz/FuzzFleetConfig) are a valid config, an unknown field,
-// format 99, duplicate names, negative numbers, bad durations and
-// truncated JSON.
+// format 99, duplicate names, negative numbers, bad durations, truncated
+// JSON, and out-of-range estimation fields (negative reg, sigma_inv2,
+// solver budget, window and drift threshold, min_coverage above 1, an
+// unknown method).
 func FuzzFleetConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := ParseConfig(data)

@@ -59,18 +59,3 @@ func (ws *Workspace) OperatorNormSq(a LinOp) float64 {
 	ws.op, ws.opSq = a, sq
 	return sq
 }
-
-// Prime seeds the workspace's operator-norm cache with an externally
-// computed value (e.g. from a cross-tenant cache keyed by matrix
-// equality), so the next solve against a skips the power method even
-// though this workspace never ran it.
-func (ws *Workspace) Prime(a LinOp, normSq float64) {
-	ws.op, ws.opSq = a, normSq
-}
-
-// InvalidateOperator drops the cached operator norm (e.g. after a
-// routing hot-swap replaces the matrix behind the same pointer — which
-// the sparse package never does, but a custom LinOp might).
-func (ws *Workspace) InvalidateOperator() {
-	ws.op, ws.opSq = nil, 0
-}

@@ -237,8 +237,8 @@ func (e *Engine) Restore(cp Checkpoint) error {
 		e.have = true
 	}
 	e.metrics = append([]MetricPoint(nil), cp.Metrics...)
-	if len(e.metrics) > e.cfg.MetricsHistory {
-		e.metrics = e.metrics[len(e.metrics)-e.cfg.MetricsHistory:]
+	if len(e.metrics) > metricsHistory {
+		e.metrics = e.metrics[len(e.metrics)-metricsHistory:]
 	}
 	e.mu.Unlock()
 	return nil

@@ -94,17 +94,8 @@ type Config struct {
 	// re-solve, erasing the warm-start advantage.
 	ResolveMaxIter int
 	ResolveTol     float64
-	// PruneConsumed discards each interval from the store once this
-	// engine has consumed or skipped it, keeping an endless run at
-	// O(window) store memory. Enable it only when this engine is the
-	// store's sole consumer (tmserve does): pruning is store-wide, so a
-	// second subscriber would silently lose the pruned intervals.
-	PruneConsumed bool
 	// SigmaInv2 is σ⁻² for MethodVardi (Table 1). Defaults to 0.01.
 	SigmaInv2 float64
-	// MetricsHistory bounds the error-metric ring kept for Metrics().
-	// Defaults to 1024 points.
-	MetricsHistory int
 	// ResolveDispatch, when non-nil, is called once every time a
 	// scheduled window is parked as the engine's single pending re-solve
 	// (latest wins), so the host knows work is waiting; nil means the
@@ -114,13 +105,6 @@ type Config struct {
 	// ResolveDispatch runs on the engine's ingestion goroutine and must
 	// not block.
 	ResolveDispatch func()
-	// Solve, when non-nil, shares routing-matrix-derived solver artifacts
-	// (power-iteration operator norms, Vardi moment assemblies) across
-	// engines: tenants whose routing matrices are equal reuse one entry
-	// (internal/fleet passes its fleet-wide cache here). Nil gives the
-	// engine a private cache, which still amortizes those artifacts
-	// across its own re-solves.
-	Solve *core.SolveCache
 	// OnResolve, when non-nil, observes every executed full re-solve with
 	// its wall-clock duration, solver iteration count and warm/cold
 	// start, and err set
@@ -158,6 +142,9 @@ type Config struct {
 // would poison the anomaly baseline. A drift of maxDrift already means
 // the window mean grew a million-fold, past any threshold a host sets.
 const maxDrift = 1e6
+
+// metricsHistory bounds the error-metric ring kept for Metrics().
+const metricsHistory = 1024
 
 // Snapshot is one published state of the evolving traffic matrix. All
 // vectors returned by Latest/WaitVersion are private deep copies, safe
@@ -372,8 +359,8 @@ type Engine struct {
 	// (mean, gravity, fanouts, estimates, ring load vectors) stays
 	// freshly allocated and is never recycled.
 	teBuf, txBuf linalg.Vector
-	ingestWS     *core.Workspace
-	ws           *core.Workspace
+	ingestWS     core.Workspace
+	ws           core.Workspace
 	meanBuf      linalg.Vector
 	instBuf      core.Instance
 }
@@ -418,9 +405,6 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 	if cfg.ResolveTol <= 0 {
 		cfg.ResolveTol = 1e-6
 	}
-	if cfg.MetricsHistory <= 0 {
-		cfg.MetricsHistory = 1024
-	}
 	if cfg.AnomalyFactor < 0 {
 		return nil, fmt.Errorf("stream: negative anomaly factor %v", cfg.AnomalyFactor)
 	}
@@ -436,9 +420,6 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 	if cfg.AnomalyMinDrift == 0 {
 		cfg.AnomalyMinDrift = 0.05
 	}
-	if cfg.Solve == nil {
-		cfg.Solve = core.NewSolveCache()
-	}
 	// Presize the window ring (copy-down sliding keeps this its lifetime
 	// capacity) and the metrics log's first growth steps.
 	var ringCap int
@@ -447,7 +428,7 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		ring:      make([]windowEntry, 0, ringCap),
-		metrics:   make([]MetricPoint, 0, min(cfg.MetricsHistory, 64)),
+		metrics:   make([]MetricPoint, 0, 64),
 		rt:        rt,
 		cfg:       cfg,
 		loadSum:   newWindowSum(rt.R.Rows()),
@@ -455,8 +436,6 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 		curEvery:  cfg.ResolveEvery,
 		teBuf:     linalg.NewVector(rt.Net.NumPoPs()),
 		txBuf:     linalg.NewVector(rt.Net.NumPoPs()),
-		ingestWS:  core.NewWorkspace(cfg.Solve),
-		ws:        core.NewWorkspace(cfg.Solve),
 	}, nil
 }
 
@@ -465,7 +444,10 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 // shutting down (returning nil). It must be called at most once; a
 // second call returns an error without touching the running stream. Any
 // intervals already in the store are consumed immediately, so Run may be
-// started before, during or after the collection it watches.
+// started before, during or after the collection it watches. The engine
+// must be the store's only consumer: it takes each consumed interval
+// out of the store and prunes every interval it has passed, keeping an
+// endless run at O(window) store memory.
 func (e *Engine) Run(ctx context.Context, store *collector.Store) error {
 	if !e.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("stream: Engine.Run called more than once")
@@ -515,31 +497,23 @@ func (e *Engine) finalDrain(store *collector.Store) {
 			e.skip()
 		}
 	}
-	if e.cfg.PruneConsumed {
-		store.Prune(e.next)
-	}
+	store.Prune(e.next)
 }
 
-// intervalRates fetches the consumable interval's demand vector. A
-// prune-as-you-go engine is the store's sole consumer by contract, so
-// it takes ownership of the stored vector outright (no per-interval
-// clone); otherwise it copies, leaving the interval for other readers.
+// intervalRates fetches the consumable interval's demand vector. The
+// engine is its store's sole consumer by contract, so it takes
+// ownership of the stored vector outright (no per-interval clone).
 func (e *Engine) intervalRates(store *collector.Store) (linalg.Vector, int, bool) {
-	if e.cfg.PruneConsumed {
-		return store.Take(e.next)
-	}
-	return store.Matrix(e.next)
+	return store.Take(e.next)
 }
 
-// scan consumes every interval that is ready, in order, then (with
-// Config.PruneConsumed) prunes the consumed prefix from the store so an
-// endless run holds O(window) state. Updates are coalesced wake-ups,
+// scan consumes every interval that is ready, in order, then prunes the
+// consumed prefix from the store so an endless run holds O(window)
+// state. Updates are coalesced wake-ups,
 // not a reliable per-interval stream, so readiness is always re-derived
 // from the store itself.
 func (e *Engine) scan(store *collector.Store) {
-	if e.cfg.PruneConsumed {
-		defer func() { store.Prune(e.next) }() // closure: e.next advances below
-	}
+	defer func() { store.Prune(e.next) }() // closure: e.next advances below
 	for {
 		latest := store.LatestInterval()
 		if latest < e.next {
@@ -678,7 +652,7 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	e.stateMu.Unlock()
 
 	gravity := core.GravityFromTotals(net, te, tx, nil)
-	thresh := core.ShareThresholdWS(e.ingestWS, mean, 0.9)
+	thresh := core.ShareThresholdWS(&e.ingestWS, mean, 0.9)
 	snap := Snapshot{
 		Interval:      interval,
 		Window:        windowLen,
@@ -873,8 +847,8 @@ func (e *Engine) installLocked(snap Snapshot) {
 		HasResolve:        snap.Resolve != nil,
 		Time:              snap.Time,
 	})
-	if len(e.metrics) > e.cfg.MetricsHistory {
-		e.metrics = e.metrics[len(e.metrics)-e.cfg.MetricsHistory:]
+	if len(e.metrics) > metricsHistory {
+		e.metrics = e.metrics[len(e.metrics)-metricsHistory:]
 	}
 	// Wake every parked WaitVersion. Publishing with no waiters — the
 	// steady state — touches no channel at all, where the old
@@ -945,7 +919,7 @@ func (e *Engine) setWarm(est, alpha linalg.Vector) {
 // warm-started from the previous published estimate when one exists.
 func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool, err error) {
 	warmEst, warmAlpha := e.takeWarm()
-	opt := core.SolveOptions{WS: e.ws, X0: warmEst, MaxIter: e.cfg.ResolveMaxIter, Tol: e.cfg.ResolveTol}
+	opt := core.SolveOptions{WS: &e.ws, X0: warmEst, MaxIter: e.cfg.ResolveMaxIter, Tol: e.cfg.ResolveTol}
 	switch e.cfg.Method {
 	case MethodVardi:
 		lam, n, err := core.Vardi(w.rt, w.loads, core.VardiConfig{SigmaInv2: e.cfg.SigmaInv2}, opt)
@@ -977,7 +951,7 @@ func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool
 	// out of the resolve-owned arena instead of being allocated per call.
 	e.instBuf = core.Instance{Rt: w.rt, Loads: meanLoads}
 	inst := &e.instBuf
-	prior := core.GravityWS(e.ws, inst)
+	prior := core.GravityWS(&e.ws, inst)
 	var x linalg.Vector
 	var n int
 	if e.cfg.Method == MethodBayesian {

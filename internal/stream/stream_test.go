@@ -161,22 +161,22 @@ func finite(xs ...float64) bool {
 }
 
 // TestVersionsMonotonic checks that every publication bumps the version
-// by exactly one and that the metric history matches; with
-// PruneConsumed, the store must hold none of the consumed intervals
-// afterwards (the O(window) memory property of an endless run).
+// by exactly one and that the metric history matches; the store must
+// hold none of the consumed intervals afterwards (the O(window) memory
+// property of an endless run).
 func TestVersionsMonotonic(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, Config{Window: 3, PruneConsumed: true})
+	eng, err := New(sc.Rt, Config{Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const cycles = 8
 	store := replayInto(t, sc, eng, cycles, cycles)
 	if n := len(store.Intervals()); n != 0 {
-		t.Fatalf("store still holds %d consumed intervals, want 0 (PruneConsumed)", n)
+		t.Fatalf("store still holds %d consumed intervals, want 0 (consumed intervals are pruned)", n)
 	}
 	points := eng.Metrics()
 	if len(points) != cycles {

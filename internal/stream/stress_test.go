@@ -28,19 +28,18 @@ func TestConcurrentReadersUnderRapidPublish(t *testing.T) {
 }
 
 // TestConcurrentReadersFanoutPooledBuffers is the same stress against
-// the constant-fanout method with prune-as-you-go storage: the re-solve
-// path then exercises both warm-start slots (takeWarm/setWarm hand the
-// previous estimate AND the fanout iterate across solves), the pooled
-// engine workspaces, and collector.Take's ownership transfer — so any
-// published vector that aliases a recycled buffer is scribbled on by the
-// readers and trips the race detector.
+// the constant-fanout method: the re-solve path then exercises both
+// warm-start slots (takeWarm/setWarm hand the previous estimate AND the
+// fanout iterate across solves), the pooled engine workspaces, and
+// collector.Take's ownership transfer — so any published vector that
+// aliases a recycled buffer is scribbled on by the readers and trips the
+// race detector.
 func TestConcurrentReadersFanoutPooledBuffers(t *testing.T) {
 	concurrentReaderStress(t, Config{
 		Window:         3,
 		Method:         MethodFanout,
 		ResolveEvery:   2,
 		ResolveMaxIter: 300,
-		PruneConsumed:  true,
 	})
 }
 
