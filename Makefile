@@ -106,13 +106,22 @@ vet:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1 -checks 'SA*' ./...
 
-# Coverage over the library packages, printing the total CI's floor
-# gates on (COVER_FLOOR in .github/workflows/ci.yml; bump it when new
-# tests raise the total, leaving a few points of slack).
+# Coverage floor over the library packages, as run by CI's full job:
+# fails when the total falls below COVER_FLOOR. The floor is a ratchet
+# against silently landing untested subsystems, not a target: when new
+# tests push the total up, round it DOWN leaving ~3-4 points of slack
+# for timing-dependent paths and bump COVER_FLOOR here. Measured 84.7%
+# when the floor was set.
+COVER_FLOOR ?= 80.0
 cover:
 	$(GO) test -timeout 30m -coverprofile=cover.out ./internal/...
-	$(GO) tool cover -func=cover.out | tail -1
-	@rm -f cover.out
+	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
+	rm -f cover.out; \
+	echo "total internal coverage: $${total}% (floor $(COVER_FLOOR)%)"; \
+	if ! awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }'; then \
+		echo "coverage $${total}% fell below the $(COVER_FLOOR)% floor" >&2; \
+		exit 1; \
+	fi
 
 # Fleet serving smoke: boot a 4-tenant tmserve fleet, read every
 # tenant's snapshot, restart from -checkpoint-dir (CI's fleet-smoke job).

@@ -109,19 +109,38 @@ func getJSON(t *testing.T, url string, into any) int {
 	return resp.StatusCode
 }
 
-// TestEndToEndReplay is the PR's acceptance demo: a simulated deployment
-// (deterministic replay of the European scenario) streamed through the
-// engine and served over HTTP must (a) emit at least 3 consecutive
-// snapshots with monotonically non-increasing gravity estimation error
-// and (b) produce an incremental gravity estimate that matches a batch
-// gravity solve over the same window to within 1e-9.
+// fleetConfig writes a fleet config declaring specs into a fresh
+// temporary directory and returns a daemon config serving it.
+func fleetConfig(t *testing.T, specs ...fleet.TenantSpec) config {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	writeFleet(t, path, specs)
+	return config{fleetPath: path}
+}
+
+// writeFleet writes a fleet config declaring specs to path.
+func writeFleet(t *testing.T, path string, specs []fleet.TenantSpec) {
+	t.Helper()
+	data, err := json.MarshalIndent(fleet.Config{Format: fleet.ConfigFormat, Tenants: specs}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEndToEndReplay is the acceptance demo, run on a bare daemon — no
+// flags but the listen address, so the one default tenant: a simulated
+// deployment (deterministic replay of the European scenario, seed 1,
+// 24 intervals at 100 ms) streamed through the engine and served over
+// HTTP must (a) emit at least 3 consecutive snapshots with
+// monotonically non-increasing gravity estimation error and (b) produce
+// an incremental gravity estimate that matches a batch gravity solve
+// over the same window to within 1e-9.
 func TestEndToEndReplay(t *testing.T) {
-	const cycles, window = 12, 6
-	base, shutdown := startServer(t, config{
-		region: "europe", seed: 1, mode: "replay", cycles: cycles,
-		window: window, minCoverage: 0.9, resolveEvery: 4,
-		method: "entropy", reg: 1000, sigmaInv2: 0.01, pace: 0,
-	})
+	const cycles, window = 24, 6 // the default tenant's
+	base, shutdown := startServer(t, config{})
 	defer shutdown()
 
 	// Progress gate: versions grow by one per publication (intervals and
@@ -235,18 +254,17 @@ func TestEndToEndReplay(t *testing.T) {
 }
 
 // TestEndToEndLive smoke-tests the UDP/TCP pipeline end to end under the
-// daemon: a short lossless live collection must publish snapshots that
-// the HTTP API serves. Timing-dependent, so assertions stay coarse.
+// daemon: a short collection by a live:europe tenant must publish
+// snapshots that the HTTP API serves. Timing-dependent (and lossy), so
+// assertions stay coarse.
 func TestEndToEndLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live socket pipeline is timing-dependent; skipped in -short")
 	}
-	base, shutdown := startServer(t, config{
-		region: "europe", seed: 1, mode: "live", cycles: 6,
-		window: 0, minCoverage: 0.5, resolveEvery: 0,
-		method: "entropy", reg: 1000, sigmaInv2: 0.01,
-		pollers: 2, drop: 0, speed: 0.05,
-	})
+	base, shutdown := startServer(t, fleetConfig(t, fleet.TenantSpec{
+		Name: "default", Source: "live:europe", Cycles: 6,
+		Window: -1, MinCoverage: 0.5, ResolveEvery: -1,
+	}))
 	defer shutdown()
 
 	var snap stream.Snapshot
@@ -349,19 +367,18 @@ func TestLongPollClientDisconnect(t *testing.T) {
 }
 
 // TestCheckpointRestart is the crash-safety acceptance demo: a daemon
-// run with -checkpoint is killed after publishing, and its successor —
-// pointed at the same file, with a pace so slow the collector cannot
-// have produced anything yet — must serve the previous run's snapshot
-// (same version, same re-solve) immediately on boot.
+// run with -checkpoint-dir is killed after publishing, and its
+// successor — pointed at the same directory, with a pace so slow the
+// collector cannot have produced anything yet — must serve the previous
+// run's snapshot (same version, same re-solve) immediately on boot.
 func TestCheckpointRestart(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "tm.ckpt")
+	ckptDir := t.TempDir()
+	ckpt := filepath.Join(ckptDir, "default.ckpt")
 	const cycles = 8
-	base, shutdown := startServer(t, config{
-		region: "europe", seed: 1, mode: "replay", cycles: cycles,
-		window: 4, minCoverage: 0.9, resolveEvery: 2,
-		method: "entropy", reg: 1000, sigmaInv2: 0.01, pace: 0,
-		checkpoint: ckpt,
-	})
+	spec := fleet.TenantSpec{Name: "default", Cycles: cycles, Window: 4, ResolveEvery: 2, Pace: "0"}
+	cfg := fleetConfig(t, spec)
+	cfg.checkpointDir = ckptDir
+	base, shutdown := startServer(t, cfg)
 	// Wait until the stream is quiescent — every interval consumed and
 	// the final cadence re-solve (interval 7) published — so nothing can
 	// publish between this read and the shutdown save, and the restored
@@ -400,12 +417,10 @@ func TestCheckpointRestart(t *testing.T) {
 	// The successor replays with an hour-long pace: any snapshot it
 	// serves within the test's lifetime can only come from the restored
 	// checkpoint.
-	base2, shutdown2 := startServer(t, config{
-		region: "europe", seed: 1, mode: "replay", cycles: cycles,
-		window: 4, minCoverage: 0.9, resolveEvery: 2,
-		method: "entropy", reg: 1000, sigmaInv2: 0.01, pace: time.Hour,
-		checkpoint: ckpt,
-	})
+	spec.Pace = "1h"
+	cfg = fleetConfig(t, spec)
+	cfg.checkpointDir = ckptDir
+	base2, shutdown2 := startServer(t, cfg)
 	defer shutdown2()
 	var restored stream.Snapshot
 	if code := getJSON(t, base2+"/v1/t/default/snapshot", &restored); code != http.StatusOK {
@@ -434,11 +449,9 @@ func TestCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestFlagValidation covers the startup rejection of flag combinations
-// that used to fail late (after the scenario build, with an error naming
-// no flag) or not at all: -drift-threshold with re-solves disabled must
-// be refused before any topology is generated, with an error that names
-// both flags involved.
+// TestFlagValidation covers the startup rejection of cluster role
+// combinations that would otherwise be silently ignored or fail late,
+// with an error that names the flags involved.
 func TestFlagValidation(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -447,90 +460,40 @@ func TestFlagValidation(t *testing.T) {
 		want []string // substrings the error must carry
 	}{
 		{
-			what: "drift threshold with re-solves disabled",
-			cfg:  config{driftThreshold: 0.1, resolveEvery: 0},
-			want: []string{"-drift-threshold", "-resolve-every"},
-		},
-		{
-			what: "negative drift threshold",
-			cfg:  config{driftThreshold: -1, resolveEvery: 3},
-			want: []string{"-drift-threshold"},
-		},
-		{
-			what: "cadence back-off without a drift signal",
-			cfg:  config{resolveEvery: 3, resolveMaxEvery: 12},
-			want: []string{"-resolve-max-every", "-drift-threshold"},
-		},
-		{
-			what: "fleet with live mode",
-			cfg:  config{fleetPath: "fleet.json", mode: "live", resolveEvery: 3},
-			want: []string{"-fleet", "-mode live"},
-		},
-		{
-			what: "fleet with single-tenant checkpoint",
-			cfg:  config{fleetPath: "fleet.json", checkpoint: "tm.ckpt", resolveEvery: 3},
-			want: []string{"-checkpoint-dir"},
-		},
-		{
-			what: "checkpoint file and dir together",
-			cfg:  config{checkpoint: "tm.ckpt", checkpointDir: "ckpt", resolveEvery: 3},
-			want: []string{"-checkpoint", "-checkpoint-dir"},
-		},
-		{
-			what: "explicitly set single-tenant flag with -fleet",
-			cfg: config{fleetPath: "fleet.json", method: "vardi", resolveEvery: 3,
-				set: map[string]bool{"method": true}},
-			want: []string{"-method", "fleet config"},
-		},
-		{
 			what: "node role without a cluster config",
-			cfg:  config{nodeName: "n1", resolveEvery: 3},
+			cfg:  config{nodeName: "n1"},
 			want: []string{"-cluster"},
 		},
 		{
 			what: "coordinator role without a cluster config",
-			cfg:  config{coordinator: true, resolveEvery: 3},
+			cfg:  config{coordinator: true},
 			want: []string{"-cluster"},
 		},
 		{
 			what: "cluster without a role",
-			cfg:  config{clusterPath: "cluster.json", resolveEvery: 3},
+			cfg:  config{clusterPath: "cluster.json"},
 			want: []string{"-node", "-coordinator"},
 		},
 		{
 			what: "node and coordinator together",
 			cfg: config{clusterPath: "cluster.json", nodeName: "n1",
-				coordinator: true, checkpointDir: "ckpt", resolveEvery: 3},
+				coordinator: true, checkpointDir: "ckpt"},
 			want: []string{"-node", "-coordinator", "mutually exclusive"},
 		},
 		{
 			what: "cluster and fleet together",
-			cfg: config{clusterPath: "cluster.json", fleetPath: "fleet.json",
-				coordinator: true, resolveEvery: 3},
+			cfg:  config{clusterPath: "cluster.json", fleetPath: "fleet.json", coordinator: true},
 			want: []string{"-cluster", "-fleet", "mutually exclusive"},
 		},
 		{
 			what: "cluster node without a checkpoint dir",
-			cfg:  config{clusterPath: "cluster.json", nodeName: "n1", resolveEvery: 3},
+			cfg:  config{clusterPath: "cluster.json", nodeName: "n1"},
 			want: []string{"-checkpoint-dir", "handoff"},
 		},
 		{
 			what: "coordinator with a checkpoint dir",
-			cfg: config{clusterPath: "cluster.json", coordinator: true,
-				checkpointDir: "ckpt", resolveEvery: 3},
+			cfg:  config{clusterPath: "cluster.json", coordinator: true, checkpointDir: "ckpt"},
 			want: []string{"-checkpoint-dir"},
-		},
-		{
-			what: "cluster node with single-tenant checkpoint",
-			cfg: config{clusterPath: "cluster.json", nodeName: "n1",
-				checkpointDir: "ckpt", checkpoint: "tm.ckpt", resolveEvery: 3},
-			want: []string{"-checkpoint", "-checkpoint-dir"},
-		},
-		{
-			what: "explicitly set single-tenant flag with -cluster",
-			cfg: config{clusterPath: "cluster.json", coordinator: true, method: "vardi",
-				resolveEvery: 3, set: map[string]bool{"method": true}},
-			want: []string{"-method", "cluster config"},
 		},
 	}
 	for _, tc := range cases {
@@ -545,14 +508,15 @@ func TestFlagValidation(t *testing.T) {
 			}
 		}
 	}
-	// The guard must fire from flag parsing to error without building a
-	// scenario: a sub-second run() on a config whose scenario (a 150-PoP
-	// generated backbone) takes far longer than that to build proves it.
+	// A tenant spec that breaks a cadence rule is refused by name when
+	// the config loads, before any scenario is built: a sub-second run()
+	// on a tenant whose source (a 150-PoP generated backbone) takes far
+	// longer than that to build proves it.
 	t0 := time.Now()
-	err := run(ctx, config{region: "europe", scenario: "", driftThreshold: 0.1, resolveEvery: 0,
-		mode: "replay", cycles: 4}, io.Discard)
-	if err == nil {
-		t.Fatal("bad combination accepted")
+	err := run(ctx, fleetConfig(t, fleet.TenantSpec{Name: "big", Source: "scenario:scaled:150",
+		DriftThreshold: 0.1, ResolveEvery: -1}), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "drift_threshold") {
+		t.Fatalf("drift threshold without re-solves: err = %v, want one naming drift_threshold", err)
 	}
 	if d := time.Since(t0); d > 5*time.Second {
 		t.Fatalf("validation took %v; it must reject before doing real work", d)
@@ -563,24 +527,15 @@ func TestFlagValidation(t *testing.T) {
 // mixed sources and sizes, every tenant finishing its replay quickly.
 func writeFleetConfig(t *testing.T, path string) []string {
 	t.Helper()
-	cfg := fleet.Config{
-		Format: fleet.ConfigFormat,
-		Tenants: []fleet.TenantSpec{
-			{Name: "eu", Source: "europe", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
-			{Name: "us", Source: "america", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
-			{Name: "lab-noisy", Source: "scenario:noisy:europe:0.05", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
-			{Name: "lab-16", Source: "scenario:scaled:16", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
-		},
+	specs := []fleet.TenantSpec{
+		{Name: "eu", Source: "europe", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
+		{Name: "us", Source: "america", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
+		{Name: "lab-noisy", Source: "scenario:noisy:europe:0.05", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
+		{Name: "lab-16", Source: "scenario:scaled:16", Cycles: 6, Pace: "0", Window: 3, ResolveEvery: 3, ResolveMaxIter: 4000, ResolveTol: 1e-5},
 	}
-	data, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(cfg.Tenants))
-	for i, ten := range cfg.Tenants {
+	writeFleet(t, path, specs)
+	names := make([]string, len(specs))
+	for i, ten := range specs {
 		names[i] = ten.Name
 	}
 	return names
@@ -601,10 +556,7 @@ func TestEndToEndFleet(t *testing.T) {
 	ckptDir := filepath.Join(dir, "ckpt")
 	names := writeFleetConfig(t, fleetPath)
 
-	base, shutdown := startServer(t, config{
-		fleetPath: fleetPath, checkpointDir: ckptDir,
-		mode: "replay", resolveEvery: 3, // single-tenant flags that must be ignored cleanly
-	})
+	base, shutdown := startServer(t, config{fleetPath: fleetPath, checkpointDir: ckptDir})
 
 	// Tenants are addressed under /v1/t/ only; there is no unversioned
 	// snapshot route.
@@ -684,10 +636,7 @@ func TestEndToEndFleet(t *testing.T) {
 	// new can land: every tenant must serve its restored snapshot on the
 	// first request.
 	writeSlowFleetConfig(t, fleetPath)
-	base2, shutdown2 := startServer(t, config{
-		fleetPath: fleetPath, checkpointDir: ckptDir,
-		mode: "replay", resolveEvery: 3,
-	})
+	base2, shutdown2 := startServer(t, config{fleetPath: fleetPath, checkpointDir: ckptDir})
 	defer shutdown2()
 	for _, name := range names {
 		var restored stream.Snapshot

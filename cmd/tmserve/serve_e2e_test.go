@@ -1,7 +1,7 @@
 package main
 
 // End-to-end coverage of the serving layer: the snapshot headers, the
-// conditional get / delta / SSE read path, and the -max-waiters
+// conditional get / delta / SSE read path, and the max_waiters
 // load-shedding cap — all against the real daemon, not a handler
 // fixture.
 
@@ -14,26 +14,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
 
-// replayConfig is the smallest live-ish daemon: a short deterministic
+// replaySpec is the smallest live-ish tenant: a short deterministic
 // replay that publishes a handful of versions and then idles.
-func replayConfig() config {
-	return config{
-		region: "europe", seed: 1, mode: "replay", cycles: 6,
-		window: 4, minCoverage: 0.9, resolveEvery: 3,
-		method: "entropy", reg: 1000, sigmaInv2: 0.01, pace: 0,
-	}
-}
+var replaySpec = fleet.TenantSpec{Name: "default", Cycles: 6, Window: 4, ResolveEvery: 3, Pace: "0"}
 
 // TestServeSnapshotHeadersE2E: the snapshot route answers with the
 // Content-Type, Cache-Control and X-Snapshot-Version serving headers
 // plus the ETag the conditional-get flow needs, and the unversioned
 // snapshot paths are not served.
 func TestServeSnapshotHeadersE2E(t *testing.T) {
-	base, shutdown := startServer(t, replayConfig())
+	base, shutdown := startServer(t, fleetConfig(t, replaySpec))
 	defer shutdown()
 
 	// Wait until something is published, via the long-poll.
@@ -81,7 +76,7 @@ func TestServeSnapshotHeadersE2E(t *testing.T) {
 // coordinate, where serving full IS the documented behavior) but the
 // 304 leg and stream framing must hold exactly.
 func TestServeV1ReadPathE2E(t *testing.T) {
-	base, shutdown := startServer(t, replayConfig())
+	base, shutdown := startServer(t, fleetConfig(t, replaySpec))
 	defer shutdown()
 
 	var snap stream.Snapshot
@@ -188,17 +183,18 @@ func TestServeV1ReadPathE2E(t *testing.T) {
 	}
 }
 
-// TestServeMaxWaitersE2E: a daemon started with -max-waiters 1 sheds
-// the second concurrent long-poll with 429 + Retry-After.
+// TestServeMaxWaitersE2E: a daemon serving a tenant with
+// "max_waiters": 1 sheds the second concurrent long-poll with 429 +
+// Retry-After.
 func TestServeMaxWaitersE2E(t *testing.T) {
-	cfg := replayConfig()
+	spec := replaySpec
 	// An enormous pace keeps the replay from ever publishing, so
 	// min_version long-polls park deterministically.
-	cfg.pace = time.Hour
-	cfg.maxWaiters = 1
+	spec.Pace = "1h"
+	spec.MaxWaiters = 1
 	// shutdown is called exactly once, at the end: it doubles as the
 	// release of the parked waiter (and asserts the clean daemon exit).
-	base, shutdown := startServer(t, cfg)
+	base, shutdown := startServer(t, fleetConfig(t, spec))
 
 	parked := make(chan int, 1)
 	go func() {
@@ -253,17 +249,5 @@ func TestServeMaxWaitersE2E(t *testing.T) {
 	shutdown() // releases the parked waiter with the shutdown 503
 	if code := <-parked; code != http.StatusServiceUnavailable {
 		t.Fatalf("parked waiter released with %d, want 503", code)
-	}
-}
-
-// TestMaxWaitersValidation: the flag must be non-negative.
-func TestMaxWaitersValidation(t *testing.T) {
-	cfg := config{driftThreshold: 0.1, resolveEvery: 3, maxWaiters: -1}
-	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "max-waiters") {
-		t.Fatalf("negative -max-waiters accepted (err %v)", err)
-	}
-	cfg.maxWaiters = 0
-	if err := cfg.validate(); err != nil {
-		t.Fatalf("zero -max-waiters rejected: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/stream"
 )
 
@@ -14,13 +15,11 @@ import (
 // re-solves, and the status and metrics surfaces must expose the
 // advancing topology epoch.
 func TestEndToEndTimeline(t *testing.T) {
-	base, shutdown := startServer(t, config{
-		timeline: "../../examples/timelines/failure_reroute.json",
-		seed:     1, mode: "replay", cycles: 1,
-		window: 6, minCoverage: 0.9, resolveEvery: 3,
-		method: "entropy", reg: 1000, sigmaInv2: 0.01,
-		pace: 5 * time.Millisecond,
-	})
+	base, shutdown := startServer(t, fleetConfig(t, fleet.TenantSpec{
+		Name:   "default",
+		Source: "scenario:script:../../examples/timelines/failure_reroute.json",
+		Cycles: 1, Window: 6, ResolveEvery: 3, Pace: "5ms",
+	}))
 	defer shutdown()
 
 	// The script is 30 intervals with the restore at 20: wait for the

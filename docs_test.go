@@ -69,12 +69,18 @@ func TestPackageComments(t *testing.T) {
 }
 
 // flagDefRe matches flag definitions in command sources:
-// flag.String("name", …), fs.Int64("name", …), flag.StringVar(&v, "name", …).
-var flagDefRe = regexp.MustCompile(`\.(?:String|Bool|Int|Int64|Uint|Float64|Duration)(?:Var)?\(\s*(?:&[\w.\[\]]+\s*,\s*)?"([a-zA-Z][\w-]*)"`)
+// flag.String("name", …), fs.Int64("name", …), flag.StringVar(&v, "name", …),
+// fs.Func("name", …).
+var flagDefRe = regexp.MustCompile(`\.(?:String|Bool|Int|Int64|Uint|Float64|Duration|Func)(?:Var)?\(\s*(?:&[\w.\[\]]+\s*,\s*)?"([a-zA-Z][\w-]*)"`)
+
+// rowFlagRe matches a backticked flag in a README table row: `-name`,
+// `-name value`, `-name a\|b`.
+var rowFlagRe = regexp.MustCompile("`-([a-zA-Z][\\w-]*)")
 
 // TestREADMEFlagDrift fails when a command defines a flag that the
-// README's "Commands and flags" table does not mention (the drift this
-// PR's audit fixed, e.g. tmbench -quiet).
+// README's "Commands and flags" table does not mention, or when a
+// command's row documents a backticked `-name` flag the command does
+// not define (a deleted or renamed flag left behind).
 func TestREADMEFlagDrift(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -104,6 +110,7 @@ func TestREADMEFlagDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defined := make(map[string]bool)
 		for _, f := range files {
 			if strings.HasSuffix(f, "_test.go") {
 				continue
@@ -114,12 +121,18 @@ func TestREADMEFlagDrift(t *testing.T) {
 			}
 			for _, m := range flagDefRe.FindAllStringSubmatch(string(src), -1) {
 				flag := m[1]
+				defined[flag] = true
 				// Boundary-anchored: "-reg" must not be satisfied by
 				// "-region" appearing in the same row.
 				re := regexp.MustCompile("-" + regexp.QuoteMeta(flag) + `($|[^a-zA-Z0-9-])`)
 				if !re.MatchString(row) {
 					t.Errorf("README row for %s does not document flag -%s", name, flag)
 				}
+			}
+		}
+		for _, m := range rowFlagRe.FindAllStringSubmatch(row, -1) {
+			if !defined[m[1]] {
+				t.Errorf("README row for %s documents flag -%s, which %s does not define", name, m[1], name)
 			}
 		}
 	}

@@ -76,6 +76,7 @@ func TestParseRejections(t *testing.T) {
 		{"placement unknown tenant", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "placement": {"b":"n"}}`, "unknown tenant"},
 		{"placement unknown node", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "placement": {"a":"m"}}`, "unknown node"},
 		{"standby is owner", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"},{"name":"m","addr":"x:2"}], "placement": {"a":"n"}, "standbys": {"a":"n"}}`, "both owner and standby"},
+		{"per-tenant checkpoint path", `{"format": 1, "tenants": [{"name":"a","checkpoint":"/x.ckpt"}], "nodes": [{"name":"n","addr":"x:1"}]}`, `unknown field "checkpoint"`},
 		{"routing removed", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "routing": "redirect"}`, `unknown field "routing"`},
 		{"bad probe_every", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "probe_every": "soon"}`, "not a positive duration"},
 		{"negative sync_every", `{"format": 1, "tenants": [{"name":"a"}], "nodes": [{"name":"n","addr":"x:1"}], "sync_every": "-1s"}`, "not a positive duration"},

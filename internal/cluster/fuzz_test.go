@@ -13,8 +13,8 @@ import (
 // bytes; none may panic. The committed seeds
 // (testdata/fuzz/FuzzClusterConfig) are a valid config, empty maps,
 // unknown fields, format 99, duplicate names, negative numbers, bad
-// durations, an owner that is its own standby, truncated JSON and the
-// removed "routing" field.
+// durations, an owner that is its own standby, truncated JSON, the
+// removed "routing" field and the removed per-tenant "checkpoint" path.
 func FuzzClusterConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := Parse(data)

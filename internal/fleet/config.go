@@ -17,10 +17,10 @@ import (
 const ConfigFormat = 1
 
 // TenantSpec declares one tenant: a named subnetwork (topology or
-// scenario-lab instance) with its measurement replay and estimation
-// parameters. The zero value of every optional field selects the same
-// default the corresponding tmserve flag has, so a spec written from
-// the flag documentation behaves identically.
+// scenario-lab instance) with its measurement feed and estimation
+// parameters. The zero value of every optional field selects its
+// documented default; `tmserve` with neither -fleet nor -cluster hosts
+// the one tenant TenantSpec{Name: "default"}.
 type TenantSpec struct {
 	// Name identifies the tenant in URLs (/v1/t/{name}/...), checkpoint
 	// file names and logs. Required; letters, digits, '.', '_', '-'.
@@ -35,6 +35,12 @@ type TenantSpec struct {
 	//	                        scripted routing hot-swaps armed on the
 	//	                        engine
 	//	file:<path>             a scenario JSON produced by tmgen
+	//	live:<source>           any source above but scenario:script:,
+	//	                        collected through a simulated deployment
+	//	                        (UDP agents, 3 distributed pollers, TCP
+	//	                        uploads, 2% datagram loss) that closes one
+	//	                        interval per Pace instead of replaying it;
+	//	                        needs a positive Pace
 	//
 	// Defaults to "europe".
 	Source string `json:"source,omitempty"`
@@ -52,27 +58,21 @@ type TenantSpec struct {
 	// string ("100ms", "2s", "0"). Defaults to "100ms".
 	Pace string `json:"pace,omitempty"`
 
-	// Estimation parameters, mirroring stream.Config / tmserve flags.
+	// Estimation parameters, mirroring stream.Config.
 	Window          int     `json:"window,omitempty"`            // default 6; -1 = expanding
 	MinCoverage     float64 `json:"min_coverage,omitempty"`      // default 0.9
 	ResolveEvery    int     `json:"resolve_every,omitempty"`     // default 3; -1 = gravity only
-	ResolveMaxEvery int     `json:"resolve_max_every,omitempty"` // default 0 (fixed cadence)
-	DriftThreshold  float64 `json:"drift_threshold,omitempty"`   // default 0 (no drift trigger)
+	ResolveMaxEvery int     `json:"resolve_max_every,omitempty"` // default 0 (fixed cadence); above the cadence needs drift_threshold
+	DriftThreshold  float64 `json:"drift_threshold,omitempty"`   // default 0 (no drift trigger); needs re-solves
 	Method          string  `json:"method,omitempty"`            // default entropy
 	Reg             float64 `json:"reg,omitempty"`               // default 1000
 	SigmaInv2       float64 `json:"sigma_inv2,omitempty"`        // default 0.01
 	ResolveMaxIter  int     `json:"resolve_max_iter,omitempty"`  // default 20000
 	ResolveTol      float64 `json:"resolve_tol,omitempty"`       // default 1e-6
 
-	// Checkpoint overrides the tenant's checkpoint file path. Empty
-	// selects <checkpoint-dir>/<name>.ckpt when the fleet has a
-	// checkpoint directory, and no checkpointing otherwise.
-	Checkpoint string `json:"checkpoint,omitempty"`
-
 	// MaxWaiters caps this tenant's concurrent long-poll waiters plus
 	// SSE subscribers on the serving side (internal/serve); excess
-	// clients get 429 + Retry-After. 0 selects the daemon-wide
-	// -max-waiters value.
+	// clients get 429 + Retry-After. 0 selects serve.DefaultMaxWaiters.
 	MaxWaiters int `json:"max_waiters,omitempty"`
 
 	// Per-tenant SLO thresholds. When any is exceeded the tenant
@@ -213,6 +213,21 @@ func (s TenantSpec) checkFields() error {
 	if !(s.MinCoverage >= 0 && s.MinCoverage <= 1) {
 		return fmt.Errorf("min_coverage %v out of range [0, 1]", s.MinCoverage)
 	}
+	// The cadence rules stream.New enforces, judged on the spec's
+	// effective cadence (resolve_every 0 is 3, -1 is off).
+	if cfg := streamConfig(s); cfg.DriftThreshold > 0 && cfg.ResolveEvery == 0 {
+		return fmt.Errorf("drift_threshold %v needs re-solves, but resolve_every is -1", s.DriftThreshold)
+	} else if cfg.ResolveMaxEvery > cfg.ResolveEvery && cfg.DriftThreshold == 0 {
+		return fmt.Errorf("resolve_max_every %d backs the cadence off only on a drift signal: set drift_threshold", s.ResolveMaxEvery)
+	}
+	if inner, live := strings.CutPrefix(s.Source, "live:"); live {
+		if strings.HasPrefix(inner, "scenario:script:") {
+			return fmt.Errorf("source %q: a scripted timeline is a replay and cannot be collected live", s.Source)
+		}
+		if pace, _ := s.pace(); pace == 0 {
+			return fmt.Errorf("source %q needs a positive pace (one collected interval per pace)", s.Source)
+		}
+	}
 	return nil
 }
 
@@ -258,6 +273,14 @@ func (s TenantSpec) sloMaxCheckpointAge() (time.Duration, error) {
 		return 0, fmt.Errorf("slo_max_checkpoint_age %q is not positive", s.SLOMaxCheckpointAge)
 	}
 	return d, nil
+}
+
+// seed resolves the spec's generator seed: default 1.
+func (s TenantSpec) seed() int64 {
+	if s.Seed == 0 {
+		return 1
+	}
+	return s.Seed
 }
 
 // cycles resolves the spec's replay length: default 24, -1 = forever.

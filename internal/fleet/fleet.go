@@ -6,7 +6,7 @@
 // shared runner.Pool. The paper estimates traffic matrices per
 // subnetwork (its two backbones are instances of a family); the fleet
 // is the serving layer that operates many such subnetworks at once,
-// which is what cmd/tmserve's -fleet mode exposes over HTTP.
+// which is what cmd/tmserve exposes over HTTP.
 //
 // Scheduling is fair by construction. Engines never solve on their own:
 // each parks its scheduled re-solve and wakes the fleet through
@@ -48,8 +48,8 @@ import (
 )
 
 // Feed is one tenant's measurement feed: the store its records land in
-// and the collection that fills it. Replay tenants get one built from
-// their spec; AddFeed lets a host (tmserve's live mode) supply its own.
+// and the collection that fills it. Add builds one from the spec's
+// source; AddFeed lets a host supply its own.
 type Feed struct {
 	Store *collector.Store
 	// Collect fills Store until the source is exhausted (return nil) or
@@ -257,7 +257,7 @@ func (t *Tenant) degraded(s Status) (bool, string) {
 // Options tunes a Fleet.
 type Options struct {
 	// CheckpointDir, when non-empty, gives every tenant a checkpoint
-	// file <dir>/<name>.ckpt (unless its spec overrides the path):
+	// file <dir>/<name>.ckpt:
 	// RestoreAll reads them, Run persists them on every publication and
 	// once more at shutdown. The directory is created if missing.
 	CheckpointDir string
@@ -334,8 +334,9 @@ func (f *Fleet) Pool() *runner.Pool { return f.pool }
 
 // Add materializes a tenant from its spec: the source is built (or
 // loaded), the engine created with the fleet's scheduler as the host of
-// its re-solves, and a deterministic replay feed attached. Must be
-// called before Run.
+// its re-solves, and a feed attached — a deterministic replay, or a
+// simulated collector deployment for a live: source. Must be called
+// before Run.
 func (f *Fleet) Add(spec TenantSpec) (*Tenant, error) {
 	return f.addSpec(spec, false)
 }
@@ -349,18 +350,38 @@ func (f *Fleet) addSpec(spec TenantSpec, adopt bool) (*Tenant, error) {
 	if strings.HasPrefix(spec.Source, "scenario:script:") {
 		return f.addScript(spec, adopt)
 	}
-	sc, series, err := buildSource(spec)
+	if spec.Source == "" {
+		spec.Source = "europe" // the default, echoed into Status
+	}
+	src, live := strings.CutPrefix(spec.Source, "live:")
+	sc, series, err := buildSource(src, spec.seed())
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 	}
-	pace, _ := spec.pace() // validated by addSpec
+	pace, _ := spec.pace() // validated above
 	cycles := spec.cycles()
-	store := collector.NewStore(sc.Net.NumPairs())
-	feed := Feed{
-		Store: store,
-		Collect: func(ctx context.Context) error {
-			return collector.Replay(ctx, store, series, cycles, pace)
-		},
+	var feed Feed
+	if live {
+		// One simulated polling interval per pace of wall clock.
+		d := collector.NewDeployment(sc.Net, series, collector.DeploymentConfig{
+			Pollers:         3,
+			DropProb:        0.02,
+			MinutesPerMilli: series.Cfg.StepMinutes / (float64(pace) / float64(time.Millisecond)),
+			StepMinutes:     series.Cfg.StepMinutes,
+			Seed:            spec.seed(),
+		})
+		feed = Feed{
+			Store:   d.Store,
+			Collect: func(ctx context.Context) error { return d.RunContext(ctx, cycles) },
+		}
+	} else {
+		store := collector.NewStore(sc.Net.NumPairs())
+		feed = Feed{
+			Store: store,
+			Collect: func(ctx context.Context) error {
+				return collector.Replay(ctx, store, series, cycles, pace)
+			},
+		}
 	}
 	return f.add(spec, sc, feed, adopt)
 }
@@ -374,15 +395,11 @@ func (f *Fleet) addScript(spec TenantSpec, adopt bool) (*Tenant, error) {
 	fail := func(err error) (*Tenant, error) {
 		return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	script, err := timeline.ParseFile(strings.TrimPrefix(spec.Source, "scenario:script:"))
 	if err != nil {
 		return fail(err)
 	}
-	tl, _, err := scenario.BuildScript(script, seed)
+	tl, _, err := scenario.BuildScript(script, spec.seed())
 	if err != nil {
 		return fail(err)
 	}
@@ -412,10 +429,10 @@ func (f *Fleet) addScript(spec TenantSpec, adopt bool) (*Tenant, error) {
 	return t, nil
 }
 
-// AddFeed declares a tenant over a caller-supplied measurement feed —
-// tmserve's live UDP/TCP deployment mode. The spec's Source/Seed/
-// Cycles/Pace fields are documentation only here (Cycles and Pace must
-// still be in range); the feed rules.
+// AddFeed declares a tenant over a caller-supplied measurement feed on
+// the caller-built scenario sc. The spec's Source/Seed/Cycles/Pace
+// fields are documentation only here (they must still validate); the
+// feed rules.
 func (f *Fleet) AddFeed(spec TenantSpec, sc *netsim.Scenario, feed Feed) (*Tenant, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -493,17 +510,9 @@ func streamConfig(spec TenantSpec) stream.Config {
 	return cfg
 }
 
-// buildSource resolves a spec's Source string into a scenario and the
-// demand series its replay feeds.
-func buildSource(spec TenantSpec) (*netsim.Scenario, *traffic.Series, error) {
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	src := spec.Source
-	if src == "" {
-		src = "europe"
-	}
+// buildSource resolves a Source string (without its live: prefix) into
+// a scenario and the demand series its feed collects.
+func buildSource(src string, seed int64) (*netsim.Scenario, *traffic.Series, error) {
 	switch {
 	case src == "europe":
 		sc, err := netsim.BuildEurope(seed)
@@ -532,7 +541,7 @@ func buildSource(spec TenantSpec) (*netsim.Scenario, *traffic.Series, error) {
 		}
 		return sc, sc.Series, nil
 	}
-	return nil, nil, fmt.Errorf("source %q is not europe, america, scenario:<spec>, scenario:script:<file> or file:<path>", src)
+	return nil, nil, fmt.Errorf("source %q is not europe, america, scenario:<spec>, scenario:script:<file>, file:<path> or live:<source>", src)
 }
 
 // Tenants returns the tenants in declaration order.
@@ -554,9 +563,6 @@ func (f *Fleet) Tenant(name string) (*Tenant, bool) {
 
 // checkpointPath resolves a tenant's checkpoint file; "" disables it.
 func (f *Fleet) checkpointPath(t *Tenant) string {
-	if t.spec.Checkpoint != "" {
-		return t.spec.Checkpoint
-	}
 	if f.opts.CheckpointDir == "" {
 		return ""
 	}
@@ -619,8 +625,7 @@ func (f *Fleet) SaveAll() error {
 // and blocks until ctx is done. A tenant failure marks that tenant
 // failed and never takes its neighbors down; only when EVERY tenant has
 // failed does Run stop early and return an error, so a one-tenant fleet
-// (tmserve's single-tenant mode) exits on failure exactly as the
-// pre-fleet daemon did instead of serving nothing forever. After the
+// exits on failure instead of serving nothing forever. After the
 // engines have stopped, a final SaveAll persists every tenant's last
 // state. Run may be called at most once.
 func (f *Fleet) Run(ctx context.Context) error {

@@ -41,6 +41,41 @@ func TestParseConfig(t *testing.T) {
 			t.Errorf("config with %s accepted", what)
 		}
 	}
+	// A per-tenant checkpoint path is not part of the schema: every
+	// tenant checkpoints to <checkpoint-dir>/<name>.ckpt, the path a
+	// cluster standby syncs and adopts from.
+	if _, err := ParseConfig([]byte(`{"format":1,"tenants":[{"name":"eu","checkpoint":"/x.ckpt"}]}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "checkpoint"`) {
+		t.Errorf("per-tenant checkpoint path: err = %v, want unknown field", err)
+	}
+}
+
+// TestLiveSource: a live: source is any replayable source collected
+// through a simulated deployment. A scripted timeline and a zero pace
+// are refused by name before anything is built; a valid live tenant is
+// added with the deployment's store as its feed, and an unknown inner
+// source is named.
+func TestLiveSource(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{`"source":"live:scenario:script:x.json"`, "scripted timeline"},
+		{`"source":"live:europe","pace":"0"`, "positive pace"},
+	} {
+		if _, err := ParseConfig([]byte(`{"format":1,"tenants":[{"name":"eu",` + c.spec + `}]}`)); err == nil ||
+			!strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.spec, err, c.want)
+		}
+	}
+	f := New(runner.NewPool(1), Options{})
+	ten, err := f.Add(TenantSpec{Name: "live", Source: "live:europe", Cycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ten.Scenario().Region != "europe" || ten.feed.Store == nil || ten.feed.Collect == nil {
+		t.Fatalf("live tenant on %q, store %v", ten.Scenario().Region, ten.feed.Store)
+	}
+	if _, err := f.Add(TenantSpec{Name: "x", Source: "live:atlantis"}); err == nil || !strings.Contains(err.Error(), "atlantis") {
+		t.Fatalf("unknown live source gave %v", err)
+	}
 }
 
 func TestAddValidation(t *testing.T) {
@@ -76,24 +111,30 @@ func TestAddValidation(t *testing.T) {
 // any source is built, instead of being replaced by its default in
 // stream.New or failing only later on the node that adds the tenant.
 // The source is left unresolvable, so an error naming it instead of
-// the field shows the check ran too late.
+// the field shows the check ran too late. with adds the fields a
+// cadence rule judges the named field against.
 func TestSpecRangesRejected(t *testing.T) {
-	cases := []struct{ field, value string }{
-		{"reg", "-5"},
-		{"sigma_inv2", "-1"},
-		{"resolve_max_iter", "-3"},
-		{"resolve_tol", "-1"},
-		{"min_coverage", "1.5"},
-		{"min_coverage", "-0.1"},
-		{"method", `"bogus"`},
-		{"window", "-7"},
-		{"resolve_every", "-2"},
-		{"resolve_max_every", "-1"},
-		{"drift_threshold", "-1"},
+	cases := []struct{ field, value, with string }{
+		{"reg", "-5", ""},
+		{"sigma_inv2", "-1", ""},
+		{"resolve_max_iter", "-3", ""},
+		{"resolve_tol", "-1", ""},
+		{"min_coverage", "1.5", ""},
+		{"min_coverage", "-0.1", ""},
+		{"method", `"bogus"`, ""},
+		{"window", "-7", ""},
+		{"resolve_every", "-2", ""},
+		{"resolve_max_every", "-1", ""},
+		{"drift_threshold", "-1", ""},
+		{"max_waiters", "-1", ""},
+		// Drift can only trigger a re-solve that is enabled.
+		{"drift_threshold", "0.1", `,"resolve_every":-1`},
+		// The cadence backs off only on a drift signal.
+		{"resolve_max_every", "12", ""},
 	}
 	f := New(runner.NewPool(1), Options{})
 	for _, c := range cases {
-		fields := fmt.Sprintf(`"name":"x","source":"atlantis",%q:%s`, c.field, c.value)
+		fields := fmt.Sprintf(`"name":"x","source":"atlantis",%q:%s%s`, c.field, c.value, c.with)
 		check := func(how string, err error) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), c.field) {
@@ -494,9 +535,8 @@ func TestRestoreAllRejectsCorruptCheckpoint(t *testing.T) {
 // TestRunExitsWhenAllTenantsFail pins the fleet-wide failure contract:
 // one tenant failing never stops the fleet (TestRunLifecycle), but when
 // EVERY tenant has failed Run returns an error carrying the causes —
-// which is what makes a one-tenant fleet (tmserve's single-tenant mode)
-// exit on failure like the pre-fleet daemon instead of serving nothing
-// forever.
+// which is what makes a one-tenant fleet (tmserve's default tenant)
+// exit on failure instead of serving nothing forever.
 func TestRunExitsWhenAllTenantsFail(t *testing.T) {
 	defer leakcheck.Check(t)()
 	f := New(runner.NewPool(1), Options{})

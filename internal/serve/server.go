@@ -62,10 +62,6 @@ type Options struct {
 	// POST /v1/cluster/adopt, plus the X-Tenant-Node response header on
 	// tenant-scoped v1 routes.
 	Node NodeAdmin
-	// MaxWaiters is the per-tenant cap on concurrent long-poll waiters
-	// plus SSE subscribers; a tenant spec's max_waiters overrides it.
-	// <= 0 selects DefaultMaxWaiters.
-	MaxWaiters int
 	// LongPollTimeout bounds ?min_version waits; <= 0 selects
 	// DefaultLongPollTimeout.
 	LongPollTimeout time.Duration
@@ -175,11 +171,7 @@ func (s *Server) hubFor(t fleet.Handle) *Hub {
 	if h, ok := s.hubs[t.Name()]; ok {
 		return h
 	}
-	max := s.opts.MaxWaiters
-	if mw := t.Spec().MaxWaiters; mw > 0 {
-		max = mw
-	}
-	h := NewHub(t, HubConfig{MaxWaiters: max})
+	h := NewHub(t, HubConfig{MaxWaiters: t.Spec().MaxWaiters})
 	s.hubs[t.Name()] = h
 	go h.Run(s.runCtx)
 	return h

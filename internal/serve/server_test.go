@@ -23,19 +23,19 @@ import (
 )
 
 // testFleet builds a fleet of idle-feed tenants (just "default" when no
-// names are given), the same shape cmd/tmserve's handler tests use.
-func testFleet(t *testing.T, names ...string) *fleet.Fleet {
+// specs are given), the same shape cmd/tmserve's handler tests use.
+func testFleet(t *testing.T, specs ...fleet.TenantSpec) *fleet.Fleet {
 	t.Helper()
-	if len(names) == 0 {
-		names = []string{"default"}
+	if len(specs) == 0 {
+		specs = []fleet.TenantSpec{{Name: "default"}}
 	}
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := fleet.New(runner.NewPool(1), fleet.Options{})
-	for _, name := range names {
-		if _, err := f.AddFeed(fleet.TenantSpec{Name: name}, sc, fleet.Feed{
+	for _, spec := range specs {
+		if _, err := f.AddFeed(spec, sc, fleet.Feed{
 			Store:   collector.NewStore(sc.Net.NumPairs()),
 			Collect: func(context.Context) error { return nil },
 		}); err != nil {
@@ -55,7 +55,7 @@ func testServer(t *testing.T, runCtx context.Context, opts Options) (*Server, *f
 	t.Cleanup(leakcheck.Check(t))
 	s := New(runCtx, testFleet(t), opts)
 	src := newFakeSource()
-	h := NewHub(src, HubConfig{MaxWaiters: opts.MaxWaiters})
+	h := NewHub(src, HubConfig{})
 	s.hubs["default"] = h
 	go h.Run(runCtx)
 	return s, src, s.Handler()
@@ -133,12 +133,12 @@ func TestServerOnlyV1Routes(t *testing.T) {
 			t.Errorf("route table lists %s %s outside /v1", rt.Method, rt.Pattern)
 		}
 	}
-	for _, names := range [][]string{{"default"}, {"default", "eu"}} {
+	for _, specs := range [][]fleet.TenantSpec{{{Name: "default"}}, {{Name: "default"}, {Name: "eu"}}} {
 		ctx, cancel := context.WithCancel(context.Background())
-		handler := New(ctx, testFleet(t, names...), Options{}).Handler()
+		handler := New(ctx, testFleet(t, specs...), Options{}).Handler()
 		for _, path := range []string{"/tenants", "/t/default/snapshot", "/t/default/metrics", "/snapshot", "/metrics"} {
 			if rec := get(t, handler, path, nil); rec.Code != http.StatusNotFound {
-				t.Errorf("%d tenant(s): GET %s answered %d, want 404", len(names), path, rec.Code)
+				t.Errorf("%d tenant(s): GET %s answered %d, want 404", len(specs), path, rec.Code)
 			}
 		}
 		cancel()
@@ -341,11 +341,13 @@ func TestServerV1Errors(t *testing.T) {
 }
 
 // TestServerWaiterCap429: long-polls and SSE subscriptions shed load
-// with 429 + Retry-After at the waiter cap.
+// with 429 + Retry-After at the tenant spec's waiter cap.
 func TestServerWaiterCap429(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s, _, handler := testServer(t, ctx, Options{MaxWaiters: 1, LongPollTimeout: 5 * time.Second})
+	s := New(ctx, testFleet(t, fleet.TenantSpec{Name: "default", MaxWaiters: 1}), Options{LongPollTimeout: 5 * time.Second})
+	handler := s.Handler()
 
 	park := make(chan int, 1)
 	go func() {

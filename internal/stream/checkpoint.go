@@ -31,7 +31,7 @@ type checkpointEntry struct {
 // state, the latest published snapshot and the metric history. Captured
 // with Engine.Checkpoint, persisted with SaveCheckpoint, and applied to
 // a fresh engine (same scenario, same method) with Engine.Restore — the
-// crash-safe persistence behind `tmserve -checkpoint`.
+// crash-safe persistence behind `tmserve -checkpoint-dir`.
 type Checkpoint struct {
 	Format int `json:"format"`
 	// NumPairs and NumLinks pin the problem dimensions, so restoring
@@ -124,7 +124,7 @@ func (e *Engine) Checkpoint() Checkpoint {
 // double-counting. A restarted deterministic source that renumbers from
 // interval 0 (collector.Replay, the simulated live deployment) is
 // therefore deduplicated until it catches back up to the cursor and
-// resumes the stream from there; tmserve's endless mode (-cycles 0)
+// resumes the stream from there; an endless tenant (cycles -1)
 // reaches that point after cursor×pace of replayed time. A source that
 // numbers intervals by wall clock continues seamlessly.
 func (e *Engine) Restore(cp Checkpoint) error {
@@ -209,7 +209,7 @@ func (e *Engine) Restore(cp Checkpoint) error {
 		// The restart disabled the adaptive back-off (or never had it):
 		// a backed-off cadence from the old config must not survive,
 		// or a fixed-cadence daemon would re-solve far less often than
-		// its -resolve-every asks.
+		// its ResolveEvery asks.
 		e.curEvery = e.cfg.ResolveEvery
 	}
 	e.driftPeak = cp.DriftPeak
