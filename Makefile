@@ -73,7 +73,7 @@ bench-baseline:
 # (No tee: the recipe must fail on go test's exit code, not the pipe
 # tail's, so a b.Fatal mid-run cannot produce a green partial gate.)
 bench-check:
-	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
+	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|EngineIngest|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
 	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline BENCH_baseline.json bench-check.out
 	@rm -f bench-check.out
 

@@ -28,7 +28,7 @@ type Store struct {
 	latest  int // max interval ever ingested (-1 before the first)
 	pruned  int // intervals below this have been discarded for good
 	stopped bool
-	subs    map[int]chan IntervalUpdate
+	subs    map[int]chan struct{}
 	nextSub int
 
 	ln net.Listener
@@ -83,21 +83,13 @@ func (st *intervalState) add(lsp int) {
 	}
 }
 
-// IntervalUpdate notifies a subscriber that the store's view of an interval
-// changed: Covered is how many distinct LSPs now have a rate for it.
-type IntervalUpdate struct {
-	Interval int
-	Covered  int
-	NumLSPs  int
-}
-
 // NewStore creates a store for the given LSP count.
 func NewStore(numLSPs int) *Store {
 	return &Store{
 		numLSPs:   numLSPs,
 		intervals: make(map[int]*intervalState),
 		latest:    -1,
-		subs:      make(map[int]chan IntervalUpdate),
+		subs:      make(map[int]chan struct{}),
 	}
 }
 
@@ -132,14 +124,17 @@ func (s *Store) Prune(before int) {
 // NumLSPs returns the LSP count the store was sized for.
 func (s *Store) NumLSPs() int { return s.numLSPs }
 
-// Subscribe registers for interval-coverage notifications and returns the
-// update channel plus a cancel function. One coalesced update is delivered
-// per ingested record; a subscriber that falls behind misses intermediate
-// updates but always receives the latest state (the channel holds one
-// pending update which newer ones overwrite), so a consumer polling
-// Matrix() on each update never observes stale coverage forever.
-func (s *Store) Subscribe() (<-chan IntervalUpdate, func()) {
-	ch := make(chan IntervalUpdate, 1)
+// Subscribe registers for readiness wake-ups and returns the wake-up
+// channel plus a cancel function. The store signals on exactly two
+// edges: a record that raises LatestInterval (which may close earlier
+// intervals) and a record that completes an interval's coverage. A
+// duplicate record, or a partial one for an interval below the latest,
+// wakes nobody. Wake-ups carry no payload and coalesce — the channel
+// holds at most one pending — so a consumer re-derives readiness from
+// LatestInterval and Coverage on each, and an edge that lands while it
+// scans leaves a wake-up pending for the next scan.
+func (s *Store) Subscribe() (<-chan struct{}, func()) {
+	ch := make(chan struct{}, 1)
 	s.mu.Lock()
 	if s.stopped {
 		// Subscribing after Stop yields an already-closed channel, so a
@@ -165,21 +160,13 @@ func (s *Store) Subscribe() (<-chan IntervalUpdate, func()) {
 	return ch, cancel
 }
 
-// notifyLocked pushes an update to every subscriber, overwriting any
-// pending one. Callers hold s.mu.
-func (s *Store) notifyLocked(u IntervalUpdate) {
+// notifyLocked leaves a wake-up pending on every subscriber; one that
+// already has one pending absorbs it. Callers hold s.mu.
+func (s *Store) notifyLocked() {
 	for _, ch := range s.subs {
 		select {
-		case ch <- u:
+		case ch <- struct{}{}:
 		default:
-			select {
-			case <-ch: // drop the stale pending update
-			default:
-			}
-			select {
-			case ch <- u:
-			default:
-			}
 		}
 	}
 }
@@ -249,7 +236,8 @@ func (s *Store) Ingest(rec RateRecord) {
 	if rec.Interval < s.pruned {
 		return
 	}
-	if rec.Interval > s.latest {
+	wake := rec.Interval > s.latest
+	if wake {
 		s.latest = rec.Interval
 	}
 	st, ok := s.intervals[rec.Interval]
@@ -265,14 +253,13 @@ func (s *Store) Ingest(rec RateRecord) {
 	}
 	// Backup pollers may report the same LSP twice; last write wins, which
 	// is also what the paper's central database does with re-uploads.
+	full := st.covered == s.numLSPs
 	st.v[rec.LSP] = rec.RateMbps
 	st.add(rec.LSP)
 	s.records++
-	s.notifyLocked(IntervalUpdate{
-		Interval: rec.Interval,
-		Covered:  st.covered,
-		NumLSPs:  s.numLSPs,
-	})
+	if wake || (!full && st.covered == s.numLSPs) {
+		s.notifyLocked()
+	}
 }
 
 // Records returns the total number of ingested records.

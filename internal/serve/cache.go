@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stream"
@@ -97,7 +98,9 @@ type Cache struct {
 	cap     int
 	entries map[uint64]*Entry
 	order   []uint64 // insertion order, oldest first
-	latest  *Entry
+	// latest is written under mu but read without it: every parked
+	// waiter re-reads it on each publication.
+	latest atomic.Pointer[Entry]
 }
 
 // DefaultCacheVersions is how many versions a cache retains when the
@@ -125,7 +128,7 @@ func (c *Cache) Add(e *Entry) {
 	}
 	c.entries[e.Version] = e
 	c.order = append(c.order, e.Version)
-	c.latest = e
+	c.latest.Store(e)
 	for len(c.order) > c.cap {
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
@@ -133,11 +136,7 @@ func (c *Cache) Add(e *Entry) {
 }
 
 // Latest returns the newest installed entry, nil before the first.
-func (c *Cache) Latest() *Entry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.latest
-}
+func (c *Cache) Latest() *Entry { return c.latest.Load() }
 
 // Get fetches one version.
 func (c *Cache) Get(version uint64) (*Entry, bool) {
@@ -163,17 +162,18 @@ func (c *Cache) Len() int {
 func (c *Cache) DeltaChain(from uint64, maxBytes int) [][]byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.latest == nil {
+	latest := c.latest.Load()
+	if latest == nil {
 		return nil
 	}
-	if from == c.latest.Version {
+	if from == latest.Version {
 		return [][]byte{}
 	}
 	var chain [][]byte
 	total := 0
 	// Walk back from the latest entry through DeltaFrom links until
 	// reaching `from`; reverse at the end.
-	for at := c.latest; ; {
+	for at := latest; ; {
 		if at.Delta == nil {
 			return nil // chain head or ratio fallback: no path to `from`
 		}

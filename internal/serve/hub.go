@@ -44,17 +44,13 @@ type HubConfig struct {
 	SubscriberBuffer int
 }
 
-// waiter is one parked WaitMin call. The channel is buffered (depth 1)
-// and delivered to at most once per park, so waiters recycle through a
-// pool and a steady-state served request allocates ~nothing.
-type waiter struct {
-	min uint64
-	ch  chan *Entry
-}
-
-var waiterPool = sync.Pool{
-	New: func() any { return &waiter{ch: make(chan *Entry, 1)} },
-}
+// Waiters and subscribers share one occupancy word, so a single
+// compare-and-swap checks and takes a slot of the MaxWaiters cap: parked
+// WaitMin calls count in the low 32 bits, subscriptions in the high 32.
+const (
+	waiterSlot     uint64 = 1
+	subscriberSlot uint64 = 1 << 32
+)
 
 // Subscription is one SSE (or test) subscriber: receive entries from C
 // until it is closed — by Cancel, or by the hub when the subscriber
@@ -71,26 +67,32 @@ func (s *Subscription) Cancel() {
 	h := s.hub
 	h.mu.Lock()
 	if _, in := h.subs[s]; in {
-		delete(h.subs, s)
-		close(s.ch)
+		h.detachLocked(s)
 	}
 	h.mu.Unlock()
 }
 
 // Hub is the per-tenant broadcast fan-out: one Run loop observes every
 // engine publication, encodes it exactly once into the shared Cache,
-// and wakes every satisfied waiter and every subscriber — replacing the
-// pre-hub design of one goroutine plus one deep snapshot copy per
-// long-polling client.
+// wakes every parked waiter with one channel close, and hands the entry
+// to every subscriber in order — replacing the pre-hub design of one
+// goroutine plus one deep snapshot copy per long-polling client.
 type Hub struct {
 	src   Source
 	cfg   HubConfig
 	cache *Cache
 
-	mu      sync.Mutex
-	prev    *stream.Snapshot // newest observed snapshot, the delta base
-	waiters map[*waiter]struct{}
-	subs    map[*Subscription]struct{}
+	// gen is the current publication generation: every install closes
+	// it and stores a fresh one, so all parked waiters wake at once and
+	// re-check the cache without touching mu.
+	gen atomic.Pointer[chan struct{}]
+	// occupancy counts waiters and subscribers (see waiterSlot).
+	occupancy atomic.Uint64
+
+	mu   sync.Mutex
+	prev *stream.Snapshot // newest installed snapshot, the delta base
+	next uint64           // lowest version not yet observed, encoded or not
+	subs map[*Subscription]struct{}
 
 	servedWaits    atomic.Uint64 // WaitMin calls answered (fast path + parked)
 	broadcasts     atomic.Uint64 // publications fanned out
@@ -109,29 +111,33 @@ func NewHub(src Source, cfg HubConfig) *Hub {
 	if cfg.SubscriberBuffer <= 0 {
 		cfg.SubscriberBuffer = DefaultSubscriberBuffer
 	}
-	return &Hub{
-		src:     src,
-		cfg:     cfg,
-		cache:   NewCache(DefaultCacheVersions),
-		waiters: make(map[*waiter]struct{}),
-		subs:    make(map[*Subscription]struct{}),
+	h := &Hub{
+		src:   src,
+		cfg:   cfg,
+		cache: NewCache(DefaultCacheVersions),
+		subs:  make(map[*Subscription]struct{}),
 	}
+	h.gen.Store(newGeneration())
+	return h
+}
+
+func newGeneration() *chan struct{} {
+	ch := make(chan struct{})
+	return &ch
 }
 
 // Cache exposes the hub's encoded-version cache (conditional gets and
 // delta chains read it directly).
 func (h *Hub) Cache() *Cache { return h.cache }
 
-// Run observes source publications until ctx is done. Call it once;
-// readers work before, during and after (a hub whose Run has returned
-// keeps serving its last observed version).
+// Run observes source publications until ctx is done, moving past any
+// version that fails to encode. Call it once; readers work before,
+// during and after (a hub whose Run has returned keeps serving its last
+// observed version).
 func (h *Hub) Run(ctx context.Context) {
 	for {
 		h.mu.Lock()
-		var next uint64
-		if h.prev != nil {
-			next = h.prev.Version + 1
-		}
+		next := h.next
 		h.mu.Unlock()
 		snap, err := h.src.WaitVersion(ctx, next)
 		if err != nil {
@@ -144,8 +150,8 @@ func (h *Hub) Run(ctx context.Context) {
 // observe encodes one snapshot, installs it, and fans it out. The
 // encode happens under the hub lock: it runs once per publication (not
 // per client), and holding the lock makes version monotonicity trivial
-// against the lazy prime in Current. Readers on the fast path touch
-// only the cache's own lock.
+// against the lazy prime in Current. Other readers never take it: they
+// load the cache's latest entry and the generation channel atomically.
 func (h *Hub) observe(snap stream.Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -153,10 +159,11 @@ func (h *Hub) observe(snap stream.Snapshot) {
 }
 
 func (h *Hub) installLocked(snap stream.Snapshot) *Entry {
-	if h.prev != nil && snap.Version <= h.prev.Version {
+	if snap.Version < h.next {
 		e, _ := h.cache.Get(snap.Version)
 		return e // already observed (Run loop vs lazy prime race)
 	}
+	h.next = snap.Version + 1
 	e, err := NewEntry(snap, h.prev, DefaultDeltaRatio)
 	if err != nil {
 		h.encodeFailures.Add(1)
@@ -166,26 +173,47 @@ func (h *Hub) installLocked(snap stream.Snapshot) *Entry {
 		h.deltaSkipped.Add(1)
 	}
 	h.prev = &snap
+	// The entry is in the cache before the generation closes, so a
+	// waiter that loaded the old generation finds it when it wakes.
 	h.cache.Add(e)
 	h.broadcasts.Add(1)
-	for w := range h.waiters {
-		if e.Version >= w.min {
-			w.ch <- e // buffered 1, empty by construction: never blocks
-			delete(h.waiters, w)
-			h.servedWaits.Add(1)
-		}
-	}
+	close(*h.gen.Swap(newGeneration()))
 	for s := range h.subs {
 		select {
 		case s.ch <- e:
 		default:
-			delete(h.subs, s)
-			close(s.ch)
+			h.detachLocked(s)
 			h.droppedSubs.Add(1)
 		}
 	}
 	return e
 }
+
+// detachLocked removes a subscription, closes its channel and frees its
+// slot. Callers hold h.mu and have checked that s is attached.
+func (h *Hub) detachLocked(s *Subscription) {
+	delete(h.subs, s)
+	close(s.ch)
+	h.release(subscriberSlot)
+}
+
+// reserve takes one slot of the MaxWaiters cap (waiterSlot or
+// subscriberSlot), or counts a shed refusal when the cap is reached.
+func (h *Hub) reserve(slot uint64) bool {
+	for {
+		n := h.occupancy.Load()
+		if int(n%subscriberSlot+n/subscriberSlot) >= h.cfg.MaxWaiters {
+			h.shedWaiters.Add(1)
+			return false
+		}
+		if h.occupancy.CompareAndSwap(n, n+slot) {
+			return true
+		}
+	}
+}
+
+// release frees a slot reserve took.
+func (h *Hub) release(slot uint64) { h.occupancy.Add(-slot) }
 
 // Current returns the newest encoded entry, priming the cache from the
 // source's latest snapshot when the Run loop has not observed one yet
@@ -209,66 +237,52 @@ func (h *Hub) Current() *Entry {
 
 // WaitMin returns the newest entry with Version >= min, blocking until
 // one is published or ctx is done. It is the multiplexed long poll:
-// the fast path takes the Cache's read lock once and allocates
-// nothing; a parked wait costs one pooled waiter registration, not a
-// goroutine or a snapshot copy. Returns ErrTooManyWaiters when the hub
-// is at its waiter cap.
+// the fast path reads the cache and allocates nothing; a parked wait
+// takes one slot of the waiter cap and selects on the hub's current
+// generation channel, which every publication closes. A waiter whose
+// min is still ahead of that publication loads the next generation and
+// parks again, without taking the hub mutex. Returns ErrTooManyWaiters
+// when the hub is at its waiter cap.
 func (h *Hub) WaitMin(ctx context.Context, min uint64) (*Entry, error) {
 	if e := h.Current(); e != nil && e.Version >= min {
 		h.servedWaits.Add(1)
 		return e, nil
 	}
-	h.mu.Lock()
-	// Recheck under the lock: a publication between the fast path and
-	// here would otherwise be missed until the next one.
-	if e := h.cache.Latest(); e != nil && e.Version >= min {
-		h.mu.Unlock()
-		h.servedWaits.Add(1)
-		return e, nil
-	}
-	if len(h.waiters)+len(h.subs) >= h.cfg.MaxWaiters {
-		h.mu.Unlock()
-		h.shedWaiters.Add(1)
+	if !h.reserve(waiterSlot) {
 		return nil, ErrTooManyWaiters
 	}
-	w := waiterPool.Get().(*waiter)
-	w.min = min
-	h.waiters[w] = struct{}{}
-	h.mu.Unlock()
-
-	select {
-	case e := <-w.ch:
-		waiterPool.Put(w)
-		return e, nil
-	case <-ctx.Done():
-		h.mu.Lock()
-		delete(h.waiters, w)
-		h.mu.Unlock()
-		// A delivery may have raced the cancellation; prefer it, and
-		// either way drain the channel before pooling the waiter.
-		select {
-		case e := <-w.ch:
-			waiterPool.Put(w)
+	defer h.release(waiterSlot)
+	for cancelled := false; ; {
+		// Load the generation before reading the cache: an install adds
+		// its entry before closing the generation, so a publication
+		// between the two reads still wakes the select below.
+		gen := *h.gen.Load()
+		if e := h.cache.Latest(); e != nil && e.Version >= min {
+			h.servedWaits.Add(1)
 			return e, nil
-		default:
 		}
-		waiterPool.Put(w)
-		return nil, ctx.Err()
+		if cancelled {
+			return nil, ctx.Err()
+		}
+		select {
+		case <-gen:
+		case <-ctx.Done():
+			cancelled = true // look once more: a publication may have raced it
+		}
 	}
 }
 
 // Subscribe attaches a subscriber receiving every publication from now
 // on. Counts against the waiter cap; cancel it when done.
 func (h *Hub) Subscribe() (*Subscription, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.waiters)+len(h.subs) >= h.cfg.MaxWaiters {
-		h.shedWaiters.Add(1)
+	if !h.reserve(subscriberSlot) {
 		return nil, ErrTooManyWaiters
 	}
 	s := &Subscription{ch: make(chan *Entry, h.cfg.SubscriberBuffer), hub: h}
 	s.C = s.ch
+	h.mu.Lock()
 	h.subs[s] = struct{}{}
+	h.mu.Unlock()
 	return s, nil
 }
 
@@ -295,22 +309,20 @@ type HubStats struct {
 	DeltaSkipped uint64 `json:"delta_skipped"`
 }
 
-// Stats reports the hub's current serving counters.
+// Stats reports the hub's current serving counters without taking the
+// hub mutex, so a scrape never waits out an encode.
 func (h *Hub) Stats() HubStats {
-	h.mu.Lock()
-	waiters, subs := len(h.waiters), len(h.subs)
 	var version uint64
 	var etag string
-	if h.prev != nil {
-		version = h.prev.Version
-		etag = ETag(version)
+	if e := h.cache.Latest(); e != nil {
+		version, etag = e.Version, e.ETag
 	}
-	h.mu.Unlock()
+	n := h.occupancy.Load()
 	return HubStats{
 		Version:            version,
 		ETag:               etag,
-		Waiters:            waiters,
-		Subscribers:        subs,
+		Waiters:            int(n % subscriberSlot),
+		Subscribers:        int(n / subscriberSlot),
 		ServedWaits:        h.servedWaits.Load(),
 		Broadcasts:         h.broadcasts.Load(),
 		DroppedSubscribers: h.droppedSubs.Load(),

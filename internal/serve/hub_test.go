@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/linalg"
 	"repro/internal/stream"
 )
@@ -71,6 +73,7 @@ func hubSnap(version uint64) stream.Snapshot {
 // waiter receives the same shared encoded entry, whose bytes are the
 // snapshot's one-time encoding.
 func TestHubFanout(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	src := newFakeSource()
 	h := NewHub(src, HubConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,6 +134,7 @@ func TestHubFanout(t *testing.T) {
 // TestHubWaiterCap: with MaxWaiters=2, a third concurrent waiter is
 // refused with ErrTooManyWaiters, and the parked two still complete.
 func TestHubWaiterCap(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	src := newFakeSource()
 	h := NewHub(src, HubConfig{MaxWaiters: 2})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -144,13 +148,7 @@ func TestHubWaiterCap(t *testing.T) {
 			results <- err
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Stats().Waiters < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the waiters to park", func() bool { return h.Stats().Waiters == 2 })
 	if _, err := h.WaitMin(ctx, 1); err != ErrTooManyWaiters {
 		t.Fatalf("third waiter got %v, want ErrTooManyWaiters", err)
 	}
@@ -170,6 +168,7 @@ func TestHubWaiterCap(t *testing.T) {
 // restored-from-checkpoint boot race) still serves the source's latest
 // snapshot on the first read.
 func TestHubLazyPrime(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	src := newFakeSource()
 	src.Publish(hubSnap(7))
 	h := NewHub(src, HubConfig{}) // Run intentionally not started
@@ -190,6 +189,7 @@ func TestHubLazyPrime(t *testing.T) {
 // TestHubWaitMinCancel: a cancelled waiter leaves no registration
 // behind, and the cancellation error is the context's.
 func TestHubWaitMinCancel(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	h := NewHub(newFakeSource(), HubConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -197,19 +197,177 @@ func TestHubWaitMinCancel(t *testing.T) {
 		_, err := h.WaitMin(ctx, 1)
 		done <- err
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Stats().Waiters == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the waiter to park", func() bool { return h.Stats().Waiters == 1 })
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("cancelled WaitMin returned %v", err)
 	}
 	if st := h.Stats(); st.Waiters != 0 {
 		t.Fatalf("%d waiters left registered after cancellation", st.Waiters)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 2 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+type waitResult struct {
+	e   *Entry
+	err error
+}
+
+// goWaitMin runs WaitMin on its own goroutine and returns its result.
+func goWaitMin(ctx context.Context, h *Hub, min uint64) <-chan waitResult {
+	res := make(chan waitResult, 1)
+	go func() {
+		e, err := h.WaitMin(ctx, min)
+		res <- waitResult{e, err}
+	}()
+	return res
+}
+
+// TestHubWaiterAheadStaysParked: a publication below a waiter's min
+// wakes it, and it parks again rather than returning an older entry.
+func TestHubWaiterAheadStaysParked(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	h := NewHub(newFakeSource(), HubConfig{})
+	h.observe(hubSnap(1))
+	res := goWaitMin(context.Background(), h, 3)
+	waitFor(t, "the waiter to park", func() bool { return h.Stats().Waiters == 1 })
+	h.observe(hubSnap(2))
+	select {
+	case r := <-res:
+		t.Fatalf("waiter for v3 returned (%v, %v) after v2", r.e, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if st := h.Stats(); st.Waiters != 1 {
+		t.Fatalf("%d waiters parked after the in-between publication, want 1", st.Waiters)
+	}
+	h.observe(hubSnap(3))
+	if r := <-res; r.err != nil || r.e.Version != 3 {
+		t.Fatalf("waiter for v3 got (%v, %v)", r.e, r.err)
+	}
+	if st := h.Stats(); st.Waiters != 0 {
+		t.Fatalf("%d waiters left after delivery", st.Waiters)
+	}
+}
+
+// TestHubCancelRacingPublication: a waiter whose context is cancelled
+// after the publication it waits for still returns that entry, whichever
+// of the two its select sees first.
+func TestHubCancelRacingPublication(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	for i := 0; i < 200; i++ {
+		h := NewHub(newFakeSource(), HubConfig{})
+		ctx, cancel := context.WithCancel(context.Background())
+		res := goWaitMin(ctx, h, 1)
+		waitFor(t, "the waiter to park", func() bool { return h.Stats().Waiters == 1 })
+		h.observe(hubSnap(1))
+		cancel()
+		if r := <-res; r.err != nil || r.e.Version != 1 {
+			t.Fatalf("round %d: cancellation after the publication gave (%v, %v)", i, r.e, r.err)
+		}
+	}
+}
+
+// TestHubCapExactUnderRace: waiters and subscribers racing for the last
+// slots never overshoot MaxWaiters, and every refusal is counted.
+func TestHubCapExactUnderRace(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	const limit, callers = 32, 128
+	h := NewHub(newFakeSource(), HubConfig{MaxWaiters: limit})
+	ctx, cancel := context.WithCancel(context.Background())
+	start := make(chan struct{})
+	subs := make(chan *Subscription, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(waiter bool) {
+			defer wg.Done()
+			<-start
+			if waiter {
+				h.WaitMin(ctx, 1) // parks until cancel, or is refused
+				return
+			}
+			if s, err := h.Subscribe(); err == nil {
+				subs <- s
+			}
+		}(i%2 == 0)
+	}
+	close(start)
+	waitFor(t, "every caller to be admitted or refused", func() bool {
+		st := h.Stats()
+		return uint64(st.Waiters+st.Subscribers)+st.ShedWaiters == callers
+	})
+	if st := h.Stats(); st.Waiters+st.Subscribers != limit || st.ShedWaiters != callers-limit {
+		t.Fatalf("%d waiters + %d subscribers admitted and %d shed, want %d and %d",
+			st.Waiters, st.Subscribers, st.ShedWaiters, limit, callers-limit)
+	}
+	cancel()
+	wg.Wait()
+	close(subs)
+	for s := range subs {
+		s.Cancel()
+	}
+	if st := h.Stats(); st.Waiters != 0 || st.Subscribers != 0 {
+		t.Fatalf("%d waiters and %d subscribers left after release", st.Waiters, st.Subscribers)
+	}
+}
+
+// TestHubRunSkipsUnencodableVersion: Run moves past a version it cannot
+// encode, counting it once, instead of asking the source for it again;
+// waiters parked for it are served by the next version.
+func TestHubRunSkipsUnencodableVersion(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	src := newFakeSource()
+	h := NewHub(src, HubConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go h.Run(ctx)
+	src.Publish(hubSnap(1))
+	waitFor(t, "v1", func() bool { return h.Stats().Version == 1 })
+	res := goWaitMin(ctx, h, 2)
+	broken := hubSnap(2)
+	broken.Gravity[0] = math.NaN()
+	src.Publish(broken)
+	waitFor(t, "the encode failure", func() bool { return h.Stats().EncodeFailures > 0 })
+	time.Sleep(50 * time.Millisecond) // a spinning Run would re-encode v2 here
+	if n := h.Stats().EncodeFailures; n != 1 {
+		t.Fatalf("one unencodable version counted %d times", n)
+	}
+	src.Publish(hubSnap(3))
+	if r := <-res; r.err != nil || r.e.Version != 3 {
+		t.Fatalf("waiter for v2 got (%v, %v), want v3", r.e, r.err)
+	}
+	if st := h.Stats(); st.EncodeFailures != 1 || st.Broadcasts != 2 {
+		t.Fatalf("after v3: %d encode failures, %d broadcasts; want 1 and 2", st.EncodeFailures, st.Broadcasts)
+	}
+}
+
+// TestHubStatsSkipsHubLock: Stats reads atomics and the cache, so a
+// scrape returns while an encode holds the hub mutex.
+func TestHubStatsSkipsHubLock(t *testing.T) {
+	h := NewHub(newFakeSource(), HubConfig{})
+	h.observe(hubSnap(4))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	done := make(chan HubStats, 1)
+	go func() { done <- h.Stats() }()
+	select {
+	case st := <-done:
+		if st.Version != 4 || st.ETag != `"v4"` {
+			t.Fatalf("Stats under the hub lock reported v%d %s", st.Version, st.ETag)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stats blocked on the hub mutex")
 	}
 }
 

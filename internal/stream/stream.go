@@ -452,14 +452,14 @@ func (e *Engine) Run(ctx context.Context, store *collector.Store) error {
 	if !e.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("stream: Engine.Run called more than once")
 	}
-	updates, cancel := store.Subscribe()
+	wake, cancel := store.Subscribe()
 	defer cancel()
 	e.scan(store)
 	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case _, ok := <-updates:
+		case _, ok := <-wake:
 			if !ok {
 				// The store shut down: the collection is over and no
 				// record is in flight anymore, so every remaining
@@ -509,7 +509,7 @@ func (e *Engine) intervalRates(store *collector.Store) (linalg.Vector, int, bool
 
 // scan consumes every interval that is ready, in order, then prunes the
 // consumed prefix from the store so an endless run holds O(window)
-// state. Updates are coalesced wake-ups,
+// state. Wake-ups are coalesced edges,
 // not a reliable per-interval stream, so readiness is always re-derived
 // from the store itself.
 func (e *Engine) scan(store *collector.Store) {
