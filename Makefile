@@ -52,6 +52,7 @@ bench:
 BASELINE ?= BENCH_baseline.json
 bench-baseline:
 	$(GO) test -timeout 60m -bench . -benchtime 1x -benchmem -run '^$$' . > bench.out
+	$(GO) test -timeout 10m -bench 'HubEncode' -benchtime 20x -benchmem -run '^$$' ./internal/serve >> bench.out
 	awk 'BEGIN { print "{"; first=1 } \
 	     /^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
 	       ns="0"; bytes="0"; allocs="0"; \
@@ -67,13 +68,16 @@ bench-baseline:
 	@echo "wrote $(BASELINE)"
 
 # Benchmark regression gate, as run by CI's bench job: the scale
-# benchmarks plus two seed-era anchors, compared against the checked-in
-# baseline at a 2x ns/op threshold and — via -benchmem — a 2x allocs/op
-# threshold (cmd/benchdiff).
+# benchmarks plus two seed-era anchors, and the serve encode
+# (BenchmarkHubEncode, 20 encodes per sample), each run three times and
+# compared by its median against the checked-in baseline at a 2x ns/op
+# threshold and — via -benchmem — a 2x allocs/op threshold
+# (cmd/benchdiff).
 # (No tee: the recipe must fail on go test's exit code, not the pipe
 # tail's, so a b.Fatal mid-run cannot produce a green partial gate.)
 bench-check:
-	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|EngineIngest|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
+	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|EngineIngest|TimelineSwap|PromScrape' -benchtime 1x -count 3 -benchmem -run '^$$' . > bench-check.out
+	$(GO) test -timeout 10m -bench 'HubEncode' -benchtime 20x -count 3 -benchmem -run '^$$' ./internal/serve >> bench-check.out
 	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline BENCH_baseline.json bench-check.out
 	@rm -f bench-check.out
 

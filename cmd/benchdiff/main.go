@@ -6,6 +6,11 @@
 // baseline are reported as new and pass (their numbers enter the next
 // baseline); git history keeps the trajectory.
 //
+// A benchmark printed more than once (`go test -count N`) is gated on
+// the median of its lines, ns/op and allocs/op alike, so a single run
+// the machine slowed down neither fails the gate nor hides a real
+// regression the other runs show.
+//
 // Benchmarks whose baseline is below the -min-ns noise floor (default
 // 1 ms) are reported but not gated: a 100-microsecond benchmark measured
 // for one iteration jitters past any sane factor.
@@ -19,7 +24,7 @@
 //
 // Usage:
 //
-//	go test -bench Scale -benchtime 1x -run '^$' . | tee bench.out
+//	go test -bench Scale -benchtime 1x -count 3 -run '^$' . | tee bench.out
 //	go run ./cmd/benchdiff -factor 2 -baseline BENCH_baseline.json bench.out
 //
 // Reading from stdin (pipe directly):
@@ -36,6 +41,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 )
 
@@ -111,7 +117,11 @@ func run(args []string, out io.Writer) error {
 		in = f
 	}
 
-	var failures, compared, fresh int
+	// Collect every line first: `go test -count N` prints each benchmark
+	// N times, and the gate compares the median of its lines, so one
+	// sample the machine slowed down cannot fail it alone.
+	samples := make(map[string]*sample)
+	var order []string
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -120,14 +130,41 @@ func run(args []string, out io.Writer) error {
 			continue
 		}
 		name := m[1]
-		cur, err := strconv.ParseFloat(m[2], 64)
+		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			return fmt.Errorf("parsing %q: %w", sc.Text(), err)
+		}
+		smp := samples[name]
+		if smp == nil {
+			smp = new(sample)
+			samples[name] = smp
+			order = append(order, name)
+		}
+		smp.ns = append(smp.ns, ns)
+		if am := allocsRe.FindStringSubmatch(sc.Text()); am != nil {
+			allocs, err := strconv.ParseFloat(am[1], 64)
+			if err != nil {
+				return fmt.Errorf("parsing %q: %w", sc.Text(), err)
+			}
+			smp.allocs = append(smp.allocs, allocs)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+
+	var failures, compared, fresh int
+	for _, name := range order {
+		smp := samples[name]
+		cur := median(smp.ns)
+		runs := ""
+		if len(smp.ns) > 1 {
+			runs = fmt.Sprintf("  (median of %d)", len(smp.ns))
 		}
 		b, ok := base[name]
 		if !ok || b.NsPerOp <= 0 {
 			fresh++
-			fmt.Fprintf(out, "NEW   %-50s %14.0f ns/op (no baseline)\n", name, cur)
+			fmt.Fprintf(out, "NEW   %-50s %14.0f ns/op (no baseline)%s\n", name, cur, runs)
 			continue
 		}
 		compared++
@@ -141,13 +178,10 @@ func run(args []string, out io.Writer) error {
 		}
 		line := fmt.Sprintf("%-50s %14.0f ns/op  baseline %14.0f  (%.2fx)",
 			name, cur, b.NsPerOp, ratio)
-		// Allocation gate: only when the input line carries -benchmem
+		// Allocation gate: only when the input lines carry -benchmem
 		// counts and the baseline has a count above the alloc noise floor.
-		if am := allocsRe.FindStringSubmatch(sc.Text()); am != nil && b.AllocsPerOp > 0 {
-			curAllocs, err := strconv.ParseFloat(am[1], 64)
-			if err != nil {
-				return fmt.Errorf("parsing %q: %w", sc.Text(), err)
-			}
+		if len(smp.allocs) > 0 && b.AllocsPerOp > 0 {
+			curAllocs := median(smp.allocs)
 			aRatio := curAllocs / b.AllocsPerOp
 			line += fmt.Sprintf("  %8.0f allocs/op  baseline %8.0f  (%.2fx)", curAllocs, b.AllocsPerOp, aRatio)
 			if b.AllocsPerOp >= *minAllocs && aRatio > *allocFactor {
@@ -157,10 +191,7 @@ func run(args []string, out io.Writer) error {
 		if status == "FAIL" {
 			failures++
 		}
-		fmt.Fprintf(out, "%-5s %s\n", status, line)
-	}
-	if err := sc.Err(); err != nil {
-		return err
+		fmt.Fprintf(out, "%-5s %s%s\n", status, line, runs)
 	}
 	if compared+fresh == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
@@ -171,4 +202,21 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("%d benchmark(s) regressed beyond %.2gx", failures, *factor)
 	}
 	return nil
+}
+
+// sample is every line one benchmark printed: its ns/op values and, with
+// -benchmem, its allocs/op values.
+type sample struct {
+	ns, allocs []float64
+}
+
+// median returns the middle value of v (the mean of the two middle
+// values for an even count); v is sorted in place.
+func median(v []float64) float64 {
+	sort.Float64s(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }

@@ -60,6 +60,48 @@ func TestBenchdiff(t *testing.T) {
 		}
 	})
 
+	t.Run("median-of-repeats", func(t *testing.T) {
+		// -count 3 prints Alpha three times. One outlier line at 9x
+		// neither fails the gate nor shows as the gated number: the
+		// median (1100) does. Two slow lines of three do fail it, and so
+		// do allocations doubling in two lines of three.
+		heavy := write(t, dir, "repeat.json", `{
+  "BenchmarkAlpha": {"ns_per_op": 1000, "bytes_per_op": 4096, "allocs_per_op": 200}
+}`)
+		bench := write(t, dir, "outlier.out", strings.Join([]string{
+			"BenchmarkAlpha-4\t1\t1100 ns/op\t9000 B/op\t200 allocs/op",
+			"BenchmarkAlpha-4\t1\t9000 ns/op\t9000 B/op\t900 allocs/op",
+			"BenchmarkAlpha-4\t1\t1000 ns/op\t9000 B/op\t210 allocs/op",
+		}, "\n"))
+		var sb strings.Builder
+		if err := run([]string{"-baseline", heavy, "-min-ns", "0", bench}, &sb); err != nil {
+			t.Fatalf("one outlier of three must not gate, got %v\n%s", err, sb.String())
+		}
+		for _, want := range []string{"ok    BenchmarkAlpha", " 1100 ns/op", " 210 allocs/op", "(median of 3)", "compared 1 benchmarks"} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("output lacks %q:\n%s", want, sb.String())
+			}
+		}
+		for name, lines := range map[string][]string{
+			"slow": {
+				"BenchmarkAlpha-4\t1\t2500 ns/op",
+				"BenchmarkAlpha-4\t1\t900 ns/op",
+				"BenchmarkAlpha-4\t1\t2600 ns/op",
+			},
+			"allocs": {
+				"BenchmarkAlpha-4\t1\t1000 ns/op\t9000 B/op\t500 allocs/op",
+				"BenchmarkAlpha-4\t1\t1000 ns/op\t9000 B/op\t200 allocs/op",
+				"BenchmarkAlpha-4\t1\t1000 ns/op\t9000 B/op\t450 allocs/op",
+			},
+		} {
+			bench := write(t, dir, name+".out", strings.Join(lines, "\n"))
+			sb.Reset()
+			if err := run([]string{"-baseline", heavy, "-min-ns", "0", bench}, &sb); err == nil {
+				t.Fatalf("%s: two regressed lines of three must gate\n%s", name, sb.String())
+			}
+		}
+	})
+
 	t.Run("custom-factor", func(t *testing.T) {
 		bench := write(t, dir, "factor.out", "BenchmarkAlpha-4\t1\t2500 ns/op\n")
 		var sb strings.Builder

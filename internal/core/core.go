@@ -94,23 +94,9 @@ func MRE(estimate, truth linalg.Vector, threshold float64) float64 {
 // it carry approximately the given fraction of total traffic (the paper
 // uses 90%, which selects the 29 largest European and 155 largest American
 // demands). It returns the largest threshold whose exceeders carry at least
-// share of the total.
+// share of the total. It is ShareThresholdWS on fresh scratch.
 func ShareThreshold(truth linalg.Vector, share float64) float64 {
-	s := append(linalg.Vector(nil), truth...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	total := s.Sum()
-	if total <= 0 {
-		return 0
-	}
-	var run float64
-	for _, v := range s {
-		run += v
-		if run >= share*total {
-			// Everything >= v is in; a threshold a hair below v keeps v.
-			return v * (1 - 1e-12)
-		}
-	}
-	return 0
+	return ShareThresholdWS(nil, truth, share)
 }
 
 // CountAbove returns how many elements of v exceed threshold.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/solver"
@@ -32,7 +31,7 @@ type Workspace struct {
 
 	te, tx linalg.Vector // marginal-total scratch
 	prior  linalg.Vector // GravityWS output buffer
-	share  []float64     // ShareThresholdWS sorting scratch
+	share  []uint64      // ShareThresholdWS radix keys and their swap half
 
 	// Vardi staging: sample moments and the stacked right-hand side.
 	tHat    linalg.Vector
@@ -178,28 +177,29 @@ func GravityWS(ws *Workspace, in *Instance) linalg.Vector {
 	return GravityFromTotalsInto(vbuf(&ws.prior, in.Rt.Net.NumPairs()), in.Rt.Net, te, tx, nil)
 }
 
-// ShareThresholdWS is ShareThreshold sorting into workspace scratch. The
-// copy is sorted ascending and both passes (the total and the running
-// prefix) walk it backwards, visiting values in exactly the descending
-// order ShareThreshold sums in, so the returned threshold is
-// bit-identical. Nil ws is exactly ShareThreshold.
+// ShareThresholdWS is ShareThreshold ranking into workspace scratch (nil
+// ws allocates it). The values are ranked by an O(n) LSD radix sort over
+// floatKey, whose unsigned order is the floats' numeric order, and both
+// passes (the total and the running prefix) walk the ascending keys
+// backwards, so every value is summed largest first. Equal keys are
+// equal bits, and the two orders a comparison sort may give that the
+// keys fix (-0 against +0, and where NaNs go) change no sum, so the
+// threshold is the same bits a descending comparison sort gives.
 func ShareThresholdWS(ws *Workspace, truth linalg.Vector, share float64) float64 {
 	if ws == nil {
-		return ShareThreshold(truth, share)
+		ws = new(Workspace)
 	}
-	s := fbuf(&ws.share, len(truth))
-	copy(s, truth)
-	sort.Float64s(s)
+	keys := radixSortKeys(&ws.share, truth)
 	var total float64
-	for i := len(s) - 1; i >= 0; i-- {
-		total += s[i]
+	for i := len(keys) - 1; i >= 0; i-- {
+		total += keyFloat(keys[i])
 	}
 	if total <= 0 {
 		return 0
 	}
 	var run float64
-	for i := len(s) - 1; i >= 0; i-- {
-		v := s[i]
+	for i := len(keys) - 1; i >= 0; i-- {
+		v := keyFloat(keys[i])
 		run += v
 		if run >= share*total {
 			// Everything >= v is in; a threshold a hair below v keeps v.
@@ -207,4 +207,60 @@ func ShareThresholdWS(ws *Workspace, truth linalg.Vector, share float64) float64
 		}
 	}
 	return 0
+}
+
+// floatKey maps a float's IEEE bits to a key whose unsigned order is the
+// float's numeric order: a negative value has every bit flipped, any
+// other only its sign bit. -0 sorts just below +0, and NaNs past ±Inf.
+func floatKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// keyFloat inverts floatKey.
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// radixSortKeys returns the floatKeys of v sorted ascending, in *buf
+// (2·len(v) words, reused across calls). It is an LSD radix sort with
+// one counting pass per key byte; a byte every key shares is skipped.
+func radixSortKeys(buf *[]uint64, v []float64) []uint64 {
+	n := len(v)
+	if cap(*buf) < 2*n {
+		*buf = make([]uint64, 2*n)
+	}
+	src, dst := (*buf)[:n], (*buf)[n:2*n]
+	var counts [8][256]uint32
+	for i, f := range v {
+		k := floatKey(f)
+		src[i] = k
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		shift := 8 * b
+		c := &counts[b]
+		if n == 0 || int(c[byte(src[0]>>shift)]) == n {
+			continue
+		}
+		var at uint32
+		for d, m := range c {
+			c[d], at = at, at+m
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

@@ -3,8 +3,8 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +25,11 @@ type Entry struct {
 	// ETag is the strong validator v1 conditional gets use ("v<version>").
 	ETag string
 	// JSON is json.Marshal(snapshot) plus a trailing newline — exactly
-	// the bytes json.Encoder writes for the snapshot.
+	// the bytes json.Encoder writes for the snapshot. It is built by a
+	// hand-written appender rather than by reflection: the frame is
+	// written serially and the vector coordinates are formatted in
+	// pieces across up to GOMAXPROCS goroutines, then copied into one
+	// exact-size body (see encodeSnapshot).
 	JSON []byte
 	// DeltaFrom/Delta encode the patch from the previously observed
 	// version; Delta is nil when this entry is a chain head (first
@@ -40,11 +44,10 @@ type Entry struct {
 // NewEntry encodes one snapshot into an immutable cache entry. prev is
 // the previously observed snapshot (nil for the first), the delta base.
 func NewEntry(snap stream.Snapshot, prev *stream.Snapshot, deltaRatio float64) (*Entry, error) {
-	body, err := json.Marshal(snap)
+	body, bound, err := encodeSnapshot(&snap, prev, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, fmt.Errorf("serve: encode snapshot v%d: %w", snap.Version, err)
 	}
-	body = append(body, '\n')
 	e := &Entry{
 		Version:  snap.Version,
 		Interval: snap.Interval,
@@ -55,13 +58,13 @@ func NewEntry(snap stream.Snapshot, prev *stream.Snapshot, deltaRatio float64) (
 	if prev == nil {
 		return e, nil // a chain head has no delta base
 	}
-	// Size the delta from the body before building it: a publication
-	// that moved most coordinates (every interval close on a gravity-
-	// only tenant) cannot beat the ratio, and building its delta only to
-	// drop it cost more than encoding the body. The bound never exceeds
-	// the delta's real size, so the skip changes no entry's bytes.
-	limit := deltaLimit(len(body), deltaRatio)
-	if float64(deltaSizeBound(body, *prev, snap, limit)) > limit {
+	// The encoder sized the delta while formatting the body: a
+	// publication that moved most coordinates (every interval close on
+	// a gravity-only tenant) cannot beat the ratio, and building its
+	// delta only to drop it cost more than encoding the body. The bound
+	// never exceeds the delta's real size, so the skip changes no
+	// entry's bytes.
+	if float64(bound) > deltaLimit(len(body), deltaRatio) {
 		return e, nil
 	}
 	if data := EncodeDelta(*prev, snap, len(body), deltaRatio); data != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -64,26 +63,31 @@ func newEntryLoop(prev, next stream.Snapshot) func(*testing.B) {
 	}
 }
 
-// TestDeltaSizeBound pins the bound on the two encode shapes: it must
-// stay under the real delta's size and, where every pair moved, pass
-// the ratio limit so NewEntry skips the delta.
+// TestDeltaSizeBound pins the encoder's delta size bound on the two
+// encode shapes: it must stay under the real delta's size and, where
+// every pair moved, pass the ratio limit so NewEntry skips the delta.
+// How the coordinates are cut into pieces must not change it.
 func TestDeltaSizeBound(t *testing.T) {
 	for _, moved := range []int{-1, 1, 0} {
 		prev, next := encodePair(moved)
-		body, err := json.Marshal(next)
+		body, bound, err := encodeSnapshot(&next, &prev, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, procs := range []int{2, 3, 8} {
+			if _, b, err := encodeSnapshot(&next, &prev, procs); err != nil || b != bound {
+				t.Fatalf("moved=%d: %d pieces bound %d B (%v), one piece %d B", moved, procs, b, err, bound)
+			}
 		}
 		delta, err := json.Marshal(ComputeDelta(prev, next))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := deltaSizeBound(body, prev, next, math.Inf(1))
 		if bound > len(delta) {
 			t.Fatalf("moved=%d: bound %d B exceeds the %d B delta", moved, bound, len(delta))
 		}
 		limit := deltaLimit(len(body), DefaultDeltaRatio)
-		if moved < 0 && float64(deltaSizeBound(body, prev, next, limit)) <= limit {
+		if moved < 0 && float64(bound) <= limit {
 			t.Fatalf("moved=all: bound %d B does not pass the %.0f B limit", bound, limit)
 		}
 		if moved < 0 && len(delta)-bound > 1024 {

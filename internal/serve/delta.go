@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -280,61 +279,6 @@ func deltaLimit(fullSize int, ratio float64) float64 {
 		ratio = DefaultDeltaRatio
 	}
 	return ratio * float64(fullSize)
-}
-
-// deltaSizeBound is a lower bound on len(json.Marshal(ComputeDelta(prev,
-// next))), read off body, the json.Marshal(next) encoding, without
-// building the delta. Each coordinate the delta carries costs at least
-// its value's bytes exactly as body spells them, its index's digits and
-// two commas (one in each of the patch's "i" and "v" arrays); a patch's
-// own framing covers the commas its last coordinate lacks. Counting
-// stops once the bound exceeds limit. A body laid out other than
-// expected bounds at 0, which never skips a delta.
-func deltaSizeBound(body []byte, prev, next stream.Snapshot, limit float64) int {
-	vecs := [...]struct {
-		key        string
-		prev, next linalg.Vector
-	}{
-		{`"gravity":`, prev.Gravity, next.Gravity},
-		{`"mean":`, prev.Mean, next.Mean},
-		{`"fanouts":`, prev.Fanouts, next.Fanouts},
-		{`"resolve":`, prev.Resolve, next.Resolve},
-	}
-	bound, at := 0, 0
-	for _, v := range vecs {
-		if len(v.next) == 0 {
-			continue // null, [], or omitted (an empty resolve): no coordinates
-		}
-		// Encoded keys cannot occur inside the body's string values (an
-		// embedded quote is escaped there), so the first match is the key.
-		k := bytes.Index(body[at:], []byte(v.key))
-		if k < 0 {
-			return 0
-		}
-		at += k + len(v.key)
-		if at >= len(body) || body[at] != '[' {
-			return 0
-		}
-		at++
-		for i := range v.next {
-			sep := byte(',')
-			if i == len(v.next)-1 {
-				sep = ']'
-			}
-			n := bytes.IndexByte(body[at:], sep)
-			if n < 0 {
-				return 0
-			}
-			if carried(v.prev, v.next, i) {
-				bound += n + digits(i) + 2
-				if float64(bound) > limit {
-					return bound
-				}
-			}
-			at += n + 1
-		}
-	}
-	return bound
 }
 
 // digits counts the decimal digits of a non-negative index.

@@ -62,10 +62,14 @@ func (r *fuzzBytes) vec(n int, base linalg.Vector) linalg.Vector {
 
 // snapshot draws one fuzzed snapshot over base. shape's low five bits
 // are the pair count (lengths differ across a topology swap), bit 5
-// leaves Gravity nil; resolve is 0 for a nil Resolve, 1 for an empty
-// one and 2 for a drawn one.
+// leaves Gravity nil, and bit 6 adds pieceCoords pairs, so the encoder
+// cuts the vectors into several pieces; resolve is 0 for a nil Resolve,
+// 1 for an empty one and 2 for a drawn one.
 func (r *fuzzBytes) snapshot(version uint64, shape, resolve byte, base stream.Snapshot) stream.Snapshot {
 	n := int(shape & 31)
+	if shape&64 != 0 {
+		n += pieceCoords
+	}
 	s := stream.Snapshot{
 		Version:    version,
 		Interval:   int(version),
@@ -90,6 +94,27 @@ func (r *fuzzBytes) snapshot(version uint64, shape, resolve byte, base stream.Sn
 	return s
 }
 
+// longDeltaSeeds are FuzzDelta inputs whose vectors are longer than one
+// encode piece, as [shape, values]: every coordinate moved, one moved,
+// and a NaN in the last coordinate of the last piece.
+func longDeltaSeeds() [][2][]byte {
+	const n = pieceCoords + 5
+	shape := []byte{64 | 5, 64 | 5, 2 + 3*2, 0} // both with a drawn Resolve
+	// A snapshot draws its drift byte, then one byte per coordinate
+	// (1 mod 4 draws an edge float, 2 mod 4 a plain number, 0 carries
+	// the base's value): prev's 1+4n bytes, then next's.
+	const half = 1 + 4*n
+	moved := make([]byte, 2*half)
+	for i := range moved {
+		moved[i] = byte(4*i + 1 + i%2)
+	}
+	one := append(append([]byte(nil), moved[:half]...), make([]byte, half)...)
+	one[half+1+2*n+7] = 6
+	nan := append([]byte(nil), moved[:2*half-1]...)
+	nan = append(nan, 3, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f) // raw bits of a NaN
+	return [][2][]byte{{shape, moved}, {shape, one}, {shape, nan}}
+}
+
 // FuzzDelta drives the hub's encode and a client's apply with fuzzed
 // snapshot pairs and arbitrary delta bytes. shape is [prev shape, next
 // shape, resolve modes (prev + 3·next), ratio]; values draws the
@@ -102,6 +127,9 @@ func (r *fuzzBytes) snapshot(version uint64, shape, resolve byte, base stream.Sn
 //	(c) a fuzzed pair's delta applies back to the exact target bytes,
 //	    and decoding plus applying arbitrary bytes never panics.
 func FuzzDelta(f *testing.F) {
+	for _, seed := range longDeltaSeeds() {
+		f.Add(seed[0], seed[1], []byte(nil))
+	}
 	f.Fuzz(func(t *testing.T, shape, values, wire []byte) {
 		sh := fuzzBytes(shape)
 		prevShape, nextShape, modes, ratioByte := sh.next(), sh.next(), sh.next(), sh.next()
@@ -135,8 +163,8 @@ func FuzzDelta(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bound := deltaSizeBound(body, prev, next, math.Inf(1)); bound > len(delta) {
-			t.Fatalf("bound %d B exceeds the %d B delta %s", bound, len(delta), delta)
+		if _, bound, err := encodeSnapshot(&next, &prev, 3); err != nil || bound > len(delta) {
+			t.Fatalf("bound %d B (%v) exceeds the %d B delta %s", bound, err, len(delta), delta)
 		}
 
 		// (b)

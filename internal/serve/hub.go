@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -100,6 +101,7 @@ type Hub struct {
 	shedWaiters    atomic.Uint64 // WaitMin/Subscribe refusals at the waiter cap
 	encodeFailures atomic.Uint64 // publications NewEntry could not encode
 	deltaSkipped   atomic.Uint64 // publications cached with a base but no delta
+	encodeNanos    atomic.Uint64 // wall time spent in NewEntry
 }
 
 // NewHub creates a hub over a source. Drive it with Run (usually one
@@ -164,7 +166,9 @@ func (h *Hub) installLocked(snap stream.Snapshot) *Entry {
 		return e // already observed (Run loop vs lazy prime race)
 	}
 	h.next = snap.Version + 1
+	start := time.Now()
 	e, err := NewEntry(snap, h.prev, DefaultDeltaRatio)
+	h.encodeNanos.Add(uint64(time.Since(start)))
 	if err != nil {
 		h.encodeFailures.Add(1)
 		return nil // unmarshalable snapshot (a NaN, say): nothing to serve
@@ -307,6 +311,10 @@ type HubStats struct {
 	// their predecessor because it could not beat the size ratio,
 	// whether the size bound or the encoded delta showed it.
 	DeltaSkipped uint64 `json:"delta_skipped"`
+	// EncodeSeconds is the total wall time spent encoding publications
+	// (NewEntry, failures included); over Broadcasts it is the mean
+	// encode time.
+	EncodeSeconds float64 `json:"encode_seconds"`
 }
 
 // Stats reports the hub's current serving counters without taking the
@@ -331,5 +339,6 @@ func (h *Hub) Stats() HubStats {
 		MaxWaiters:         h.cfg.MaxWaiters,
 		EncodeFailures:     h.encodeFailures.Load(),
 		DeltaSkipped:       h.deltaSkipped.Load(),
+		EncodeSeconds:      time.Duration(h.encodeNanos.Load()).Seconds(),
 	}
 }

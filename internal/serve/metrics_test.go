@@ -44,6 +44,7 @@ func TestMetricsPromEndpoint(t *testing.T) {
 		`tm_serving_cached_versions{tenant="default"}`,
 		`tm_served_waits_total{tenant="default"}`,
 		`tm_snapshot_broadcasts_total{tenant="default"}`,
+		`tm_snapshot_encode_seconds_total{tenant="default"}`,
 		`tm_dropped_subscribers_total{tenant="default"}`,
 		`tm_shed_waiters_total{tenant="default"}`,
 		`tm_snapshot_encode_failures_total{tenant="default"}`,
@@ -160,7 +161,8 @@ func TestHubShedWaiters(t *testing.T) {
 // without a delta from its predecessor counts as skipped (a chain head
 // does not), and one that fails to encode counts as a failure instead
 // of vanishing — the signals behind tm_snapshot_delta_skipped_total and
-// tm_snapshot_encode_failures_total.
+// tm_snapshot_encode_failures_total. Every encode, the failed one too,
+// adds its time to EncodeSeconds (tm_snapshot_encode_seconds_total).
 func TestHubCountsSkippedDeltasAndEncodeFailures(t *testing.T) {
 	h := NewHub(newFakeSource(), HubConfig{})
 	base := linalg.NewVector(200)
@@ -185,11 +187,15 @@ func TestHubCountsSkippedDeltasAndEncodeFailures(t *testing.T) {
 		{snap(3, moved), 1, 0},  // every pair moved: no delta
 		{snap(4, broken), 1, 1}, // NaN: nothing to serve
 	} {
+		before := h.Stats().EncodeSeconds
 		h.observe(c.snap)
 		st := h.Stats()
 		if st.DeltaSkipped != c.skipped || st.EncodeFailures != c.fails {
 			t.Fatalf("after v%d: DeltaSkipped %d, EncodeFailures %d; want %d, %d",
 				c.snap.Version, st.DeltaSkipped, st.EncodeFailures, c.skipped, c.fails)
+		}
+		if st.EncodeSeconds <= before {
+			t.Fatalf("after v%d: EncodeSeconds %g did not grow from %g", c.snap.Version, st.EncodeSeconds, before)
 		}
 	}
 	if st := h.Stats(); st.Version != 3 || st.Broadcasts != 3 {

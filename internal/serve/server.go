@@ -148,6 +148,8 @@ func (s *Server) registerMetrics() {
 			func(st HubStats) float64 { return float64(st.ServedWaits) }},
 		{"tm_snapshot_broadcasts_total", "Snapshot publications encoded and fanned out by the tenant's hub.",
 			func(st HubStats) float64 { return float64(st.Broadcasts) }},
+		{"tm_snapshot_encode_seconds_total", "Wall time the tenant's hub spent encoding snapshot publications.",
+			func(st HubStats) float64 { return st.EncodeSeconds }},
 		{"tm_dropped_subscribers_total", "SSE subscribers dropped for falling behind the broadcast.",
 			func(st HubStats) float64 { return float64(st.DroppedSubscribers) }},
 		{"tm_shed_waiters_total", "Long-polls and subscriptions refused at the waiter cap (HTTP 429s).",
