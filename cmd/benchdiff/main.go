@@ -9,7 +9,8 @@
 // A benchmark printed more than once (`go test -count N`) is gated on
 // the median of its lines, ns/op and allocs/op alike, so a single run
 // the machine slowed down neither fails the gate nor hides a real
-// regression the other runs show.
+// regression the other runs show. Each median is printed with the
+// [min..max] of its lines, which shows the run's noise.
 //
 // Benchmarks whose baseline is below the -min-ns noise floor (default
 // 1 ms) are reported but not gated: a 100-microsecond benchmark measured
@@ -41,6 +42,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -164,7 +166,7 @@ func run(args []string, out io.Writer) error {
 		b, ok := base[name]
 		if !ok || b.NsPerOp <= 0 {
 			fresh++
-			fmt.Fprintf(out, "NEW   %-50s %14.0f ns/op (no baseline)%s\n", name, cur, runs)
+			fmt.Fprintf(out, "NEW   %-50s %14.0f ns/op%s (no baseline)%s\n", name, cur, spread(smp.ns), runs)
 			continue
 		}
 		compared++
@@ -176,14 +178,14 @@ func run(args []string, out io.Writer) error {
 		case ratio > *factor:
 			status = "FAIL"
 		}
-		line := fmt.Sprintf("%-50s %14.0f ns/op  baseline %14.0f  (%.2fx)",
-			name, cur, b.NsPerOp, ratio)
+		line := fmt.Sprintf("%-50s %14.0f ns/op%s  baseline %14.0f  (%.2fx)",
+			name, cur, spread(smp.ns), b.NsPerOp, ratio)
 		// Allocation gate: only when the input lines carry -benchmem
 		// counts and the baseline has a count above the alloc noise floor.
 		if len(smp.allocs) > 0 && b.AllocsPerOp > 0 {
 			curAllocs := median(smp.allocs)
 			aRatio := curAllocs / b.AllocsPerOp
-			line += fmt.Sprintf("  %8.0f allocs/op  baseline %8.0f  (%.2fx)", curAllocs, b.AllocsPerOp, aRatio)
+			line += fmt.Sprintf("  %8.0f allocs/op%s  baseline %8.0f  (%.2fx)", curAllocs, spread(smp.allocs), b.AllocsPerOp, aRatio)
 			if b.AllocsPerOp >= *minAllocs && aRatio > *allocFactor {
 				status = "FAIL"
 			}
@@ -208,6 +210,16 @@ func run(args []string, out io.Writer) error {
 // -benchmem, its allocs/op values.
 type sample struct {
 	ns, allocs []float64
+}
+
+// spread formats the min..max of a benchmark's samples, shown beside
+// their median so that a row near the factor reads as noise or as a
+// change without a rerun; one sample has none.
+func spread(v []float64) string {
+	if len(v) < 2 {
+		return ""
+	}
+	return fmt.Sprintf(" [%.0f..%.0f]", slices.Min(v), slices.Max(v))
 }
 
 // median returns the middle value of v (the mean of the two middle

@@ -102,6 +102,36 @@ func TestBenchdiff(t *testing.T) {
 		}
 	})
 
+	t.Run("sample-spread", func(t *testing.T) {
+		// Beside each median, the min..max of its -count lines, ns/op and
+		// allocs/op alike, for gated and new rows; a single line has none.
+		heavy := write(t, dir, "spread.json", `{
+  "BenchmarkAlpha": {"ns_per_op": 1000, "bytes_per_op": 4096, "allocs_per_op": 200},
+  "BenchmarkBeta": {"ns_per_op": 500, "bytes_per_op": 1, "allocs_per_op": 1}
+}`)
+		bench := write(t, dir, "spread.out", strings.Join([]string{
+			"BenchmarkAlpha-4\t1\t1900 ns/op\t9000 B/op\t200 allocs/op",
+			"BenchmarkAlpha-4\t1\t1500 ns/op\t9000 B/op\t230 allocs/op",
+			"BenchmarkAlpha-4\t1\t2300 ns/op\t9000 B/op\t210 allocs/op",
+			"BenchmarkDelta-4\t1\t700 ns/op",
+			"BenchmarkDelta-4\t1\t600 ns/op",
+			"BenchmarkBeta-4\t1\t400 ns/op",
+		}, "\n"))
+		var sb strings.Builder
+		if err := run([]string{"-baseline", heavy, "-min-ns", "0", bench}, &sb); err != nil {
+			t.Fatalf("a 1.9x median must pass whatever its spread, got %v\n%s", err, sb.String())
+		}
+		out := sb.String()
+		for _, want := range []string{
+			" 1900 ns/op [1500..2300]  baseline", "(1.90x)", " 210 allocs/op [200..230]  baseline",
+			" 650 ns/op [600..700] (no baseline)  (median of 2)", " 400 ns/op  baseline",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("output lacks %q:\n%s", want, out)
+			}
+		}
+	})
+
 	t.Run("custom-factor", func(t *testing.T) {
 		bench := write(t, dir, "factor.out", "BenchmarkAlpha-4\t1\t2500 ns/op\n")
 		var sb strings.Builder

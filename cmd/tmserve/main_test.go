@@ -156,6 +156,7 @@ func TestEndToEndReplay(t *testing.T) {
 	// a non-increasing run of >= 3 consecutive snapshots.
 	deadline := time.Now().Add(30 * time.Second)
 	var perInterval []float64
+	var published uint64 // the newest version the metrics list
 	for {
 		var m struct {
 			Points []stream.MetricPoint `json:"points"`
@@ -164,6 +165,7 @@ func TestEndToEndReplay(t *testing.T) {
 		perInterval = perInterval[:0]
 		seen := -1
 		for _, p := range m.Points {
+			published = max(published, p.Version)
 			if p.Interval > seen { // skip re-solve publications of the same window
 				perInterval = append(perInterval, p.GravityMRE)
 				seen = p.Interval
@@ -193,10 +195,12 @@ func TestEndToEndReplay(t *testing.T) {
 	}
 
 	// All intervals are published now (the metrics loop above saw every
-	// one), so the latest snapshot covers the final window; re-solve
-	// publications never regress the window state.
+	// one), so the snapshot at the newest version the metrics list
+	// covers the final window; re-solve publications never regress the
+	// window state. The metrics come from the engine and the snapshot
+	// from the hub's cache, which can trail the engine, so long-poll.
 	var final stream.Snapshot
-	getJSON(t, base+"/v1/t/default/snapshot", &final)
+	getJSON(t, fmt.Sprintf("%s/v1/t/default/snapshot?min_version=%d", base, published), &final)
 
 	// (b) Incremental vs batch gravity on the final window. Replay is
 	// lossless, so the collected window equals the generating series.

@@ -25,11 +25,8 @@ type Entry struct {
 	// ETag is the strong validator v1 conditional gets use ("v<version>").
 	ETag string
 	// JSON is json.Marshal(snapshot) plus a trailing newline — exactly
-	// the bytes json.Encoder writes for the snapshot. It is built by a
-	// hand-written appender rather than by reflection: the frame is
-	// written serially and the vector coordinates are formatted in
-	// pieces across up to GOMAXPROCS goroutines, then copied into one
-	// exact-size body (see encodeSnapshot).
+	// the bytes json.Encoder writes for the snapshot — with the vector
+	// coordinates formatted across cores (see encodeSnapshot).
 	JSON []byte
 	// DeltaFrom/Delta encode the patch from the previously observed
 	// version; Delta is nil when this entry is a chain head (first

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/netsim"
 	"repro/internal/stream"
 )
 
@@ -14,7 +15,14 @@ import (
 // version 1, with `moved` pairs changed in gravity, mean and fanouts
 // (moved < 0 moves every pair, as every interval close does).
 func encodePair(moved int) (prev, next stream.Snapshot) {
-	const pairs = 100 * 99
+	return publicationPair(100*99, moved, false)
+}
+
+// publicationPair builds version 2 after version 1 over `pairs` pairs,
+// with `moved` pairs changed in gravity, mean and fanouts (moved < 0
+// moves every pair). withResolve adds a re-solve both versions carry
+// unchanged, as a tenant publishes between its re-solves.
+func publicationPair(pairs, moved int, withResolve bool) (prev, next stream.Snapshot) {
 	rng := rand.New(rand.NewSource(1))
 	vec := func() linalg.Vector {
 		v := linalg.NewVector(pairs)
@@ -35,13 +43,19 @@ func encodePair(moved int) (prev, next stream.Snapshot) {
 			v[i] *= 1 + 0.01*rng.NormFloat64()
 		}
 	}
+	if withResolve {
+		prev.Resolve = vec()
+		next.Resolve = prev.Resolve.Clone()
+	}
 	return prev, next
 }
 
 // BenchmarkHubEncode times the hub's per-publication encode (NewEntry)
 // on a 9900-pair snapshot: moved=all is the interval close on a
 // gravity-only tenant, whose delta cannot win; moved=1 keeps its delta.
-// Run with -benchmem.
+// pairs=europe is an interval close on a Europe tenant between
+// re-solves (132 pairs, every pair moved, resolve carried), where the
+// frame weighs far more than on 9900 pairs. Run with -benchmem.
 func BenchmarkHubEncode(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -49,6 +63,11 @@ func BenchmarkHubEncode(b *testing.B) {
 	}{{"moved=all", -1}, {"moved=1", 1}} {
 		b.Run(c.name, newEntryLoop(encodePair(c.moved)))
 	}
+	sc, err := netsim.BuildEurope(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("pairs=europe", newEntryLoop(publicationPair(sc.Net.NumPairs(), -1, true)))
 }
 
 // newEntryLoop is the benchmark body: NewEntry for next over prev.

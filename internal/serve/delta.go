@@ -4,16 +4,20 @@
 // entry that all clients share, consecutive publications are delta
 // encoded as sparse changed-coordinate patches (backbone demand drifts
 // slowly between publications — the same property the engines' warm
-// starts exploit — so the wire format exploits it too), and a per-
-// tenant broadcast Hub multiplexes every long-poll waiter and SSE
-// subscriber off one WaitVersion loop instead of one goroutine and one
-// deep copy per client. On top of the hub, Server cuts the versioned
+// starts exploit — so the wire format exploits it too). encoding/json
+// writes every byte but the snapshot's vector coordinates, so
+// stream.Snapshot's tags are the only wire schema. A per-tenant
+// broadcast Hub multiplexes every long-poll waiter and SSE subscriber
+// off one WaitVersion loop instead of one goroutine and one deep copy
+// per client. On top of the hub, Server cuts the versioned
 // /v1 HTTP API: ETag conditional gets, full-vs-delta content
 // negotiation, SSE event streams and a uniform error envelope.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -36,28 +40,6 @@ type VecPatch struct {
 	V   []float64 `json:"v,omitempty"`
 }
 
-// DeltaScalars carries every non-vector Snapshot field wholesale —
-// they are a few dozen bytes against kilobytes of matrix, so sparse
-// encoding them would complicate the apply rule for nothing.
-type DeltaScalars struct {
-	Interval          int           `json:"interval"`
-	Window            int           `json:"window"`
-	Covered           int           `json:"covered"`
-	Skipped           int           `json:"skipped"`
-	Drift             float64       `json:"drift"`
-	TopologyEpoch     int           `json:"topology_epoch"`
-	AnomalyActive     bool          `json:"anomaly_active,omitempty"`
-	Anomalies         int           `json:"anomalies,omitempty"`
-	GravityMRE        float64       `json:"gravity_mre"`
-	ResolveMethod     stream.Method `json:"resolve_method,omitempty"`
-	ResolveMRE        float64       `json:"resolve_mre"`
-	ResolveInterval   int           `json:"resolve_interval"`
-	ResolveDuration   int64         `json:"resolve_duration_ns"`
-	ResolveIterations int           `json:"resolve_iterations"`
-	ResolveWarm       bool          `json:"resolve_warm"`
-	TimeRFC3339       string        `json:"time"`
-}
-
 // Delta is one snapshot-to-snapshot patch. The apply rule (see Apply):
 // starting from the snapshot whose Version == From, replace every
 // scalar field with Set, apply each vector patch (resize to Len, then
@@ -69,7 +51,9 @@ type Delta struct {
 	From   uint64 `json:"from"`
 	To     uint64 `json:"to"`
 
-	Set DeltaScalars `json:"set"`
+	// Set is the target snapshot's own JSON without "version" and its
+	// vectors: every scalar field, with stream.Snapshot's tags as schema.
+	Set json.RawMessage `json:"set"`
 
 	Gravity *VecPatch `json:"gravity,omitempty"`
 	Mean    *VecPatch `json:"mean,omitempty"`
@@ -150,33 +134,16 @@ func applyVec(base linalg.Vector, p *VecPatch) (linalg.Vector, error) {
 	return out, nil
 }
 
-// ComputeDelta builds the patch turning prev into next. It never fails:
-// any pair of snapshots (including dimension changes across a topology
-// swap and Resolve nil transitions) has a delta, though a large one may
-// not be worth the wire (see EncodeDelta's ratio fallback).
+// ComputeDelta builds the patch turning prev into next: any pair of
+// snapshots has one (a topology swap resizes, Resolve may turn nil),
+// though a large one may not be worth the wire (see EncodeDelta). Set
+// is nil when next does not marshal.
 func ComputeDelta(prev, next stream.Snapshot) *Delta {
 	d := &Delta{
-		Format: DeltaFormat,
-		From:   prev.Version,
-		To:     next.Version,
-		Set: DeltaScalars{
-			Interval:          next.Interval,
-			Window:            next.Window,
-			Covered:           next.Covered,
-			Skipped:           next.Skipped,
-			Drift:             next.Drift,
-			TopologyEpoch:     next.TopologyEpoch,
-			AnomalyActive:     next.AnomalyActive,
-			Anomalies:         next.Anomalies,
-			GravityMRE:        next.GravityMRE,
-			ResolveMethod:     next.ResolveMethod,
-			ResolveMRE:        next.ResolveMRE,
-			ResolveInterval:   next.ResolveInterval,
-			ResolveDuration:   int64(next.ResolveDuration),
-			ResolveIterations: next.ResolveIterations,
-			ResolveWarm:       next.ResolveWarm,
-			TimeRFC3339:       next.Time.Format(timeLayout),
-		},
+		Format:  DeltaFormat,
+		From:    prev.Version,
+		To:      next.Version,
+		Set:     marshalSet(next),
 		Gravity: diffVec(prev.Gravity, next.Gravity),
 		Mean:    diffVec(prev.Mean, next.Mean),
 		Fanouts: diffVec(prev.Fanouts, next.Fanouts),
@@ -190,25 +157,36 @@ func ComputeDelta(prev, next stream.Snapshot) *Delta {
 	return d
 }
 
-// timeLayout round-trips time.Time exactly as encoding/json does (the
-// RFC3339Nano layout time.Time.MarshalJSON emits), so an applied
-// snapshot marshals byte-identically to the original.
-const timeLayout = time.RFC3339Nano
+// setCuts turn a snapshot marshalled with version 0 and nil vectors
+// into a delta's Set: To carries the version, the patches the vectors.
+// Like the frame's keys, they cannot occur inside a JSON string.
+var setCuts = [...]string{`"version":0,`, `"gravity":null,"mean":null,"fanouts":null,`}
 
-// parseSnapshotTime parses the delta's publication timestamp; the
-// parsed value marshals back to the same RFC3339Nano string.
-func parseSnapshotTime(s string) (time.Time, error) {
-	t, err := time.Parse(timeLayout, s)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("serve: delta time %q: %w", s, err)
+// marshalSet is s's Set, or nil when s does not marshal or lacks a cut
+// (a renamed or reordered field).
+func marshalSet(s stream.Snapshot) json.RawMessage {
+	s.Version, s.Gravity, s.Mean, s.Fanouts, s.Resolve = 0, nil, nil, nil, nil
+	set, err := json.Marshal(&s)
+	for _, cut := range setCuts {
+		i := bytes.Index(set, []byte(cut))
+		if err != nil || i < 0 {
+			return nil
+		}
+		set = append(set[:i], set[i+len(cut):]...)
 	}
-	return t, nil
+	return set
 }
+
+// unsetTime marks a Set without a time: decoding a "time" replaces it,
+// an absent or null one does not. (A snapshot may carry the zero time.)
+var unsetTime = time.Date(1, 1, 1, 0, 0, 0, 0, time.FixedZone("unset", 0))
 
 // Apply executes a delta on its base snapshot, returning the target.
 // The base must be the snapshot the delta was computed from (checked by
 // Version); vectors are never shared with the base, so the result is
-// safe to retain and mutate.
+// safe to retain and mutate. The version comes from To and the vectors
+// from the patches alone; a Set absent, null, not an object or without
+// a time is refused.
 func Apply(base stream.Snapshot, d *Delta) (stream.Snapshot, error) {
 	if d.Format != DeltaFormat {
 		return stream.Snapshot{}, fmt.Errorf("serve: delta format %d, this build applies %d", d.Format, DeltaFormat)
@@ -216,29 +194,17 @@ func Apply(base stream.Snapshot, d *Delta) (stream.Snapshot, error) {
 	if base.Version != d.From {
 		return stream.Snapshot{}, fmt.Errorf("serve: delta is from version %d, base is %d", d.From, base.Version)
 	}
-	t, err := parseSnapshotTime(d.Set.TimeRFC3339)
-	if err != nil {
-		return stream.Snapshot{}, err
+	out := &stream.Snapshot{Time: unsetTime}
+	err := json.Unmarshal(d.Set, &out)
+	switch {
+	case len(d.Set) == 0 || out == nil: // absent or null
+		return stream.Snapshot{}, errors.New("serve: delta has no set")
+	case err != nil:
+		return stream.Snapshot{}, fmt.Errorf("serve: delta set: %w", err)
+	case out.Time == unsetTime:
+		return stream.Snapshot{}, errors.New("serve: delta set has no time")
 	}
-	out := stream.Snapshot{
-		Version:           d.To,
-		Interval:          d.Set.Interval,
-		Window:            d.Set.Window,
-		Covered:           d.Set.Covered,
-		Skipped:           d.Set.Skipped,
-		Drift:             d.Set.Drift,
-		TopologyEpoch:     d.Set.TopologyEpoch,
-		AnomalyActive:     d.Set.AnomalyActive,
-		Anomalies:         d.Set.Anomalies,
-		GravityMRE:        d.Set.GravityMRE,
-		ResolveMethod:     d.Set.ResolveMethod,
-		ResolveMRE:        d.Set.ResolveMRE,
-		ResolveInterval:   d.Set.ResolveInterval,
-		ResolveIterations: d.Set.ResolveIterations,
-		ResolveWarm:       d.Set.ResolveWarm,
-		Time:              t,
-		ResolveDuration:   time.Duration(d.Set.ResolveDuration),
-	}
+	out.Version, out.Resolve = d.To, nil
 	if out.Gravity, err = applyVec(base.Gravity, d.Gravity); err != nil {
 		return stream.Snapshot{}, fmt.Errorf("serve: gravity: %w", err)
 	}
@@ -253,7 +219,7 @@ func Apply(base stream.Snapshot, d *Delta) (stream.Snapshot, error) {
 			return stream.Snapshot{}, fmt.Errorf("serve: resolve: %w", err)
 		}
 	}
-	return out, nil
+	return *out, nil
 }
 
 // EncodeDelta computes and encodes the prev→next patch, returning nil
@@ -262,8 +228,9 @@ func Apply(base stream.Snapshot, d *Delta) (stream.Snapshot, error) {
 // moved) or a topology swap resized the vectors. Callers then fall back
 // to the full snapshot, which is the correct wire choice exactly then.
 func EncodeDelta(prev, next stream.Snapshot, fullSize int, ratio float64) []byte {
-	data, err := json.Marshal(ComputeDelta(prev, next))
-	if err != nil {
+	d := ComputeDelta(prev, next)
+	data, err := json.Marshal(d)
+	if err != nil || d.Set == nil {
 		return nil // a snapshot that fails to marshal never got here
 	}
 	if float64(len(data)) > deltaLimit(fullSize, ratio) {

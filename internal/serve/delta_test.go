@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,53 @@ func TestApplyRejects(t *testing.T) {
 		corrupt.Gravity = c.p
 		if _, err := Apply(prev, &corrupt); err == nil || err.Error() != "serve: gravity: serve: "+c.want {
 			t.Errorf("%s: Apply error %v, want %q", c.name, err, c.want)
+		}
+	}
+	// A set as the wire carries it: absent, null, not an object, or
+	// without a time is refused with its cause named.
+	for _, c := range []struct {
+		name, set, want string
+	}{
+		{"set absent", ``, "serve: delta has no set"},
+		{"set null", `,"set":null`, "serve: delta has no set"},
+		{"set a number", `,"set":5`, "serve: delta set: json: cannot unmarshal number into Go value of type stream.Snapshot"},
+		{"set an array", `,"set":[{"time":"2026-01-01T00:00:00Z"}]`, "serve: delta set: json: cannot unmarshal array"},
+		{"set a string", `,"set":"x"`, "serve: delta set: json: cannot unmarshal string"},
+		{"set without time", `,"set":{"interval":1}`, "serve: delta set has no time"},
+		{"set with a null time", `,"set":{"time":null}`, "serve: delta set has no time"},
+		{"set with a bad time", `,"set":{"time":"yesterday"}`, `serve: delta set: parsing time "yesterday"`},
+	} {
+		wire, err := DecodeDelta([]byte(`{"format":1,"from":1,"to":2` + c.set + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := Apply(prev, wire); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: Apply error %v, want %q", c.name, err, c.want)
+		}
+	}
+	// A set carrying the version or a vector changes nothing: they come
+	// from to and the patches alone, a nil Resolve included.
+	next.Resolve = nil
+	prev.Resolve = linalg.Vector{4}
+	want, _ := json.Marshal(next)
+	set := ComputeDelta(prev, next).Set
+	for _, member := range []string{`"version":99`, `"gravity":[9,9,9,9]`, `"mean":null`, `"fanouts":[]`, `"resolve":[7]`, `"Resolve":[7],"VERSION":0`} {
+		wire := ComputeDelta(prev, next)
+		wire.Set = json.RawMessage(`{` + member + `,` + string(set[1:]))
+		data, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DecodeDelta(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Apply(prev, d)
+		if err != nil {
+			t.Fatalf("set with %s: %v", member, err)
+		}
+		if gotB, _ := json.Marshal(got); !bytes.Equal(gotB, want) {
+			t.Errorf("set with %s changed the result:\n got %s\nwant %s", member, gotB, want)
 		}
 	}
 }

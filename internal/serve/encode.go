@@ -1,11 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/linalg"
 	"repro/internal/stream"
@@ -41,15 +42,15 @@ type piece struct {
 
 // encodeSnapshot returns json.Marshal(snap) plus a trailing newline,
 // byte for byte, and (when prev is non-nil) a lower bound on the size
-// of the encoded prev→snap delta (see appendCoords). It writes the
-// frame (every byte but the vector coordinates) serially, cuts the
-// coordinates of gravity, mean, fanouts and resolve, taken in order,
-// into at most procs pieces of at least pieceCoords each, formats the
-// pieces in parallel into pooled scratch, and copies frame and pieces
-// into one exact-size body. A non-finite value fails the encode, as it
-// fails json.Marshal.
+// of the encoded prev→snap delta (see appendCoords). It marshals the
+// frame (every byte but the vector coordinates), cuts the coordinates
+// of gravity, mean, fanouts and resolve, taken in order, into at most
+// procs pieces of at least pieceCoords each, formats the pieces in
+// parallel into pooled scratch, and copies frame and pieces into one
+// exact-size body. A non-finite value fails the encode, as it fails
+// json.Marshal.
 func encodeSnapshot(snap, prev *stream.Snapshot, procs int) (body []byte, bound int, err error) {
-	frame, slots, err := appendFrame(make([]byte, 0, 512), snap, prev)
+	frame, slots, err := marshalFrame(snap, prev)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -136,90 +137,56 @@ func appendCoords(dst, frame []byte, slots []slot, withBound bool, lo, hi int) (
 	return dst, bound, nil
 }
 
-// appendFrame writes snap as json.Marshal does, except that a non-empty
-// vector is written as "[]" and becomes a slot at the offset between
-// its brackets. Field order, omitempty and null for a nil vector follow
-// stream.Snapshot's tags. prev supplies the slots' delta bases.
-func appendFrame(b []byte, snap, prev *stream.Snapshot) ([]byte, []slot, error) {
+// placeholder stands for a non-empty vector while the frame is
+// marshalled. It needs a coordinate: omitempty drops an empty resolve.
+var placeholder = linalg.Vector{0}
+
+// marshalFrame is json.Marshal(snap) with each non-empty vector written
+// as "[]", a slot at the offset between its brackets: it marshals the
+// vector as the placeholder and cuts the 0 found at its key, which no
+// JSON string holds (strings escape quotes). A key missing in wire
+// order (a renamed or reordered field) fails the encode. prev supplies
+// the slots' delta bases.
+func marshalFrame(snap, prev *stream.Snapshot) ([]byte, []slot, error) {
 	var base stream.Snapshot
 	if prev != nil {
 		base = *prev
 	}
+	stub := *snap
+	vecs := [...]struct {
+		key       string
+		vec, base linalg.Vector
+		stub      *linalg.Vector
+	}{
+		{`"gravity":[0]`, snap.Gravity, base.Gravity, &stub.Gravity},
+		{`"mean":[0]`, snap.Mean, base.Mean, &stub.Mean},
+		{`"fanouts":[0]`, snap.Fanouts, base.Fanouts, &stub.Fanouts},
+		{`"resolve":[0]`, snap.Resolve, base.Resolve, &stub.Resolve},
+	}
+	for _, v := range vecs {
+		if len(v.vec) > 0 {
+			*v.stub = placeholder
+		}
+	}
+	frame, err := json.Marshal(&stub)
+	if err != nil {
+		return nil, nil, err
+	}
 	var slots []slot
-	vec := func(v, bv linalg.Vector) {
-		if v == nil {
-			b = append(b, "null"...)
-			return
+	at := 0
+	for _, v := range vecs {
+		if len(v.vec) == 0 {
+			continue
 		}
-		b = append(b, '[')
-		if len(v) > 0 {
-			slots = append(slots, slot{at: len(b), vec: v, base: bv})
+		i := bytes.Index(frame[at:], []byte(v.key))
+		if i < 0 {
+			return nil, nil, fmt.Errorf("serve: snapshot frame lacks %s", v.key)
 		}
-		b = append(b, ']')
+		at += i + len(v.key) - len("0]")
+		frame = append(frame[:at], frame[at+1:]...)
+		slots = append(slots, slot{at: at, vec: v.vec, base: v.base})
 	}
-	var err error
-	float := func(f float64) {
-		if err == nil {
-			b, err = appendFloat(b, f)
-		}
-	}
-	b = append(b, `{"version":`...)
-	b = strconv.AppendUint(b, snap.Version, 10)
-	b = append(b, `,"interval":`...)
-	b = strconv.AppendInt(b, int64(snap.Interval), 10)
-	b = append(b, `,"window":`...)
-	b = strconv.AppendInt(b, int64(snap.Window), 10)
-	b = append(b, `,"covered":`...)
-	b = strconv.AppendInt(b, int64(snap.Covered), 10)
-	b = append(b, `,"skipped":`...)
-	b = strconv.AppendInt(b, int64(snap.Skipped), 10)
-	b = append(b, `,"drift":`...)
-	float(snap.Drift)
-	b = append(b, `,"topology_epoch":`...)
-	b = strconv.AppendInt(b, int64(snap.TopologyEpoch), 10)
-	if snap.AnomalyActive {
-		b = append(b, `,"anomaly_active":true`...)
-	}
-	if snap.Anomalies != 0 {
-		b = append(b, `,"anomalies":`...)
-		b = strconv.AppendInt(b, int64(snap.Anomalies), 10)
-	}
-	b = append(b, `,"gravity":`...)
-	vec(snap.Gravity, base.Gravity)
-	b = append(b, `,"mean":`...)
-	vec(snap.Mean, base.Mean)
-	b = append(b, `,"fanouts":`...)
-	vec(snap.Fanouts, base.Fanouts)
-	b = append(b, `,"gravity_mre":`...)
-	float(snap.GravityMRE)
-	if len(snap.Resolve) > 0 {
-		b = append(b, `,"resolve":`...)
-		vec(snap.Resolve, base.Resolve)
-	}
-	if snap.ResolveMethod != "" {
-		b = append(b, `,"resolve_method":`...)
-		b = appendString(b, string(snap.ResolveMethod))
-	}
-	b = append(b, `,"resolve_mre":`...)
-	float(snap.ResolveMRE)
-	b = append(b, `,"resolve_interval":`...)
-	b = strconv.AppendInt(b, int64(snap.ResolveInterval), 10)
-	b = append(b, `,"resolve_duration_ns":`...)
-	b = strconv.AppendInt(b, int64(snap.ResolveDuration), 10)
-	b = append(b, `,"resolve_iterations":`...)
-	b = strconv.AppendInt(b, int64(snap.ResolveIterations), 10)
-	b = append(b, `,"resolve_warm":`...)
-	b = strconv.AppendBool(b, snap.ResolveWarm)
-	b = append(b, `,"time":`...)
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := snap.Time.MarshalJSON()
-	if err != nil {
-		return nil, nil, err
-	}
-	b = append(append(b, t...), '}')
-	return b, slots, nil
+	return frame, slots, nil
 }
 
 // appendFloat formats f as encoding/json does: the shortest 'f' form,
@@ -243,57 +210,4 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 		}
 	}
 	return b, nil
-}
-
-// appendString quotes s as json.Marshal does: HTML-escaped (<, >, &),
-// control bytes as \b \f \n \r \t or \u00XX, invalid UTF-8 as \ufffd,
-// and U+2028/U+2029 escaped.
-func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

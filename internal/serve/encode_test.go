@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -225,4 +227,68 @@ func TestEncodeConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSnapshotSchema sets every stream.Snapshot field to a distinct
+// non-zero value by reflection, so a field added later is covered with
+// no edit here: the body is json.Marshal's plus a newline at 1, 2 and 8
+// pieces, and the delta from another such snapshot applies back to its
+// exact bytes.
+func TestSnapshotSchema(t *testing.T) {
+	prev, next := schemaSnapshot(t, 1), schemaSnapshot(t, 2)
+	want := marshalOracle(t, next)
+	for _, procs := range []int{1, 2, 8} {
+		got, _, err := encodeSnapshot(&next, &prev, procs)
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("procs=%d: body differs from json.Marshal\n got %.300s\nwant %.300s", procs, got, want)
+		}
+	}
+	d, err := DecodeDelta(EncodeDelta(prev, next, math.MaxInt32, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Apply(prev, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotB := marshalOracle(t, got); !bytes.Equal(gotB, want) {
+		t.Fatalf("applied delta differs from the target\n got %.300s\nwant %.300s", gotB, want)
+	}
+}
+
+// schemaSnapshot gives field k of stream.Snapshot a value made of seed
+// and k, shared with no other field and no other seed. Vectors run
+// past one encode piece, so that 2 and 8 procs cut them.
+func schemaSnapshot(t *testing.T, seed int) stream.Snapshot {
+	var s stream.Snapshot
+	v := reflect.ValueOf(&s).Elem()
+	for k := 0; k < v.NumField(); k++ {
+		f, n := v.Field(k), 100*seed+k+1
+		switch {
+		case f.Type() == reflect.TypeOf(time.Time{}):
+			f.Set(reflect.ValueOf(time.Date(2026, 1, 1, 0, 0, n, n, time.FixedZone("z", 3600*seed))))
+		case f.Type() == reflect.TypeOf(linalg.Vector(nil)):
+			vec := linalg.NewVector(pieceCoords + n)
+			for i := range vec {
+				vec[i] = float64(n) + 1.5*float64(i%(seed+2))
+			}
+			f.Set(reflect.ValueOf(vec))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(int64(n))
+		case f.CanUint():
+			f.SetUint(uint64(n))
+		case f.CanFloat():
+			f.SetFloat(float64(n) + 0.25)
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("m<%d>", n))
+		default:
+			t.Fatalf("field %s of type %s: give it a value here", v.Type().Field(k).Name, f.Type())
+		}
+	}
+	return s
 }

@@ -490,8 +490,8 @@ func (e *Engine) skip() {
 // coverage anymore).
 func (e *Engine) finalDrain(store *collector.Store) {
 	for latest := store.LatestInterval(); e.next <= latest; {
-		rates, covered, ok := e.intervalRates(store)
-		if ok && float64(covered) >= e.cfg.MinCoverage*float64(store.NumLSPs()) {
+		rates, covered, ok := store.Take(e.next)
+		if ok && e.meetsCoverage(store, covered) {
 			e.consume(e.next, rates, covered)
 		} else {
 			e.skip()
@@ -500,11 +500,10 @@ func (e *Engine) finalDrain(store *collector.Store) {
 	store.Prune(e.next)
 }
 
-// intervalRates fetches the consumable interval's demand vector. The
-// engine is its store's sole consumer by contract, so it takes
-// ownership of the stored vector outright (no per-interval clone).
-func (e *Engine) intervalRates(store *collector.Store) (linalg.Vector, int, bool) {
-	return store.Take(e.next)
+// meetsCoverage reports whether an interval covering `covered` LSPs
+// meets Config.MinCoverage.
+func (e *Engine) meetsCoverage(store *collector.Store, covered int) bool {
+	return float64(covered) >= e.cfg.MinCoverage*float64(store.NumLSPs())
 }
 
 // scan consumes every interval that is ready, in order, then prunes the
@@ -531,8 +530,10 @@ func (e *Engine) scan(store *collector.Store) {
 		closed := latest > e.next+1
 		full := ok && covered == store.NumLSPs()
 		switch {
-		case full, closed && ok && float64(covered) >= e.cfg.MinCoverage*float64(store.NumLSPs()):
-			rates, covered, ok := e.intervalRates(store)
+		case full, closed && ok && e.meetsCoverage(store, covered):
+			// The engine is its store's sole consumer by contract, so it
+			// takes the stored vector outright (no per-interval clone).
+			rates, covered, ok := store.Take(e.next)
 			if !ok { // pruned under our feet; cannot happen with one consumer
 				e.skip()
 				continue
