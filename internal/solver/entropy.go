@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/linalg"
+	"repro/internal/sparse"
 )
 
 // EntropyRegularized solves the entropy-penalized tomography problem of
@@ -15,16 +16,25 @@ import (
 // Kullback–Leibler divergence. It uses forward–backward splitting: a
 // gradient step on the quadratic term followed by the exact proximal
 // operator of the KL term, which is separable and solved per coordinate by
-// safeguarded Newton. Coordinates whose prior is zero are pinned to zero
-// (the KL term is +Inf off the prior's support).
+// safeguarded Newton (klProx, which returns a Newton step it can prove the
+// next pass would accept without evaluating that pass). Coordinates whose
+// prior is zero are pinned to zero (the KL term is +Inf off the prior's
+// support).
+//
+// Each iteration makes two passes over the data: one fused sweep of the
+// matrix for the residual and gradient (sparse.Matrix.ResidualGrad), and
+// one over the coordinates that applies the prox and accumulates the
+// stopping rule's step and iterate norms as it goes. Both keep the
+// summation order of the textbook form (MulVec, Sub, MulVecT, then a
+// separate norm sweep), so the iterates are bit-identical to it.
 //
 // x0 is the starting point (nil starts from the prior); warm starting pays
 // off when a sequence of closely related problems is solved, e.g. the
-// streaming re-solves of internal/stream. The residual, gradient and
-// previous-iterate buffers come from ws, and the operator norm from ws's
-// cache; a nil ws uses a fresh one. The returned iterate is always freshly
-// allocated (it is the published estimate), never a workspace buffer.
-func EntropyRegularized(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, tau float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
+// streaming re-solves of internal/stream. The residual and gradient
+// buffers come from ws, and the operator norm from ws's cache; a nil ws
+// uses a fresh one. The returned iterate is always freshly allocated (it
+// is the published estimate), never a workspace buffer.
+func EntropyRegularized(ws *Workspace, a *sparse.Matrix, b linalg.Vector, prior linalg.Vector, tau float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
 	if ws == nil {
 		ws = new(Workspace)
 	}
@@ -48,27 +58,21 @@ func EntropyRegularized(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Ve
 
 	r := buf(&ws.r, a.Rows())
 	g := buf(&ws.g, n)
-	xPrev := buf(&ws.xPrev, n)
 	res := FISTAResult{}
 	for iter := 0; iter < maxIter; iter++ {
-		copy(xPrev, x)
 		// Forward step on the quadratic part.
-		a.MulVec(r, x)
-		linalg.Sub(r, r, b)
-		a.MulVecT(g, r)
-		for i := range x {
-			z := x[i] - 2*step*g[i]
-			if prior[i] <= 0 {
-				x[i] = 0
-				continue
-			}
-			x[i] = klProx(z, prior[i], eta)
-		}
+		a.ResidualGrad(r, g, x, b)
 		var diff, norm float64
-		for i := range x {
-			d := x[i] - xPrev[i]
+		for i, xi := range x {
+			z := xi - 2*step*g[i]
+			next := 0.0
+			if !(prior[i] <= 0) { // a NaN prior reaches klProx, and yields NaN
+				next = klProx(z, prior[i], eta)
+			}
+			d := next - xi
 			diff += d * d
-			norm += x[i] * x[i]
+			norm += next * next
+			x[i] = next
 		}
 		res.Iterations = iter + 1
 		if diff <= tol*tol*(norm+1e-30) {
@@ -89,6 +93,15 @@ func EntropyRegularized(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Ve
 // whose optimality condition is u + eta·log(u/p) = z. The left side is
 // strictly increasing in u, so safeguarded Newton from a positive start
 // converges quadratically.
+//
+// Most calls of a warm re-solve start next to the root, and the first
+// Newton step from u = z lands on it: the second pass would spend its
+// math.Log only to confirm that step. For z >= eta the first pass
+// therefore asks newtonCertified whether the second pass's acceptance
+// test is provably met, and if so returns the Newton point one pass
+// early. The returned value is the loop's own second iterate, so the
+// result is bit-identical to running the loop; a step the bound cannot
+// certify simply continues the unchanged loop.
 func klProx(z, p, eta float64) float64 {
 	if eta <= 0 {
 		if z < 0 {
@@ -97,7 +110,7 @@ func klProx(z, p, eta float64) float64 {
 		return z
 	}
 	// Bracket: g(u) = u + eta·log(u/p) − z is -Inf at 0+, +Inf at +Inf.
-	lo, hi := 0.0, math.Max(z, p)+eta+1
+	lo, hi := 0.0, max(z, p)+eta+1
 	u := z
 	if z <= 0 {
 		// For z <= 0 the optimality condition u = p·exp((z−u)/eta)
@@ -124,9 +137,11 @@ func klProx(z, p, eta float64) float64 {
 			u = ub / 2
 		}
 	}
+	tol := 1e-12 * (1 + math.Abs(z))
 	for iter := 0; iter < 60; iter++ {
-		g := u + eta*math.Log(u/p) - z
-		if math.Abs(g) <= 1e-12*(1+math.Abs(z)) {
+		q := u / p
+		g := u + eta*math.Log(q) - z
+		if math.Abs(g) <= tol {
 			return u
 		}
 		if g > 0 {
@@ -136,6 +151,12 @@ func klProx(z, p, eta float64) float64 {
 		}
 		dg := 1 + eta/u
 		next := u - g/dg
+		// With z >= eta > 0 the first pass starts at u = z, and a Newton
+		// point inside the bracket is what the second pass evaluates:
+		// return it now if that pass provably accepts it.
+		if iter == 0 && z >= eta && lo < next && next < hi && newtonCertified(z, q, eta, g, next, tol) {
+			return next
+		}
 		if next <= lo || next >= hi || math.IsNaN(next) {
 			next = (lo + hi) / 2 // bisection safeguard
 			if next <= 0 {
@@ -148,6 +169,62 @@ func klProx(z, p, eta float64) float64 {
 		u = next
 	}
 	return u
+}
+
+// newtonCertified reports whether klProx's second pass, evaluated at the
+// first pass's Newton point u1 = fl(z − g1/fl(1 + eta/z)), would return
+// it: whether the computed g2 = fl(u1 + eta·Log(fl(u1/p)) − z) satisfies
+// |g2| <= tol = fl(1e-12·fl(1+z)). g1 and q = fl(z/p) are the first
+// pass's computed residual and quotient at u = z. It requires
+// z >= eta > 0 and u1 strictly inside the first pass's bracket, and it
+// evaluates no logarithm.
+//
+// The bound. Let ε = 2⁻⁵³ and suppose Log is within 2 ulp (math.Log
+// documents 1), so a computed log L carries absolute error at most
+// ε + 4ε·|L| after the quotient's own rounding. Two guards hold the
+// rest of the argument in a small range:
+//   - |g1| <= z/4, with dg >= 1, puts u1 in [0.74z, 1.26z]. Both "− z"
+//     subtractions then see operands within a factor 2 of z and are exact
+//     (Sterbenz) once the residuals are small, and eta·|L0|, eta·|L1| stay
+//     under 0.26z + |g|.
+//   - 2⁻¹⁰²¹ <= q <= 2¹⁰²² keeps both quotients z/p and u1/p normal, so
+//     each carries relative error at most ε.
+//
+// In exact arithmetic on the floats, with d = u1 − z,
+//
+//	u1 + eta·ln(u1/p) − z = N − T,   N = d·(1+eta/z) + eta·ln(z/p),
+//	0 <= T = ½·eta·d²/ξ² <= ½·eta·d²/min(z,u1)²   (ξ between z and u1),
+//
+// the Taylor expansion of ln around z with Lagrange remainder T. N would
+// be 0 for an exact Newton step; here it is rounding only, each term
+// bounded using eta <= z, |g1| <= z/4 and u1 <= 1.26z:
+//   - the quotients g1/dg and eta/z and the sum 1 + eta/z: 0.64ε·z;
+//   - rounding u1 itself, times the slope 1 + eta/z <= 2: 2.52ε·z;
+//   - g1's product, sum and (exact) difference: 1.77ε·z;
+//   - the error of L0 = Log(fl(z/p)), times eta: 2.04ε·z.
+//
+// Evaluating g2 adds the error of L1, times eta (2.04ε·z), and the
+// rounding of its product and sum (1.26ε·z), plus relative terms of at
+// most 8ε on |g2| itself (the final subtraction is exact by Sterbenz once
+// z ≫ tol, and rounds by at most ε·|g2| otherwise). All of it holds with
+// or without fused multiply-add: a fused eta·L + u only removes the
+// product's rounding. Altogether
+//
+//	|g2| <= (1+8ε)·T + 11ε·z.
+//
+// The test below compares the computed remainder (relative error under 5ε)
+// plus a slack of 2⁻⁴⁸·(1+z) = 32ε·(1+z) against tol. The slack covers the
+// 11ε·z of rounding with 21ε·(1+z) to spare, which exceeds the relative
+// terms' 14ε·tol because tol = 1e-12·(1+z). The slack sits 280x under
+// tol, and the rounding terms it covers 800x under, so the exit is taken
+// whenever the remainder is below about 0.996·tol.
+func newtonCertified(z, q, eta, g1, u1, tol float64) bool {
+	if 4*math.Abs(g1) > z || !(q >= 0x1p-1021 && q <= 0x1p1022) {
+		return false
+	}
+	d := u1 - z
+	m := min(z, u1)
+	return 0.5*eta*(d/m)*(d/m)+0x1p-48*(1+z) <= tol
 }
 
 // GeneralizedKL returns D(x‖p) = Σ x·log(x/p) − x + p over the coordinates,

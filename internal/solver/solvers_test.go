@@ -25,6 +25,18 @@ func (o DenseOp) Rows() int { return o.M.Rows }
 // Cols returns the column count.
 func (o DenseOp) Cols() int { return o.M.Cols }
 
+// sparseOf stores a dense matrix in CSR form, the operator type
+// EntropyRegularized takes.
+func sparseOf(m *linalg.Matrix) *sparse.Matrix {
+	b := sparse.NewBuilder(m.Rows, m.Cols)
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			b.Add(r, c, m.At(r, c))
+		}
+	}
+	return b.Build()
+}
+
 func randDense(rng *rand.Rand, rows, cols int) *linalg.Matrix {
 	m := linalg.NewMatrix(rows, cols)
 	for i := range m.Data {
@@ -256,7 +268,7 @@ func TestEntropyRegularizedRecoversConsistent(t *testing.T) {
 	b := a.MulVec(nil, xTrue)
 	prior := linalg.NewVector(n)
 	prior.Fill(1)
-	x, _ := EntropyRegularized(nil, DenseOp{a}, b, prior, 1e-6, nil, 50000, 1e-12)
+	x, _ := EntropyRegularized(nil, sparseOf(a), b, prior, 1e-6, nil, 50000, 1e-12)
 	r := linalg.Sub(linalg.NewVector(m), a.MulVec(nil, x), b)
 	if r.Norm2() > 1e-3*b.Norm2() {
 		t.Fatalf("residual too large: %v", r.Norm2())
@@ -272,7 +284,7 @@ func TestEntropyRegularizedStrongPriorSticks(t *testing.T) {
 	prior := linalg.Vector{1, 2, 3, 1, 2, 3}
 	b := linalg.NewVector(4)
 	b.Fill(100)
-	x, _ := EntropyRegularized(nil, DenseOp{a}, b, prior, 1e9, nil, 5000, 1e-12)
+	x, _ := EntropyRegularized(nil, sparseOf(a), b, prior, 1e9, nil, 5000, 1e-12)
 	for i := range prior {
 		if math.Abs(x[i]-prior[i]) > 0.05*prior[i] {
 			t.Fatalf("x[%d] = %v strayed from prior %v", i, x[i], prior[i])
@@ -283,7 +295,7 @@ func TestEntropyRegularizedStrongPriorSticks(t *testing.T) {
 func TestEntropyZeroPriorPinsCoordinate(t *testing.T) {
 	a := linalg.NewMatrixFromRows([][]float64{{1, 1}})
 	prior := linalg.Vector{0, 1}
-	x, _ := EntropyRegularized(nil, DenseOp{a}, linalg.Vector{5}, prior, 0.01, nil, 2000, 1e-12)
+	x, _ := EntropyRegularized(nil, sparseOf(a), linalg.Vector{5}, prior, 0.01, nil, 2000, 1e-12)
 	if x[0] != 0 {
 		t.Fatalf("coordinate with zero prior must stay zero, got %v", x[0])
 	}

@@ -25,7 +25,7 @@ type Workspace struct {
 	r     linalg.Vector // residual, sized to the operator's row count
 	g     linalg.Vector // gradient, sized to the column count
 	y     linalg.Vector // FISTA momentum iterate
-	xPrev linalg.Vector // previous iterate, for the stopping rule
+	xPrev linalg.Vector // FISTA's previous iterate, for the stopping rule
 
 	px, py, pz linalg.Vector // power-iteration scratch
 

@@ -59,3 +59,18 @@ func TestMulVecReusedDstAllocFree(t *testing.T) {
 		t.Errorf("MulVecT with reused dst allocated %.0f times per run, want 0", allocs)
 	}
 }
+
+// TestResidualGradAllocFree pins the same contract on the fused
+// residual/gradient kernel the entropy solver iterates on.
+func TestResidualGradAllocFree(t *testing.T) {
+	m := benchMatrix(t)
+	x := linalg.NewVector(m.Cols())
+	for i := range x {
+		x[i] = float64(i + 1)
+	}
+	b := linalg.NewVector(m.Rows())
+	r, g := linalg.NewVector(m.Rows()), linalg.NewVector(m.Cols())
+	if allocs := testing.AllocsPerRun(100, func() { m.ResidualGrad(r, g, x, b) }); allocs != 0 {
+		t.Errorf("ResidualGrad with reused buffers allocated %.0f times per run, want 0", allocs)
+	}
+}

@@ -224,6 +224,39 @@ func (m *Matrix) MulVecT(dst, x linalg.Vector) linalg.Vector {
 	return dst
 }
 
+// ResidualGrad sets r = m·x − b and g = mᵀ·r in one pass over the rows,
+// the gradient half of a least-squares step (up to the factor 2). Each
+// row's residual is summed in column order, and scattered into g as soon
+// as it is known; rows whose residual is exactly zero scatter nothing,
+// as MulVecT skips them. The arithmetic and its order are those of
+// MulVec, linalg.Sub and MulVecT in sequence, so r and g are
+// bit-identical to that three-pass form while the matrix is read once.
+// r and g must not alias each other, x or b.
+func (m *Matrix) ResidualGrad(r, g, x, b linalg.Vector) {
+	if len(x) != m.cols || len(g) != m.cols || len(r) != m.rows || len(b) != m.rows {
+		panic(fmt.Sprintf("sparse: ResidualGrad shape mismatch %dx%d with x %d, b %d, r %d, g %d", m.rows, m.cols, len(x), len(b), len(r), len(g)))
+	}
+	for i := range g {
+		g[i] = 0
+	}
+	for row := range r {
+		lo, hi := m.rowPtr[row], m.rowPtr[row+1]
+		cols, vals := m.colIdx[lo:hi], m.val[lo:hi]
+		var s float64
+		for k, c := range cols {
+			s += vals[k] * x[c]
+		}
+		s -= b[row]
+		r[row] = s
+		if s == 0 {
+			continue
+		}
+		for k, c := range cols {
+			g[c] += vals[k] * s
+		}
+	}
+}
+
 // reshape points dst at a rows×cols layout with nnz stored entries,
 // reusing dst's backing arrays when their capacity suffices. A nil dst
 // allocates a fresh matrix. The returned matrix's arrays are NOT zeroed.
