@@ -27,19 +27,18 @@ test-short:
 # (FuzzKLProx: bit-identical to the reference Newton loop). A failing
 # input is written to the target's corpus directory; commit it as a
 # regression seed. FuzzDelta and FuzzKLProx bound each minimization to
-# FUZZMINIMIZE runs: FuzzDelta's interesting inputs run to ~33 KB, and
-# the default 60 s minimization of each one ate the whole budget.
+# 10 runs: FuzzDelta's interesting inputs run to ~33 KB, and the default
+# 60 s minimization of each one ate the whole budget.
 FUZZTIME ?= 15s
-FUZZMINIMIZE ?= 10x
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzTimeline$$' -fuzztime $(FUZZTIME) ./internal/timeline
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterConfig$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzKLProx$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/solver
+	$(GO) test -run '^$$' -fuzz '^FuzzKLProx$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/solver
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

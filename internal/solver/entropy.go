@@ -110,7 +110,7 @@ func klProx(z, p, eta float64) float64 {
 		return z
 	}
 	// Bracket: g(u) = u + eta·log(u/p) − z is -Inf at 0+, +Inf at +Inf.
-	lo, hi := 0.0, max(z, p)+eta+1
+	lo, hi := 0.0, math.Max(z, p)+eta+1
 	u := z
 	if z <= 0 {
 		// For z <= 0 the optimality condition u = p·exp((z−u)/eta)

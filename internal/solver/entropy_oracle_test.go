@@ -130,6 +130,11 @@ func TestEntropyRegularizedHostileMatchesReference(t *testing.T) {
 		{prior: base(), loads: linalg.Vector{nan, 1, 2, 3, 4}},
 		{prior: base(), loads: linalg.Vector{1, inf, 2, 3, -inf}},
 		{prior: base(), x0: linalg.Vector{3, nan, 0.2, inf, 2, -1, 4, 1.5}},
+		// A +Inf load on the row through every column, a finite warm start
+		// and a NaN prior: z is +Inf at the NaN-prior coordinate, where
+		// klProx returns +Inf only because math.Max puts +Inf ahead of
+		// NaN. (A cold start or a +Inf warm start there makes z NaN.)
+		{prior: linalg.Vector{3, 1, nan, 5, 2, 0.7, 4, 1.5}, loads: linalg.Vector{inf, 1, 2, 3, 4}, x0: base()},
 	} {
 		b := tc.loads
 		if b == nil {

@@ -46,7 +46,8 @@ func certifiedExit(z, p, eta float64) bool {
 	}
 	lo, hi := 0.0, math.Max(z, p)+eta+1
 	tol := 1e-12 * (1 + math.Abs(z))
-	g := z + eta*math.Log(z/p) - z
+	q := z / p
+	g := z + eta*math.Log(q) - z
 	if math.Abs(g) <= tol {
 		return false
 	}
@@ -56,7 +57,7 @@ func certifiedExit(z, p, eta float64) bool {
 		lo = z
 	}
 	next := z - g/(1+eta/z)
-	return lo < next && next < hi && newtonCertified(z, p, eta, g, next, tol)
+	return lo < next && next < hi && newtonCertified(z, q, eta, g, next, tol)
 }
 
 // thresholdPair returns two priors, adjacent up to float resolution in
@@ -128,7 +129,9 @@ func TestKLProxThresholdStraddles(t *testing.T) {
 // is three raw words, checked both as float bits and through
 // scaledTriple. The seeds cover the certificate's edges: z just above
 // eta, |g| near z/4 on both sides of the root, remainders just under and
-// just over the threshold, z near 1e300, subnormal p and eta >= z.
+// just over the threshold, z near 1e300, subnormal p and eta >= z, and
+// z = +Inf with a NaN prior, where the bracket's math.Max returns +Inf
+// before it looks at the NaN.
 func FuzzKLProx(f *testing.F) {
 	add := func(z, p, eta float64) { f.Add(math.Float64bits(z), math.Float64bits(p), math.Float64bits(eta)) }
 	add(math.Nextafter(0.5, 1), 0.3, 0.5)
@@ -151,6 +154,7 @@ func FuzzKLProx(f *testing.F) {
 	add(1, 1, 1)
 	add(-2, 0.5, 0.1)
 	f.Add(uint64(0x7ff8000000000001), uint64(0x3ff0000000000000), uint64(0x3ff0000000000000))
+	add(math.Inf(1), math.NaN(), 1)
 	f.Fuzz(func(t *testing.T, zb, pb, eb uint64) {
 		checkProxRef(t, math.Float64frombits(zb), math.Float64frombits(pb), math.Float64frombits(eb))
 		z, p, eta := scaledTriple(zb, pb, eb)
