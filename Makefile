@@ -1,5 +1,6 @@
-# Targets mirror the CI jobs in .github/workflows/ci.yml so that what
-# passes locally passes there.
+# The CI jobs in .github/workflows/ci.yml run these targets, so each
+# command line is written once, here, and what passes locally passes
+# there.
 
 GO ?= go
 
@@ -71,7 +72,7 @@ bench-baseline:
 	@rm -f bench.out
 	@echo "wrote $(BASELINE)"
 
-# Benchmark regression gate, as run by CI's bench job: the scale
+# Benchmark regression gate, run by CI's bench job: the scale
 # benchmarks plus two seed-era anchors, and the serve encode
 # (BenchmarkHubEncode, 20 encodes per sample), each run three times and
 # compared by its median against the checked-in baseline at a 2x ns/op

@@ -5,7 +5,7 @@
 //
 // The repository implements the paper's complete system: the
 // MPLS/SNMP-style measurement substrate (internal/collector), backbone
-// topology and CSPF routing simulation (internal/topology), a demand
+// topology and shortest-path routing simulation (internal/topology), a demand
 // generator calibrated to the paper's statistical findings
 // (internal/traffic), every estimation method the paper evaluates
 // (internal/core), the numerical machinery they need — dense/sparse linear

@@ -43,23 +43,22 @@ func (in *Instance) NumPairs() int { return in.Rt.Net.NumPairs() }
 // IngressTotals returns te(n) for every PoP, read off the ingress access
 // link loads.
 func (in *Instance) IngressTotals() linalg.Vector {
-	n := in.Rt.Net.NumPoPs()
-	te := linalg.NewVector(n)
-	for pop := 0; pop < n; pop++ {
-		te[pop] = in.Loads[in.Rt.IngressRow(pop)]
-	}
-	return te
+	return in.accessTotals(linalg.NewVector(in.Rt.Net.NumPoPs()), in.Rt.IngressRow)
 }
 
 // EgressTotals returns tx(m) for every PoP, read off the egress access link
 // loads.
 func (in *Instance) EgressTotals() linalg.Vector {
-	n := in.Rt.Net.NumPoPs()
-	tx := linalg.NewVector(n)
-	for pop := 0; pop < n; pop++ {
-		tx[pop] = in.Loads[in.Rt.EgressRow(pop)]
+	return in.accessTotals(linalg.NewVector(in.Rt.Net.NumPoPs()), in.Rt.EgressRow)
+}
+
+// accessTotals sets dst[pop] to the load on access row row(pop) for every
+// PoP (dst has NumPoPs entries) and returns dst.
+func (in *Instance) accessTotals(dst linalg.Vector, row func(pop int) int) linalg.Vector {
+	for pop := range dst {
+		dst[pop] = in.Loads[row(pop)]
 	}
-	return tx
+	return dst
 }
 
 // TotalTraffic returns the total network traffic Σ te(n).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -198,18 +199,33 @@ func TestGeneralizedGravityZerosPeers(t *testing.T) {
 	}
 }
 
+// TestGravityFanoutsSumToOne checks the fanout view of eq. 5: the
+// fanouts of the gravity estimate are α_nm = tx(m) / Σ_{k≠n} tx(k), the
+// same for every source up to the excluded diagonal, and each row sums
+// to one.
 func TestGravityFanoutsSumToOne(t *testing.T) {
 	f := europe(t)
-	a := GravityFanouts(f.inst)
-	for src := 0; src < f.net.NumPoPs(); src++ {
+	n := f.net.NumPoPs()
+	a := traffic.FanoutsOf(n, Gravity(f.inst))
+	tx := f.inst.EgressTotals()
+	for src := 0; src < n; src++ {
 		var sum float64
-		for dst := 0; dst < f.net.NumPoPs(); dst++ {
+		for dst := 0; dst < n; dst++ {
 			if dst != src {
 				sum += a[f.net.PairIndex(src, dst)]
 			}
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("source %d fanouts sum to %v", src, sum)
+		}
+		rowTx := tx.Sum() - tx[src]
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				continue
+			}
+			if got, want := a[f.net.PairIndex(src, dst)], tx[dst]/rowTx; math.Abs(got-want) > 1e-12 {
+				t.Fatalf("α[%d→%d] = %v, want tx share %v", src, dst, got, want)
+			}
 		}
 	}
 }
@@ -320,5 +336,13 @@ func TestBayesianRejectsBadReg(t *testing.T) {
 	}
 	if _, _, err := Entropy(f.inst, Gravity(f.inst), -1, SolveOptions{}); err == nil {
 		t.Fatal("expected error for negative reg")
+	}
+	// A NaN reg is refused by name, before a solver pass could turn it
+	// into a non-finite estimate.
+	for _, solve := range []func(*Instance, linalg.Vector, float64, SolveOptions) (linalg.Vector, int, error){Bayesian, Entropy} {
+		if _, iters, err := solve(f.inst, Gravity(f.inst), math.NaN(), SolveOptions{}); err == nil ||
+			!strings.Contains(err.Error(), "positive regularization, got NaN") || iters != 0 {
+			t.Fatalf("reg=NaN: err %v after %d iterations, want the regularization named", err, iters)
+		}
 	}
 }

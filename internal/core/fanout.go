@@ -65,7 +65,7 @@ func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, opt SolveOptio
 		if j := nonFinite(t); j >= 0 {
 			return nil, fmt.Errorf("core: EstimateFanouts sample %d load %d is %v", i, j, t[j])
 		}
-		sc := vbuf(&ws.scales[i], p)
+		sc := linalg.Grow(&ws.scales[i], p)
 		for pair := 0; pair < p; pair++ {
 			src, _ := net.PairFromIndex(pair)
 			sc[pair] = t[rt.IngressRow(src)]
@@ -85,9 +85,9 @@ func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, opt SolveOptio
 	groups := ws.groups
 
 	// Gradient of Σ_k ‖R·S_k·α − t_k‖²: Σ_k 2·S_k·Rᵀ·(R·S_k·α − t_k).
-	scaled := vbuf(&ws.scaled, p)
-	resid := vbuf(&ws.resid, rt.R.Rows())
-	back := vbuf(&ws.back, p)
+	scaled := linalg.Grow(&ws.scaled, p)
+	resid := linalg.Grow(&ws.resid, rt.R.Rows())
+	back := linalg.Grow(&ws.back, p)
 	grad := func(dst, a linalg.Vector) {
 		dst.Zero()
 		for i := 0; i < k; i++ {
@@ -147,7 +147,7 @@ func EstimateFanouts(rt *topology.Routing, loads []linalg.Vector, opt SolveOptio
 // projectGroupSimplex projects the coordinates of a listed in group onto
 // the unit simplex, in place, staging them in workspace scratch.
 func (ws *Workspace) projectGroupSimplex(a linalg.Vector, group []int) {
-	tmp := fbuf(&ws.groupTmp, len(group))
+	tmp := linalg.Grow(&ws.groupTmp, len(group))
 	for i, j := range group {
 		tmp[i] = a[j]
 	}

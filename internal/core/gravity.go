@@ -15,9 +15,7 @@ import (
 // which is why it serves as a prior for the regularized methods rather than
 // as an estimator of its own.
 func Gravity(in *Instance) linalg.Vector {
-	te := in.IngressTotals()
-	tx := in.EgressTotals()
-	return gravityFrom(in, te, tx, nil)
+	return GravityFromTotals(in.Rt.Net, in.IngressTotals(), in.EgressTotals(), nil)
 }
 
 // GeneralizedGravity is the peering-aware variant (§4.1): traffic between
@@ -25,13 +23,7 @@ func Gravity(in *Instance) linalg.Vector {
 // form, renormalized to the measured total. peers[n] marks PoP n as a
 // peering point.
 func GeneralizedGravity(in *Instance, peers map[int]bool) linalg.Vector {
-	te := in.IngressTotals()
-	tx := in.EgressTotals()
-	return gravityFrom(in, te, tx, peers)
-}
-
-func gravityFrom(in *Instance, te, tx linalg.Vector, peers map[int]bool) linalg.Vector {
-	return GravityFromTotals(in.Rt.Net, te, tx, peers)
+	return GravityFromTotals(in.Rt.Net, in.IngressTotals(), in.EgressTotals(), peers)
 }
 
 // GravityFromTotals computes the (generalized) gravity estimate of eq. (5)
@@ -77,30 +69,4 @@ func GravityFromTotalsInto(dst linalg.Vector, net *topology.Network, te, tx lina
 		s.Scale(tot / est)
 	}
 	return s
-}
-
-// GravityFanouts returns the fanout interpretation of the simple gravity
-// model: α_nm = tx(m) / Σ tx — identical for every source PoP.
-func GravityFanouts(in *Instance) linalg.Vector {
-	net := in.Rt.Net
-	tx := in.EgressTotals()
-	tot := tx.Sum()
-	a := linalg.NewVector(net.NumPairs())
-	if tot <= 0 {
-		return a
-	}
-	for src := 0; src < net.NumPoPs(); src++ {
-		var rowTot float64
-		for dst := 0; dst < net.NumPoPs(); dst++ {
-			if dst != src {
-				rowTot += tx[dst]
-			}
-		}
-		for dst := 0; dst < net.NumPoPs(); dst++ {
-			if dst != src && rowTot > 0 {
-				a[net.PairIndex(src, dst)] = tx[dst] / rowTot
-			}
-		}
-	}
-	return a
 }

@@ -120,7 +120,7 @@ func TestPropertyFanoutRows(t *testing.T) {
 			}
 			return sums
 		}
-		gf := core.GravityFanouts(in.Inst)
+		gf := traffic.FanoutsOf(n, core.Gravity(in.Inst))
 		checkNonNegFinite(t, in.Spec+"/gravity-fanouts", gf)
 		for src, s := range rowSums(gf) {
 			if math.Abs(s-1) > 1e-9 {

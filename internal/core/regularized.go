@@ -33,11 +33,12 @@ func Bayesian(in *Instance, prior linalg.Vector, reg float64, opt SolveOptions) 
 }
 
 // checkRegularized validates the inputs of the regularized estimators:
-// positive regularization, finite loads (a NaN or ±Inf measurement can only
-// produce a non-finite estimate, so it is refused before any solver budget
-// is spent on it), and a prior and warm start with one entry per demand.
+// positive (not NaN) regularization, finite loads (a NaN or ±Inf
+// measurement can only produce a non-finite estimate, so it is refused
+// before any solver budget is spent on it), and a prior and warm start
+// with one entry per demand.
 func checkRegularized(method string, in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector) error {
-	if reg <= 0 {
+	if !(reg > 0) { // also refuses NaN
 		return fmt.Errorf("core: %s needs positive regularization, got %v", method, reg)
 	}
 	if l := in.Rt.R.Rows(); len(in.Loads) != l {

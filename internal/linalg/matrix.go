@@ -19,21 +19,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from a slice of equal-length rows.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: got %d want %d", i, len(r), m.Cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

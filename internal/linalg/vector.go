@@ -23,6 +23,19 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
+// Grow returns *p resized to n and stores it back in *p. It reuses the
+// backing array when its capacity allows, keeping the old values there,
+// and otherwise allocates a zeroed one. It is the scratch-buffer
+// primitive of the solver, estimator and engine workspaces.
+func Grow[S ~[]float64](p *S, n int) S {
+	if cap(*p) >= n {
+		*p = (*p)[:n]
+	} else {
+		*p = make(S, n)
+	}
+	return *p
+}
+
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))
@@ -67,15 +80,6 @@ func (v Vector) Scale(a float64) {
 	for i := range v {
 		v[i] *= a
 	}
-}
-
-// Add computes dst = u + v and returns dst. dst may alias u or v.
-func Add(dst, u, v Vector) Vector {
-	checkLen3(dst, u, v)
-	for i := range dst {
-		dst[i] = u[i] + v[i]
-	}
-	return dst
 }
 
 // Sub computes dst = u - v and returns dst. dst may alias u or v.

@@ -30,19 +30,16 @@ var ErrTooManyWaiters = errors.New("serve: too many waiters")
 // subscribers per hub when the host does not say otherwise.
 const DefaultMaxWaiters = 65536
 
-// DefaultSubscriberBuffer is each subscription's entry buffer; a
-// subscriber that falls this many publications behind is dropped
-// (closed) rather than allowed to stall the broadcast.
-const DefaultSubscriberBuffer = 16
+// subscriberBuffer is each subscription's entry buffer; a subscriber
+// that falls this many publications behind is dropped (closed) rather
+// than allowed to stall the broadcast.
+const subscriberBuffer = 16
 
 // HubConfig tunes a Hub. The zero value selects every default.
 type HubConfig struct {
 	// MaxWaiters caps concurrent long-poll waiters + SSE subscribers;
 	// <= 0 selects DefaultMaxWaiters.
 	MaxWaiters int
-	// SubscriberBuffer is each subscription's channel depth; <= 0
-	// selects DefaultSubscriberBuffer.
-	SubscriberBuffer int
 }
 
 // Waiters and subscribers share one occupancy word, so a single
@@ -55,7 +52,7 @@ const (
 
 // Subscription is one SSE (or test) subscriber: receive entries from C
 // until it is closed — by Cancel, or by the hub when the subscriber
-// fell SubscriberBuffer publications behind.
+// fell subscriberBuffer publications behind.
 type Subscription struct {
 	C   <-chan *Entry
 	ch  chan *Entry
@@ -109,9 +106,6 @@ type Hub struct {
 func NewHub(src Source, cfg HubConfig) *Hub {
 	if cfg.MaxWaiters <= 0 {
 		cfg.MaxWaiters = DefaultMaxWaiters
-	}
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = DefaultSubscriberBuffer
 	}
 	h := &Hub{
 		src:   src,
@@ -282,7 +276,7 @@ func (h *Hub) Subscribe() (*Subscription, error) {
 	if !h.reserve(subscriberSlot) {
 		return nil, ErrTooManyWaiters
 	}
-	s := &Subscription{ch: make(chan *Entry, h.cfg.SubscriberBuffer), hub: h}
+	s := &Subscription{ch: make(chan *Entry, subscriberBuffer), hub: h}
 	s.C = s.ch
 	h.mu.Lock()
 	h.subs[s] = struct{}{}

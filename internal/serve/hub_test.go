@@ -375,7 +375,7 @@ func TestHubStatsSkipsHubLock(t *testing.T) {
 // order; one that stops draining is dropped (channel closed) instead of
 // stalling the broadcast.
 func TestHubSubscribeAndDrop(t *testing.T) {
-	h := NewHub(newFakeSource(), HubConfig{SubscriberBuffer: 2})
+	h := NewHub(newFakeSource(), HubConfig{})
 	live, err := h.Subscribe()
 	if err != nil {
 		t.Fatal(err)
@@ -384,20 +384,20 @@ func TestHubSubscribeAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := uint64(1); v <= 4; v++ {
+	for v := uint64(1); v <= subscriberBuffer+2; v++ {
 		h.observe(hubSnap(v))
 		if e, ok := <-live.C; !ok || e.Version != v {
 			t.Fatalf("live subscriber got (%v, %v) at version %d", e, ok, v)
 		}
 	}
-	// stuck never drained its buffer of 2: version 3's broadcast must
-	// have dropped it.
+	// stuck never drained its buffer: the broadcast of the version past
+	// it must have dropped it, holding every version the buffer took.
 	var versions []uint64
 	for e := range stuck.C { // closed by the hub
 		versions = append(versions, e.Version)
 	}
-	if len(versions) != 2 || versions[0] != 1 || versions[1] != 2 {
-		t.Fatalf("dropped subscriber drained %v, want [1 2]", versions)
+	if len(versions) != subscriberBuffer || versions[0] != 1 || versions[subscriberBuffer-1] != subscriberBuffer {
+		t.Fatalf("dropped subscriber drained %v, want [1 … %d]", versions, subscriberBuffer)
 	}
 	if st := h.Stats(); st.DroppedSubscribers != 1 || st.Subscribers != 1 {
 		t.Fatalf("stats after drop: %+v", st)

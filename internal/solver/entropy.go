@@ -56,8 +56,8 @@ func EntropyRegularized(ws *Workspace, a *sparse.Matrix, b linalg.Vector, prior 
 	step := 1 / l
 	eta := step * tau // prox weight on the KL term
 
-	r := buf(&ws.r, a.Rows())
-	g := buf(&ws.g, n)
+	r := linalg.Grow(&ws.r, a.Rows())
+	g := linalg.Grow(&ws.g, n)
 	res := FISTAResult{}
 	for iter := 0; iter < maxIter; iter++ {
 		// Forward step on the quadratic part.
@@ -75,12 +75,9 @@ func EntropyRegularized(ws *Workspace, a *sparse.Matrix, b linalg.Vector, prior 
 			x[i] = next
 		}
 		res.Iterations = iter + 1
-		if diff <= tol*tol*(norm+1e-30) {
-			res.Converged = true
+		if stop, converged := stepStop(diff, norm, tol); stop {
+			res.Converged = converged
 			break
-		}
-		if math.IsNaN(diff) {
-			break // a NaN iterate never recovers; stop instead of burning the budget
 		}
 	}
 	return x, res

@@ -8,7 +8,8 @@ import (
 
 // This file keeps the forward–backward solver as it stood before the
 // fused residual/gradient pass and klProx's certified one-step exit,
-// verbatim apart from the names, as the oracle both changes are held to:
+// verbatim apart from the names and the stopping rule, which is the
+// solvers' shared stepStop, as the oracle both changes are held to:
 // EntropyRegularized and klProx must return the same bits, iteration
 // counts and Converged flags as entropyRegularizedRef and klProxRef.
 
@@ -38,9 +39,9 @@ func entropyRegularizedRef(ws *Workspace, a LinOp, b linalg.Vector, prior linalg
 	step := 1 / l
 	eta := step * tau // prox weight on the KL term
 
-	r := buf(&ws.r, a.Rows())
-	g := buf(&ws.g, n)
-	xPrev := buf(&ws.xPrev, n)
+	r := linalg.Grow(&ws.r, a.Rows())
+	g := linalg.Grow(&ws.g, n)
+	xPrev := linalg.Grow(&ws.xPrev, n)
 	res := FISTAResult{}
 	for iter := 0; iter < maxIter; iter++ {
 		copy(xPrev, x)
@@ -63,12 +64,9 @@ func entropyRegularizedRef(ws *Workspace, a LinOp, b linalg.Vector, prior linalg
 			norm += x[i] * x[i]
 		}
 		res.Iterations = iter + 1
-		if diff <= tol*tol*(norm+1e-30) {
-			res.Converged = true
+		if stop, converged := stepStop(diff, norm, tol); stop {
+			res.Converged = converged
 			break
-		}
-		if math.IsNaN(diff) {
-			break // a NaN iterate never recovers; stop instead of burning the budget
 		}
 	}
 	return x, res

@@ -15,17 +15,9 @@ type LinOp interface {
 	Cols() int
 }
 
-// OperatorNormSq estimates ‖A‖₂² (the largest eigenvalue of AᵀA) by power
+// operatorNormSq estimates ‖A‖₂² (the largest eigenvalue of AᵀA) by power
 // iteration, within a few percent — sufficient for a safe gradient step.
-func OperatorNormSq(a LinOp) float64 {
-	if a.Cols() == 0 || a.Rows() == 0 {
-		return 0
-	}
-	return operatorNormSq(a, linalg.NewVector(a.Cols()), linalg.NewVector(a.Rows()), linalg.NewVector(a.Cols()))
-}
-
-// operatorNormSq is the power iteration behind OperatorNormSq, writing
-// into caller-supplied scratch (x: cols, y: rows, z: cols).
+// It writes into caller-supplied scratch (x: cols, y: rows, z: cols).
 func operatorNormSq(a LinOp, x, y, z linalg.Vector) float64 {
 	if a.Cols() == 0 || a.Rows() == 0 {
 		return 0
@@ -69,11 +61,11 @@ func FISTA(ws *Workspace, x linalg.Vector, grad func(dst, x linalg.Vector), l fl
 		ws = new(Workspace)
 	}
 	n := len(x)
-	y := buf(&ws.y, n)
+	y := linalg.Grow(&ws.y, n)
 	copy(y, x)
-	xPrev := buf(&ws.xPrev, n)
+	xPrev := linalg.Grow(&ws.xPrev, n)
 	copy(xPrev, x)
-	g := buf(&ws.g, n)
+	g := linalg.Grow(&ws.g, n)
 	if l <= 0 {
 		l = 1
 	}
@@ -111,15 +103,24 @@ func FISTA(ws *Workspace, x linalg.Vector, grad func(dst, x linalg.Vector), l fl
 			diff += d * d
 			norm += x[i] * x[i]
 		}
-		if diff <= tol*tol*(norm+1e-30) {
-			return x, FISTAResult{Iterations: iter + 1, Converged: true}
-		}
-		if math.IsNaN(diff) {
-			// A NaN iterate never recovers; stop instead of burning the budget.
-			return x, FISTAResult{Iterations: iter + 1}
+		if stop, converged := stepStop(diff, norm, tol); stop {
+			return x, FISTAResult{Iterations: iter + 1, Converged: converged}
 		}
 	}
 	return x, FISTAResult{Iterations: maxIter, Converged: false}
+}
+
+// stepStop is the relative-change stopping rule the iterative solvers
+// share: given diff = ‖x − xPrev‖² and norm = ‖x‖² after one iteration,
+// it stops converged when the step is within tol of the iterate. A NaN
+// or ±Inf step stops unconverged: such an iterate never recovers, and
+// +Inf would otherwise pass the test against a +Inf norm.
+func stepStop(diff, norm, tol float64) (stop, converged bool) {
+	if math.IsNaN(diff) || math.IsInf(diff, 0) {
+		return true, false
+	}
+	converged = diff <= tol*tol*(norm+1e-30)
+	return converged, converged
 }
 
 // LeastSquaresNonneg solves  min ‖A·x − b‖² + damp·‖x − prior‖²  s.t. x >= 0
@@ -144,7 +145,7 @@ func LeastSquaresNonneg(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Ve
 	}
 	x.ClampNonNegative()
 	l := 2*ws.OperatorNormSq(a) + 2*damp
-	r := buf(&ws.r, a.Rows())
+	r := linalg.Grow(&ws.r, a.Rows())
 	grad := func(dst, xx linalg.Vector) {
 		a.MulVec(r, xx)
 		linalg.Sub(r, r, b)

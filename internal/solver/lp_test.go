@@ -11,7 +11,7 @@ import (
 
 func TestLPSimpleMaximize(t *testing.T) {
 	// max x1 + x2 s.t. x1 + x2 + s = 4, x1 + 3x2 + s2 = 6 → optimum 4.
-	a := linalg.NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 1, 1, 0},
 		{1, 3, 0, 1},
 	})
@@ -34,7 +34,7 @@ func TestLPSimpleMaximize(t *testing.T) {
 
 func TestLPMinimize(t *testing.T) {
 	// min x1 + 2x2 s.t. x1 + x2 = 3, x >= 0 → x = (3,0), obj 3.
-	a := linalg.NewMatrixFromRows([][]float64{{1, 1}})
+	a := fromRows([][]float64{{1, 1}})
 	lp, err := NewLP(a, linalg.Vector{3})
 	if err != nil {
 		t.Fatalf("NewLP: %v", err)
@@ -50,7 +50,7 @@ func TestLPMinimize(t *testing.T) {
 
 func TestLPInfeasible(t *testing.T) {
 	// x1 = 1 and x1 = 2 simultaneously.
-	a := linalg.NewMatrixFromRows([][]float64{{1}, {1}})
+	a := fromRows([][]float64{{1}, {1}})
 	if _, err := NewLP(a, linalg.Vector{1, 2}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -58,7 +58,7 @@ func TestLPInfeasible(t *testing.T) {
 
 func TestLPNegativeRHSFeasible(t *testing.T) {
 	// -x1 = -2 → x1 = 2.
-	a := linalg.NewMatrixFromRows([][]float64{{-1}})
+	a := fromRows([][]float64{{-1}})
 	lp, err := NewLP(a, linalg.Vector{-2})
 	if err != nil {
 		t.Fatalf("NewLP: %v", err)
@@ -74,7 +74,7 @@ func TestLPNegativeRHSFeasible(t *testing.T) {
 
 func TestLPUnbounded(t *testing.T) {
 	// max x2 s.t. x1 - x2 = 0: x can grow without bound.
-	a := linalg.NewMatrixFromRows([][]float64{{1, -1}})
+	a := fromRows([][]float64{{1, -1}})
 	lp, err := NewLP(a, linalg.Vector{0})
 	if err != nil {
 		t.Fatalf("NewLP: %v", err)
@@ -86,7 +86,7 @@ func TestLPUnbounded(t *testing.T) {
 
 func TestLPRedundantRows(t *testing.T) {
 	// Second row duplicates the first; solver must not declare infeasible.
-	a := linalg.NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 1},
 		{2, 2},
 	})
@@ -220,7 +220,7 @@ func TestLPBoundsSandwichTruth(t *testing.T) {
 func TestLPDegenerateCycling(t *testing.T) {
 	// Beale's classic cycling example (needs anti-cycling to terminate).
 	// Optimum is -0.05 at x = (0.04, 0, 1, 0).
-	a := linalg.NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{0.25, -60, -0.04, 9, 1, 0, 0},
 		{0.5, -90, -0.02, 3, 0, 1, 0},
 		{0, 0, 1, 0, 0, 0, 1},

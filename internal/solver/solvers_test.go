@@ -13,6 +13,15 @@ import (
 // DenseOp adapts a dense *linalg.Matrix to the LinOp interface.
 type DenseOp struct{ M *linalg.Matrix }
 
+// fromRows builds a dense matrix from equal-length rows.
+func fromRows(rows [][]float64) *linalg.Matrix {
+	m := linalg.NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 // MulVec computes dst = M·x.
 func (o DenseOp) MulVec(dst, x linalg.Vector) linalg.Vector { return o.M.MulVec(dst, x) }
 
@@ -62,7 +71,7 @@ func TestNNLSUnconstrainedInterior(t *testing.T) {
 func TestNNLSActiveConstraint(t *testing.T) {
 	// Known textbook case: unconstrained optimum has a negative coordinate,
 	// NNLS must clamp it to zero and satisfy KKT.
-	a := linalg.NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 0},
 		{0, 1},
 		{1, 1},
@@ -209,7 +218,7 @@ func TestOperatorNormSqDiagonal(t *testing.T) {
 	d.Set(0, 0, 3)
 	d.Set(1, 1, 1)
 	d.Set(2, 2, 2)
-	got := OperatorNormSq(DenseOp{d})
+	got := new(Workspace).OperatorNormSq(DenseOp{d})
 	if got < 9 || got > 9*1.1 {
 		t.Fatalf("OperatorNormSq = %v, want ≈ 9", got)
 	}
@@ -248,6 +257,32 @@ func TestLeastSquaresNonnegDamped(t *testing.T) {
 	for i := range prior {
 		if math.Abs(x[i]-prior[i]) > 1e-3 {
 			t.Fatalf("x[%d] = %v, want ≈ prior %v", i, x[i], prior[i])
+		}
+	}
+}
+
+// TestNonFiniteStepNeverConverges: a +Inf load drives the first step to
+// +Inf on a 2×3 routing. Both solvers must stop there unconverged; the
+// relative-change test alone would accept Inf <= tol²·(Inf+1e-30).
+func TestNonFiniteStepNeverConverges(t *testing.T) {
+	a := fromRows([][]float64{{1, 1, 0}, {0, 1, 1}})
+	b := linalg.Vector{math.Inf(1), 2}
+	prior := linalg.Vector{1, 1, 1}
+	for _, tc := range []struct {
+		name  string
+		solve func() FISTAResult
+	}{
+		{"entropy", func() FISTAResult {
+			_, res := EntropyRegularized(nil, sparseOf(a), b, prior, 1, nil, 100, 1e-9)
+			return res
+		}},
+		{"fista", func() FISTAResult {
+			_, res := LeastSquaresNonneg(nil, sparseOf(a), b, prior, 1, nil, 100, 1e-9)
+			return res
+		}},
+	} {
+		if res := tc.solve(); res.Converged || res.Iterations != 1 {
+			t.Errorf("%s: %+v, want 1 iteration, not converged", tc.name, res)
 		}
 	}
 }
@@ -293,7 +328,7 @@ func TestEntropyRegularizedStrongPriorSticks(t *testing.T) {
 }
 
 func TestEntropyZeroPriorPinsCoordinate(t *testing.T) {
-	a := linalg.NewMatrixFromRows([][]float64{{1, 1}})
+	a := fromRows([][]float64{{1, 1}})
 	prior := linalg.Vector{0, 1}
 	x, _ := EntropyRegularized(nil, sparseOf(a), linalg.Vector{5}, prior, 0.01, nil, 2000, 1e-12)
 	if x[0] != 0 {
@@ -371,7 +406,7 @@ func TestGeneralizedKL(t *testing.T) {
 }
 
 func TestKruithofBalanceMatchesMarginals(t *testing.T) {
-	prior := linalg.NewMatrixFromRows([][]float64{
+	prior := fromRows([][]float64{
 		{1, 1, 1},
 		{1, 1, 1},
 		{1, 1, 1},
@@ -398,7 +433,7 @@ func TestKruithofBalanceMatchesMarginals(t *testing.T) {
 }
 
 func TestKruithofBalancePreservesZeros(t *testing.T) {
-	prior := linalg.NewMatrixFromRows([][]float64{
+	prior := fromRows([][]float64{
 		{0, 1},
 		{1, 1},
 	})
@@ -412,7 +447,7 @@ func TestKruithofBalancePreservesZeros(t *testing.T) {
 }
 
 func TestKruithofBalanceEmptyRowError(t *testing.T) {
-	prior := linalg.NewMatrixFromRows([][]float64{
+	prior := fromRows([][]float64{
 		{0, 0},
 		{1, 1},
 	})

@@ -36,18 +36,8 @@ type Workspace struct {
 	opSq float64
 }
 
-// buf returns *p resized to n, reusing its backing array when possible.
-func buf(p *linalg.Vector, n int) linalg.Vector {
-	if cap(*p) >= n {
-		*p = (*p)[:n]
-	} else {
-		*p = linalg.NewVector(n)
-	}
-	return *p
-}
-
-// OperatorNormSq returns ‖a‖₂² like the package-level OperatorNormSq,
-// but reuses the workspace's power-iteration buffers and caches the
+// OperatorNormSq estimates ‖a‖₂² by power iteration (operatorNormSq),
+// reusing the workspace's power-iteration buffers and caching the
 // result per operator identity: repeated calls against the same LinOp
 // value return the first call's float without re-running the power
 // method.
@@ -55,7 +45,7 @@ func (ws *Workspace) OperatorNormSq(a LinOp) float64 {
 	if ws.op == a {
 		return ws.opSq
 	}
-	sq := operatorNormSq(a, buf(&ws.px, a.Cols()), buf(&ws.py, a.Rows()), buf(&ws.pz, a.Cols()))
+	sq := operatorNormSq(a, linalg.Grow(&ws.px, a.Cols()), linalg.Grow(&ws.py, a.Rows()), linalg.Grow(&ws.pz, a.Cols()))
 	ws.op, ws.opSq = a, sq
 	return sq
 }

@@ -193,25 +193,6 @@ func CumulativeShare(xs []float64) []float64 {
 	return out
 }
 
-// KLDivergence returns Σ p_i·log(p_i/q_i) for non-negative vectors,
-// with the conventions 0·log(0/q)=0 and p·log(p/0)=+Inf.
-func KLDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: KLDivergence length mismatch")
-	}
-	var d float64
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1)
-		}
-		d += p[i] * math.Log(p[i]/q[i])
-	}
-	return d
-}
-
 // PoissonSample draws a Poisson(λ) variate. For large λ it uses the
 // Gaussian approximation with continuity correction (exact inversion would
 // be prohibitively slow for the Mbps-scale rates we simulate).

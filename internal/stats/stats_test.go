@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/linalg"
 )
@@ -125,58 +124,6 @@ func TestCumulativeShare(t *testing.T) {
 		if math.Abs(cs[i]-want[i]) > 1e-12 {
 			t.Fatalf("cs[%d] = %v, want %v", i, cs[i], want[i])
 		}
-	}
-}
-
-func TestKLDivergence(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.25, 0.75}
-	want := 0.5*math.Log(2) + 0.5*math.Log(2.0/3)
-	if got := KLDivergence(p, q); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("KL = %v, want %v", got, want)
-	}
-	if KLDivergence(p, p) != 0 {
-		t.Fatal("KL(p,p) != 0")
-	}
-	if !math.IsInf(KLDivergence([]float64{1}, []float64{0}), 1) {
-		t.Fatal("KL with zero q should be +Inf")
-	}
-	if KLDivergence([]float64{0, 1}, []float64{0.5, 0.5}) < 0 {
-		t.Fatal("0·log(0/q) convention broken")
-	}
-}
-
-// Property: KL divergence of normalized distributions is non-negative.
-func TestKLNonNegativeQuick(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 4 {
-			return true
-		}
-		n := len(raw) / 2
-		p := make([]float64, n)
-		q := make([]float64, n)
-		var sp, sq float64
-		for i := 0; i < n; i++ {
-			p[i] = math.Abs(raw[i])
-			q[i] = math.Abs(raw[n+i]) + 1e-6
-			if math.IsNaN(p[i]) || math.IsInf(p[i], 0) || p[i] > 1e100 ||
-				math.IsNaN(q[i]) || math.IsInf(q[i], 0) || q[i] > 1e100 {
-				return true
-			}
-			sp += p[i]
-			sq += q[i]
-		}
-		if sp == 0 {
-			return true
-		}
-		for i := 0; i < n; i++ {
-			p[i] /= sp
-			q[i] /= sq
-		}
-		return KLDivergence(p, q) >= -1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -219,17 +219,6 @@ type Snapshot struct {
 	Time time.Time `json:"time"`
 }
 
-// sizedBuf returns *p resized to n, reusing its backing array when
-// possible — the engine's arena primitive.
-func sizedBuf(p *linalg.Vector, n int) linalg.Vector {
-	if cap(*p) >= n {
-		*p = (*p)[:n]
-	} else {
-		*p = linalg.NewVector(n)
-	}
-	return *p
-}
-
 // cloneVec deep-copies a vector, preserving nil (Resolve's "no re-solve
 // yet" sentinel must stay nil, not become an empty slice).
 func cloneVec(v linalg.Vector) linalg.Vector {
@@ -567,8 +556,8 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 		e.stateMu.Unlock()
 		return
 	}
-	te := sizedBuf(&e.teBuf, net.NumPoPs())
-	tx := sizedBuf(&e.txBuf, net.NumPoPs())
+	te := linalg.Grow(&e.teBuf, net.NumPoPs())
+	tx := linalg.Grow(&e.txBuf, net.NumPoPs())
 	e.ring = append(e.ring, windowEntry{interval: interval, demand: rates, loads: loads})
 	e.loadSum.add(loads)
 	e.demandSum.add(rates)
@@ -938,7 +927,7 @@ func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool
 		e.setWarm(fe.MeanDemand, fe.Alpha)
 		return fe.MeanDemand, fe.Iterations, warmAlpha != nil, nil
 	}
-	meanLoads := sizedBuf(&e.meanBuf, len(w.loads[0]))
+	meanLoads := linalg.Grow(&e.meanBuf, len(w.loads[0]))
 	meanLoads.Zero()
 	for _, t := range w.loads {
 		linalg.Axpy(1, t, meanLoads)

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"sort"
@@ -109,23 +108,7 @@ func (n *Network) RouteECMP() (*Routing, error) {
 			b.Add(e.row, e.col, e.v)
 		}
 	}
-	// Access rows are unchanged: every demand fully enters and exits once.
-	for _, l := range n.Links {
-		switch l.Kind {
-		case Ingress:
-			for dst := range n.PoPs {
-				if dst != l.Src {
-					b.Add(l.ID, n.PairIndex(l.Src, dst), 1)
-				}
-			}
-		case Egress:
-			for src := range n.PoPs {
-				if src != l.Dst {
-					b.Add(l.ID, n.PairIndex(src, l.Dst), 1)
-				}
-			}
-		}
-	}
+	n.addAccessRows(b)
 	rt.R = b.Build()
 	rt.indexAccessRows()
 	return rt, nil
@@ -144,35 +127,13 @@ func (e *unreachableError) Error() string {
 	return "topology: ECMP: unreachable router pair"
 }
 
-// shortestPathDAG runs Dijkstra from src and returns the distance array and,
-// for every router v, the incoming interior links that lie on some shortest
-// path from src to v.
+// shortestPathDAG returns the distance of every router from src and, for
+// every router v, the incoming interior links that lie on some shortest
+// path from src to v. Distances equal within 1e-9 (relative) count as
+// ties, so every equal-cost path joins the DAG.
 func (n *Network) shortestPathDAG(src int) ([]float64, [][]int) {
 	const eps = 1e-9
-	dist := make([]float64, len(n.Routers))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	pq := &dijkstraPQ{}
-	heap.Init(pq)
-	heap.Push(pq, &dijkstraItem{router: src, dist: 0})
-	done := make([]bool, len(n.Routers))
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*dijkstraItem)
-		u := it.router
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, lid := range n.outLinks[u] {
-			l := &n.Links[lid]
-			if nd := dist[u] + l.Metric; nd < dist[l.Dst]-eps {
-				dist[l.Dst] = nd
-				heap.Push(pq, &dijkstraItem{router: l.Dst, dist: nd})
-			}
-		}
-	}
+	dist, _ := n.dijkstra(src, eps)
 	dagIn := make([][]int, len(n.Routers))
 	for _, l := range n.Links {
 		if l.Kind != Interior {

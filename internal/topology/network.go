@@ -1,12 +1,13 @@
 // Package topology models the backbone network: PoPs, routers, directed
-// links, CSPF-style path computation and the construction of the routing
-// matrix R of equation (1) in the paper.
+// links, shortest-path and ECMP path computation and the construction of
+// the routing matrix R of equation (1) in the paper.
 //
 // The paper's data comes from Global Crossing's MPLS backbone, where a full
 // mesh of LSPs connects the core routers and each LSP's path is computed by
 // constraint-based shortest-path-first (CSPF). The paper itself reproduced
 // those paths with an off-line routing simulation (Cariden MATE); this
-// package plays that role here.
+// package plays that role here. At the backbone's low LSP reservations no
+// capacity constraint binds, so CSPF reduces to the metric-shortest path.
 package topology
 
 import (
@@ -62,8 +63,8 @@ type Link struct {
 	ID           int
 	Kind         LinkKind
 	Src, Dst     int     // router IDs for Interior; PoP ID in Src for Ingress / Dst for Egress
-	CapacityMbps float64 // CSPF constraint
-	Metric       float64 // IGP metric used as CSPF path length
+	CapacityMbps float64 // link capacity
+	Metric       float64 // IGP metric, the path length
 }
 
 // Network is an immutable backbone description.

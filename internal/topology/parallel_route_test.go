@@ -1,9 +1,68 @@
 package topology
 
 import (
+	"container/heap"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
+
+// ShortestPath is the per-pair oracle for Route: the interior link IDs of
+// the metric-shortest path from router src to router dst, computed by its
+// own Dijkstra run that stops once dst settles. Ties are broken the way
+// Network.dijkstra breaks them (a strict improvement test plus ordered
+// edge relaxation), preferring the lexicographically smallest link-ID
+// sequence. Returns an error if dst is unreachable.
+func (n *Network) ShortestPath(src, dst int) ([]int, error) {
+	const eps = 1e-12
+	dist := make([]float64, len(n.Routers))
+	prevLink := make([]int, len(n.Routers))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prevLink[i] = -1
+	}
+	dist[src] = 0
+	pq := &dijkstraPQ{}
+	heap.Init(pq)
+	heap.Push(pq, &dijkstraItem{router: src, dist: 0})
+	done := make([]bool, len(n.Routers))
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(*dijkstraItem)
+		u := it.router
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		if u == dst {
+			break
+		}
+		for _, lid := range n.outLinks[u] {
+			l := &n.Links[lid]
+			v := l.Dst
+			nd := dist[u] + l.Metric
+			if nd < dist[v]-eps {
+				dist[v] = nd
+				prevLink[v] = lid
+				heap.Push(pq, &dijkstraItem{router: v, dist: nd})
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return nil, fmt.Errorf("topology: router %d unreachable from %d", dst, src)
+	}
+	var path []int
+	for v := dst; v != src; {
+		lid := prevLink[v]
+		path = append(path, lid)
+		v = n.Links[lid].Src
+	}
+	// Reverse into src→dst order.
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, nil
+}
 
 // TestRouteMatchesPerPairShortestPath pins the contract of the parallel
 // per-source-tree construction: for every ordered pair, the path read off
@@ -24,7 +83,7 @@ func TestRouteMatchesPerPairShortestPath(t *testing.T) {
 		}
 		for pair := 0; pair < net.NumPairs(); pair++ {
 			src, dst := net.PairFromIndex(pair)
-			want, err := net.ShortestPath(net.HeadEnd(src), net.HeadEnd(dst), nil)
+			want, err := net.ShortestPath(net.HeadEnd(src), net.HeadEnd(dst))
 			if err != nil {
 				t.Fatalf("%s: ShortestPath pair %d: %v", net.Name, pair, err)
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/runner"
@@ -67,76 +66,15 @@ func (q *dijkstraPQ) Pop() interface{} {
 	return it
 }
 
-// ShortestPath returns the interior link IDs of the metric-shortest path
-// from router src to router dst, using only links for which usable returns
-// true (nil means all interior links). Ties are broken deterministically by
-// preferring the lexicographically smallest link-ID sequence (achieved by a
-// strict improvement test plus ordered edge relaxation). Returns an error
-// if dst is unreachable.
-func (n *Network) ShortestPath(src, dst int, usable func(*Link) bool) ([]int, error) {
-	const eps = 1e-12
-	dist := make([]float64, len(n.Routers))
-	prevLink := make([]int, len(n.Routers))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevLink[i] = -1
-	}
-	dist[src] = 0
-	pq := &dijkstraPQ{}
-	heap.Init(pq)
-	heap.Push(pq, &dijkstraItem{router: src, dist: 0})
-	done := make([]bool, len(n.Routers))
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*dijkstraItem)
-		u := it.router
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, lid := range n.outLinks[u] {
-			l := &n.Links[lid]
-			if usable != nil && !usable(l) {
-				continue
-			}
-			v := l.Dst
-			nd := dist[u] + l.Metric
-			if nd < dist[v]-eps {
-				dist[v] = nd
-				prevLink[v] = lid
-				heap.Push(pq, &dijkstraItem{router: v, dist: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, fmt.Errorf("topology: router %d unreachable from %d", dst, src)
-	}
-	var path []int
-	for v := dst; v != src; {
-		lid := prevLink[v]
-		path = append(path, lid)
-		v = n.Links[lid].Src
-	}
-	// Reverse into src→dst order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, nil
-}
-
-// shortestPathTree runs Dijkstra from src over all interior links and
-// returns the distance array plus the predecessor link of every router —
-// the full shortest-path tree. It performs exactly the same strict-
-// improvement relaxations in the same order as ShortestPath(src, ·, nil),
-// so the path extracted from the tree for any destination is identical to
-// the one ShortestPath would return: every router on a shortest path to
-// dst settles strictly before dst (interior metrics are strictly
-// positive), at which point both computations have executed the same
-// operation sequence.
-func (n *Network) shortestPathTree(src int) (dist []float64, prevLink []int) {
-	const eps = 1e-12
+// dijkstra runs Dijkstra from router src over all interior links and
+// returns the distance of every router plus the predecessor link through
+// which its distance was last lowered (-1 for src and for unreachable
+// routers). A relaxation counts only when it improves a distance by more
+// than eps, and each router's out-links are relaxed in ID order, so among
+// equal-metric paths the predecessors pick the lexicographically smallest
+// link-ID sequence deterministically. Route reads the single-path tree
+// off the predecessors; RouteECMP reads only the distances.
+func (n *Network) dijkstra(src int, eps float64) (dist []float64, prevLink []int) {
 	dist = make([]float64, len(n.Routers))
 	prevLink = make([]int, len(n.Routers))
 	for i := range dist {
@@ -178,14 +116,17 @@ func (n *Network) shortestPathTree(src int) (dist []float64, prevLink []int) {
 // from the shortest-path tree) instead of one per ordered pair, and the
 // per-source work fans out over a process-wide pool — the difference
 // between O(N²) and O(N) Dijkstra runs is what keeps 150-PoP backbones
-// routable in milliseconds. The resulting paths are identical to the
-// per-pair computation (see shortestPathTree).
+// routable in milliseconds. The resulting paths are identical to a
+// per-pair computation with the same tie-breaking: every router on a
+// shortest path to a destination settles strictly before it (interior
+// metrics are strictly positive), so a run stopped at the destination
+// has made the same relaxations.
 func (n *Network) Route() (*Routing, error) {
 	np := n.NumPoPs()
 	rt := &Routing{Net: n, PairPaths: make([][]int, n.NumPairs())}
 	err := routePool.ForEach(context.Background(), np, func(src int) error {
 		head := n.HeadEnd(src)
-		dist, prev := n.shortestPathTree(head)
+		dist, prev := n.dijkstra(head, 1e-12)
 		for dst := 0; dst < np; dst++ {
 			if dst == src {
 				continue
@@ -211,73 +152,6 @@ func (n *Network) Route() (*Routing, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	rt.R = rt.buildMatrix()
-	rt.indexAccessRows()
-	return rt, nil
-}
-
-// RouteCSPF emulates constraint-based shortest-path routing the way the
-// paper's network operates: LSPs are placed in descending bandwidth order,
-// each on the metric-shortest path among links with sufficient unreserved
-// capacity; if no such path exists the LSP falls back to the unconstrained
-// shortest path (and the link is oversubscribed, as RSVP setup would simply
-// fail and operators re-dimension). bandwidth[p] is the LSP reservation for
-// demand p in Mbps.
-func (n *Network) RouteCSPF(bandwidth linalg.Vector) (*Routing, error) {
-	if len(bandwidth) != n.NumPairs() {
-		return nil, fmt.Errorf("topology: RouteCSPF wants %d bandwidths, got %d", n.NumPairs(), len(bandwidth))
-	}
-	order := make([]int, n.NumPairs())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return bandwidth[order[a]] > bandwidth[order[b]] })
-	reserved := make([]float64, len(n.Links))
-	usable := func(bw float64) func(*Link) bool {
-		return func(l *Link) bool { return reserved[l.ID]+bw <= l.CapacityMbps }
-	}
-	return n.routeWith(order, func(p int) (func(*Link) bool, func(path []int)) {
-		bw := bandwidth[p]
-		return usable(bw), func(path []int) {
-			for _, lid := range path {
-				reserved[lid] += bw
-			}
-		}
-	})
-}
-
-// routeWith routes all pairs. order may be nil (natural order); constrain,
-// when non-nil, returns for each pair a usability filter and a commit hook.
-func (n *Network) routeWith(order []int, constrain func(p int) (func(*Link) bool, func([]int))) (*Routing, error) {
-	p := n.NumPairs()
-	rt := &Routing{Net: n, PairPaths: make([][]int, p)}
-	if order == nil {
-		order = make([]int, p)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	for _, pair := range order {
-		src, dst := n.PairFromIndex(pair)
-		var usable func(*Link) bool
-		var commit func([]int)
-		if constrain != nil {
-			usable, commit = constrain(pair)
-		}
-		path, err := n.ShortestPath(n.HeadEnd(src), n.HeadEnd(dst), usable)
-		if err != nil && usable != nil {
-			// CSPF fallback: ignore capacity.
-			path, err = n.ShortestPath(n.HeadEnd(src), n.HeadEnd(dst), nil)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("topology: pair %d (%s→%s): %w",
-				pair, n.PoPs[src].Name, n.PoPs[dst].Name, err)
-		}
-		if commit != nil {
-			commit(path)
-		}
-		rt.PairPaths[pair] = path
 	}
 	rt.R = rt.buildMatrix()
 	rt.indexAccessRows()
@@ -312,29 +186,34 @@ func (rt *Routing) buildMatrix() *sparse.Matrix {
 			b.Add(lid, p, 1)
 		}
 	}
+	n.addAccessRows(b)
+	return b.Build()
+}
+
+// addAccessRows adds the access-link rows of R to b: every demand fully
+// enters the network once at its source PoP's ingress link and leaves it
+// once at its destination's egress link, whatever its interior route.
+func (n *Network) addAccessRows(b *sparse.Builder) {
 	for _, l := range n.Links {
 		switch l.Kind {
 		case Ingress:
-			srcPoP := l.Src
 			for dst := range n.PoPs {
-				if dst != srcPoP {
-					b.Add(l.ID, n.PairIndex(srcPoP, dst), 1)
+				if dst != l.Src {
+					b.Add(l.ID, n.PairIndex(l.Src, dst), 1)
 				}
 			}
 		case Egress:
-			dstPoP := l.Dst
 			for src := range n.PoPs {
-				if src != dstPoP {
-					b.Add(l.ID, n.PairIndex(src, dstPoP), 1)
+				if src != l.Dst {
+					b.Add(l.ID, n.PairIndex(src, l.Dst), 1)
 				}
 			}
 		}
 	}
-	return b.Build()
 }
 
 // IngressRow returns the row index of PoP n's ingress access link in R.
-// Routings built by Route/RouteECMP/RouteCSPF answer from the cached
+// Routings built by Route/RouteECMP answer from the cached
 // index; a hand-assembled Routing (tests) falls back to a link scan —
 // deliberately without populating the cache, since a lazy write would
 // race between the concurrent estimator calls an Instance permits.

@@ -82,7 +82,7 @@ func TestPairIndexRoundTrip(t *testing.T) {
 
 func TestShortestPathIsConnectedAndOrdered(t *testing.T) {
 	net := Europe(7)
-	path, err := net.ShortestPath(0, 5, nil)
+	path, err := net.ShortestPath(0, 5)
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestShortestPathOptimality(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path, err := net.ShortestPath(src, dst, nil)
+			path, err := net.ShortestPath(src, dst)
 			if err != nil {
 				t.Fatalf("unreachable %d->%d", src, dst)
 			}
@@ -220,80 +220,6 @@ func TestFlowConservation(t *testing.T) {
 					t.Fatalf("transit router %d imbalance %v", r, net1)
 				}
 			}
-		}
-	}
-}
-
-func TestRouteCSPFAvoidsFullLinks(t *testing.T) {
-	// Tiny triangle: direct A→B link has capacity 10; with an LSP of 100
-	// CSPF must detour via C even though direct is shorter.
-	net := &Network{
-		Name: "tri",
-		PoPs: []PoP{
-			{ID: 0, Name: "A", Routers: []int{0}},
-			{ID: 1, Name: "B", Routers: []int{1}},
-			{ID: 2, Name: "C", Routers: []int{2}},
-		},
-		Routers: []Router{{0, 0, "a"}, {1, 1, "b"}, {2, 2, "c"}},
-	}
-	addL := func(kind LinkKind, src, dst int, capacity, metric float64) {
-		net.Links = append(net.Links, Link{
-			ID: len(net.Links), Kind: kind, Src: src, Dst: dst,
-			CapacityMbps: capacity, Metric: metric,
-		})
-	}
-	addL(Interior, 0, 1, 10, 1)
-	addL(Interior, 1, 0, 10, 1)
-	addL(Interior, 0, 2, 1000, 1)
-	addL(Interior, 2, 0, 1000, 1)
-	addL(Interior, 2, 1, 1000, 1)
-	addL(Interior, 1, 2, 1000, 1)
-	for i := 0; i < 3; i++ {
-		addL(Ingress, i, i, 1e6, 0)
-		// Egress: Src is head-end router, Dst is PoP.
-		net.Links[len(net.Links)-1].Src = i
-		addL(Egress, i, i, 1e6, 0)
-	}
-	if err := net.validate(); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	bw := linalg.NewVector(net.NumPairs())
-	pAB := net.PairIndex(0, 1)
-	bw[pAB] = 100
-	rt, err := net.RouteCSPF(bw)
-	if err != nil {
-		t.Fatalf("RouteCSPF: %v", err)
-	}
-	path := rt.PairPaths[pAB]
-	if len(path) != 2 {
-		t.Fatalf("A→B path %v, want 2-hop detour via C", path)
-	}
-	for _, lid := range path {
-		if net.Links[lid].CapacityMbps < 100 {
-			t.Fatalf("CSPF used an over-capacity link %d", lid)
-		}
-	}
-	// Plain routing would have used the direct link.
-	plain, err := net.Route()
-	if err != nil {
-		t.Fatalf("Route: %v", err)
-	}
-	if len(plain.PairPaths[pAB]) != 1 {
-		t.Fatalf("plain path %v, want direct", plain.PairPaths[pAB])
-	}
-}
-
-func TestRouteCSPFFallsBackWhenNothingFits(t *testing.T) {
-	net := Europe(1)
-	bw := linalg.NewVector(net.NumPairs())
-	bw.Fill(1e9) // nothing fits anywhere
-	rt, err := net.RouteCSPF(bw)
-	if err != nil {
-		t.Fatalf("RouteCSPF should fall back, got: %v", err)
-	}
-	for p, path := range rt.PairPaths {
-		if len(path) == 0 {
-			t.Fatalf("pair %d unrouted", p)
 		}
 	}
 }

@@ -352,21 +352,6 @@ func FanoutsOf(n int, d linalg.Vector) linalg.Vector {
 	return a
 }
 
-// IngressTotals returns, for interval k, the total traffic entering at each
-// PoP: te(n) of the paper.
-func (s *Series) IngressTotals(k int) linalg.Vector {
-	d := s.Demands[k]
-	te := linalg.NewVector(s.N)
-	for src := 0; src < s.N; src++ {
-		for dst := 0; dst < s.N; dst++ {
-			if dst != src {
-				te[src] += d[pairIndex(s.N, src, dst)]
-			}
-		}
-	}
-	return te
-}
-
 // SyntheticPoisson generates a time series of K demand vectors whose
 // elements are independent Poisson with the given means — the synthetic
 // experiment of Fig. 12 that isolates covariance-estimation error.

@@ -193,19 +193,6 @@ func TestFanoutsSumToOne(t *testing.T) {
 	}
 }
 
-func TestIngressTotalsMatchDemandSums(t *testing.T) {
-	s := genEurope(t)
-	te := s.IngressTotals(10)
-	d := s.Demands[10]
-	var want float64
-	for _, v := range d {
-		want += v
-	}
-	if math.Abs(te.Sum()-want) > 1e-6*want {
-		t.Fatalf("ingress sum %v != demand sum %v", te.Sum(), want)
-	}
-}
-
 func TestBusyWindowIsArgmax(t *testing.T) {
 	s := genEurope(t)
 	tot := s.TotalTraffic()
