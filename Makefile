@@ -27,19 +27,21 @@ test-short:
 # "histogram" error, never panic), then the entropy solver's KL prox
 # (FuzzKLProx: bit-identical to the reference Newton loop). A failing
 # input is written to the target's corpus directory; commit it as a
-# regression seed. FuzzDelta and FuzzKLProx bound each minimization to
-# 10 runs: FuzzDelta's interesting inputs run to ~33 KB, and the default
-# 60 s minimization of each one ate the whole budget.
+# regression seed. Every target bounds each minimization of a new input
+# to 10 runs: the default 60 s minimization of one large input ate the
+# whole budget, first for FuzzDelta (whose interesting inputs run to
+# ~33 KB) and then for FuzzCheckpoint, which stalled at 0 execs/s.
 FUZZTIME ?= 15s
+FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/stream
-	$(GO) test -run '^$$' -fuzz '^FuzzTimeline$$' -fuzztime $(FUZZTIME) ./internal/timeline
-	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime $(FUZZTIME) ./internal/fleet
-	$(GO) test -run '^$$' -fuzz '^FuzzClusterConfig$$' -fuzztime $(FUZZTIME) ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzKLProx$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/solver
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzDelta$$' ./internal/serve
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzEstimate$$' ./internal/core
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzCheckpoint$$' ./internal/stream
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzTimeline$$' ./internal/timeline
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzFleetConfig$$' ./internal/fleet
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzClusterConfig$$' ./internal/cluster
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLint$$' ./internal/obs
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzKLProx$$' ./internal/solver
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

@@ -267,7 +267,7 @@ func TestEndToEndLive(t *testing.T) {
 	}
 	base, shutdown := startServer(t, fleetConfig(t, fleet.TenantSpec{
 		Name: "default", Source: "live:europe", Cycles: 6,
-		Window: -1, MinCoverage: 0.5, ResolveEvery: -1,
+		Window: 6, MinCoverage: 0.5, ResolveEvery: -1,
 	}))
 	defer shutdown()
 

@@ -28,9 +28,10 @@ func main() {
 
 	// The engine parks each scheduled re-solve (a newer window replaces
 	// one not yet started) and calls ResolveDispatch; the host runs it.
+	// Its default window, 6 intervals, is half an hour of 5-minute
+	// intervals.
 	parked := make(chan struct{}, 1)
 	engine, err := stream.New(sc.Rt, stream.Config{
-		Window:       6, // half an hour of 5-minute intervals
 		ResolveEvery: 3,
 		Method:       stream.MethodEntropy,
 		Reg:          1000,

@@ -30,9 +30,9 @@ func GeneralizedGravity(in *Instance, peers map[int]bool) linalg.Vector {
 // directly from per-PoP ingress totals te(n) and egress totals tx(m),
 // without materializing an Instance. It is the kernel shared by Gravity /
 // GeneralizedGravity and by internal/stream's incremental estimator, which
-// maintains te and tx as running sums over a sliding window of collected
-// intervals — sharing the arithmetic is what lets the incremental estimate
-// match a batch solve bit-for-bit (up to the running sums themselves).
+// sums te and tx over a sliding window of collected intervals — sharing
+// the arithmetic is what lets the incremental estimate match a batch
+// solve bit-for-bit (up to how the window's loads are averaged).
 // peers may be nil.
 func GravityFromTotals(net *topology.Network, te, tx linalg.Vector, peers map[int]bool) linalg.Vector {
 	return GravityFromTotalsInto(nil, net, te, tx, peers)

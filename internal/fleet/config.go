@@ -59,7 +59,7 @@ type TenantSpec struct {
 	Pace string `json:"pace,omitempty"`
 
 	// Estimation parameters, mirroring stream.Config.
-	Window          int     `json:"window,omitempty"`            // default 6; -1 = expanding
+	Window          int     `json:"window,omitempty"`            // default 6; at most stream.MaxWindow (1024)
 	MinCoverage     float64 `json:"min_coverage,omitempty"`      // default 0.9
 	ResolveEvery    int     `json:"resolve_every,omitempty"`     // default 3; -1 = gravity only
 	ResolveMaxEvery int     `json:"resolve_max_every,omitempty"` // default 0 (fixed cadence); above the cadence needs drift_threshold
@@ -182,7 +182,7 @@ func (s TenantSpec) checkFields() error {
 		v, min int
 	}{
 		{"cycles", s.Cycles, -1},
-		{"window", s.Window, -1},
+		{"window", s.Window, 0},
 		{"resolve_every", s.ResolveEvery, -1},
 		{"resolve_max_every", s.ResolveMaxEvery, 0},
 		{"resolve_max_iter", s.ResolveMaxIter, 0},
@@ -209,6 +209,9 @@ func (s TenantSpec) checkFields() error {
 		if !(f.v >= 0) { // NaN fails too
 			return fmt.Errorf("%s %v out of range (>= 0)", f.name, f.v)
 		}
+	}
+	if s.Window > stream.MaxWindow {
+		return fmt.Errorf("window %d out of range (<= %d)", s.Window, stream.MaxWindow)
 	}
 	if !(s.MinCoverage >= 0 && s.MinCoverage <= 1) {
 		return fmt.Errorf("min_coverage %v out of range [0, 1]", s.MinCoverage)

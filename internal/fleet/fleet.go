@@ -475,7 +475,7 @@ func (f *Fleet) add(spec TenantSpec, sc *netsim.Scenario, feed Feed, adopt bool)
 // the spec's "-1 means off" sentinels (0 is taken by "use the default").
 func streamConfig(spec TenantSpec) stream.Config {
 	cfg := stream.Config{
-		Window:          6,
+		Window:          spec.Window,
 		MinCoverage:     0.9,
 		ResolveEvery:    3,
 		ResolveMaxEvery: spec.ResolveMaxEvery,
@@ -488,12 +488,6 @@ func streamConfig(spec TenantSpec) stream.Config {
 		AnomalyFactor:   spec.AnomalyFactor,
 		AnomalyWindow:   spec.AnomalyWindow,
 		AnomalyMinDrift: spec.AnomalyMinDrift,
-	}
-	switch {
-	case spec.Window > 0:
-		cfg.Window = spec.Window
-	case spec.Window == -1:
-		cfg.Window = 0 // expanding
 	}
 	switch {
 	case spec.ResolveEvery > 0:

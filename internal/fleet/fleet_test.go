@@ -123,6 +123,8 @@ func TestSpecRangesRejected(t *testing.T) {
 		{"min_coverage", "-0.1", ""},
 		{"method", `"bogus"`, ""},
 		{"window", "-7", ""},
+		{"window", "-1", ""}, // the dropped expanding-window sentinel
+		{"window", "1025", ""},
 		{"resolve_every", "-2", ""},
 		{"resolve_max_every", "-1", ""},
 		{"drift_threshold", "-1", ""},

@@ -14,9 +14,10 @@ import (
 // (testdata/fuzz/FuzzFleetConfig) are a valid config, an unknown field,
 // format 99, duplicate names, negative numbers, bad durations, truncated
 // JSON, out-of-range estimation fields (negative reg, sigma_inv2,
-// solver budget, window and drift threshold, min_coverage above 1, an
-// unknown method), a valid live: source, and the two live: sources
-// validation refuses (pace 0, a scripted timeline).
+// solver budget, window and drift threshold, window -1 and 1025,
+// min_coverage above 1, an unknown method), a valid live: source, and
+// the two live: sources validation refuses (pace 0, a scripted
+// timeline).
 func FuzzFleetConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := ParseConfig(data)

@@ -43,8 +43,9 @@ type TimelineConfig struct {
 	// time-series method).
 	Methods []stream.Method
 	// Window and ResolveEvery configure each method's engine. Defaults: a
-	// 6-interval sliding window, re-solving every interval — the finest
-	// tracking granularity, which is what lag is measured against.
+	// 6-interval sliding window (stream.Config's), re-solving every
+	// interval — the finest tracking granularity, which is what lag is
+	// measured against.
 	Window       int
 	ResolveEvery int
 	// ResolveMaxIter/ResolveTol/Reg/SigmaInv2 budget the solves
@@ -66,9 +67,6 @@ type TimelineConfig struct {
 func (c TimelineConfig) withDefaults() TimelineConfig {
 	if len(c.Methods) == 0 {
 		c.Methods = []stream.Method{stream.MethodEntropy, stream.MethodVardi}
-	}
-	if c.Window <= 0 {
-		c.Window = 6
 	}
 	if c.ResolveEvery == 0 {
 		c.ResolveEvery = 1

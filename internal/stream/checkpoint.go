@@ -18,9 +18,9 @@ import (
 const CheckpointFormat = 2
 
 // checkpointEntry is one sliding-window interval in a checkpoint. Only
-// the collected demand vector is stored: link loads and the running
-// window sums are recomputed from it on restore, so a checkpoint can
-// never smuggle in loads inconsistent with the routing matrix.
+// the collected demand vector is stored: link loads are recomputed from
+// it on restore, so a checkpoint can never smuggle in loads inconsistent
+// with the routing matrix.
 type checkpointEntry struct {
 	Interval int           `json:"interval"`
 	Demand   linalg.Vector `json:"demand"`
@@ -47,10 +47,9 @@ type Checkpoint struct {
 	TopologyEpoch int `json:"topology_epoch,omitempty"`
 
 	// Consumption state: the window ring and the next-interval cursor.
-	Ring     []checkpointEntry `json:"ring"`
-	Next     int               `json:"next"`
-	Consumed int               `json:"consumed"`
-	Skipped  int               `json:"skipped"`
+	Ring    []checkpointEntry `json:"ring"`
+	Next    int               `json:"next"`
+	Skipped int               `json:"skipped"`
 
 	// Adaptive-cadence state.
 	SinceResolve int           `json:"since_resolve"`
@@ -89,7 +88,6 @@ func (e *Engine) Checkpoint() Checkpoint {
 		cp.Ring[i] = checkpointEntry{Interval: w.interval, Demand: w.demand.Clone()}
 	}
 	cp.Next = e.next
-	cp.Consumed = e.consumed
 	cp.Skipped = e.skipped
 	cp.SinceResolve = e.sinceResolve
 	cp.CurEvery = e.curEvery
@@ -110,11 +108,10 @@ func (e *Engine) Checkpoint() Checkpoint {
 }
 
 // Restore applies a checkpoint to a freshly created engine, before Run:
-// the window ring (with loads and running sums recomputed against this
-// engine's routing), the consumption cursor, the cadence and warm-start
-// state, and the latest snapshot — which Latest/WaitVersion serve
-// immediately, so a restarted daemon is never dark while the collector
-// refills. The checkpoint must match the engine's problem dimensions
+// the window ring (with loads recomputed against this engine's
+// routing), the consumption cursor, the cadence and warm-start state,
+// and the latest snapshot — which Latest/WaitVersion serve immediately,
+// so a restarted daemon is never dark while the collector refills. The checkpoint must match the engine's problem dimensions
 // and re-solve method.
 //
 // Cursor semantics across restarts: interval indices are the stream's
@@ -152,12 +149,10 @@ func (e *Engine) Restore(cp Checkpoint) error {
 
 	ring := cp.Ring
 	// A restart may shrink the window; keep the newest entries.
-	if e.cfg.Window > 0 && len(ring) > e.cfg.Window {
+	if len(ring) > e.cfg.Window {
 		ring = ring[len(ring)-e.cfg.Window:]
 	}
 	entries := make([]windowEntry, len(ring))
-	loadSum := newWindowSum(rt.R.Rows())
-	demandSum := newWindowSum(rt.Net.NumPairs())
 	next := cp.Next
 	for i, ce := range ring {
 		if len(ce.Demand) != rt.Net.NumPairs() {
@@ -173,8 +168,6 @@ func (e *Engine) Restore(cp Checkpoint) error {
 			return fmt.Errorf("stream: checkpoint ring entry %d has a negative or non-finite demand, or link loads past %g Mbps", i, maxLoad)
 		}
 		entries[i] = windowEntry{interval: ce.Interval, demand: demand, loads: loads}
-		loadSum.add(loads)
-		demandSum.add(demand)
 		if ce.Interval >= next {
 			next = ce.Interval + 1 // cursor can never trail the ring
 		}
@@ -189,10 +182,7 @@ func (e *Engine) Restore(cp Checkpoint) error {
 
 	e.stateMu.Lock()
 	e.ring = entries
-	e.loadSum = loadSum
-	e.demandSum = demandSum
 	e.next = next
-	e.consumed = cp.Consumed
 	e.skipped = cp.Skipped
 	e.sinceResolve = cp.SinceResolve
 	e.curEvery = cp.CurEvery

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -67,16 +68,27 @@ func snapJSON(t *testing.T, s Snapshot) string {
 // → SaveCheckpoint → LoadCheckpoint → Restore must hand a fresh engine
 // the same published snapshot (served immediately, before Run) and the
 // same metric history, and the restored engine must resume consuming
-// exactly where the original stopped, matching an uninterrupted run's
-// estimates to within float tolerance.
+// exactly where the original stopped and publish the same bits as an
+// uninterrupted run. The splits include checkpoints taken after the
+// window has slid many times, where any state the window does not
+// determine (a running sum, say) would show.
 func TestCheckpointRoundTrip(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Window: 4, ResolveEvery: 3}
-	const firstLeg, total = 10, 14
+	for _, tc := range []struct{ window, firstLeg, total int }{
+		{4, 10, 14},
+		{6, 8, 24},
+		{6, 20, 40},
+	} {
+		t.Run(fmt.Sprintf("window%d-%dto%d", tc.window, tc.firstLeg, tc.total), func(t *testing.T) {
+			checkRoundTrip(t, sc, Config{Window: tc.window, ResolveEvery: 3}, tc.firstLeg, tc.total)
+		})
+	}
+}
 
+func checkRoundTrip(t *testing.T, sc *netsim.Scenario, cfg Config, firstLeg, total int) {
 	orig, err := New(sc.Rt, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +130,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("restored metric history differs")
 	}
 
-	// Resume: the restored engine must pick up at interval `firstLeg`
+	// Resume: the restored engine must pick up at interval firstLeg
 	// (replay re-feeds 0..firstLeg-1, which the cursor skips) and its
-	// final window must match an uninterrupted engine's.
+	// final window must publish an uninterrupted engine's bits.
 	runReplay(t, sc, restored, total)
 	uninterrupted, err := New(sc.Rt, cfg)
 	if err != nil {
@@ -133,13 +145,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got.Interval != want.Interval || got.Window != want.Window {
 		t.Fatalf("resumed at interval %d window %d, want %d/%d", got.Interval, got.Window, want.Interval, want.Window)
 	}
-	for p := range want.Gravity {
-		if d := math.Abs(got.Gravity[p] - want.Gravity[p]); d > 1e-9 {
-			t.Fatalf("demand %d: resumed gravity %v vs uninterrupted %v (diff %g)", p, got.Gravity[p], want.Gravity[p], d)
+	for name, v := range map[string][2]linalg.Vector{
+		"gravity": {got.Gravity, want.Gravity},
+		"mean":    {got.Mean, want.Mean},
+		"fanouts": {got.Fanouts, want.Fanouts},
+	} {
+		differ := 0
+		for p := range v[1] {
+			if math.Float64bits(v[0][p]) != math.Float64bits(v[1][p]) {
+				differ++
+			}
 		}
-		if d := math.Abs(got.Mean[p] - want.Mean[p]); d > 1e-9 {
-			t.Fatalf("demand %d: resumed mean %v vs uninterrupted %v (diff %g)", p, got.Mean[p], want.Mean[p], d)
+		if differ > 0 || len(v[0]) != len(v[1]) {
+			t.Errorf("resumed %s differs from uninterrupted in %d of %d coordinates", name, differ, len(v[1]))
 		}
+	}
+	if math.Float64bits(got.GravityMRE) != math.Float64bits(want.GravityMRE) {
+		t.Errorf("resumed gravity MRE %v, uninterrupted %v", got.GravityMRE, want.GravityMRE)
 	}
 	// Versions must continue from the restored point, never regress.
 	if got.Version <= origSnap.Version {
@@ -187,7 +209,8 @@ func TestCheckpointWarmSeed(t *testing.T) {
 
 // TestRestoreValidation exercises every rejection path: wrong format,
 // wrong dimensions, wrong method, mis-sized ring entries, and restoring
-// into a running engine.
+// into a running engine; and one acceptance: a checkpoint carrying a key
+// this build no longer writes.
 func TestRestoreValidation(t *testing.T) {
 	eu, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -230,6 +253,28 @@ func TestRestoreValidation(t *testing.T) {
 		}
 	}
 	if e, _ := New(eu.Rt, Config{Window: 3}); true {
+		// Checkpoints written before the write-only consumed counter was
+		// dropped still carry its key; LoadCheckpoint ignores it.
+		var m map[string]any
+		b, _ := json.Marshal(cp)
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["consumed"] = 4
+		b, _ = json.Marshal(m)
+		path := filepath.Join(t.TempDir(), "old.ckpt")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("checkpoint with a consumed key unreadable: %v", err)
+		}
+		if err := e.Restore(old); err != nil {
+			t.Fatalf("checkpoint with a consumed key not restorable: %v", err)
+		}
+	}
+	if e, _ := New(eu.Rt, Config{Window: 3}); true {
 		ctx, cancel := context.WithCancel(context.Background())
 		store := collector.NewStore(eu.Net.NumPairs())
 		done := host(t, ctx, e, store)
@@ -245,7 +290,8 @@ func TestRestoreValidation(t *testing.T) {
 }
 
 // TestRestoreShrinksWindow checks a restart with a smaller -window: the
-// restored ring keeps the newest entries and the sums match them.
+// restored ring keeps the newest entries, and the next published mean
+// is the one an engine that always ran the smaller window publishes.
 func TestRestoreShrinksWindow(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -273,15 +319,24 @@ func TestRestoreShrinksWindow(t *testing.T) {
 	if len(ring) != 2 || ring[0].interval != 6 || ring[1].interval != 7 {
 		t.Fatalf("shrunk ring holds intervals %+v, want [6 7]", ring)
 	}
-	wantSum := linalg.NewVector(sc.Net.NumPairs())
-	linalg.Axpy(1, ring[0].demand, wantSum)
-	linalg.Axpy(1, ring[1].demand, wantSum)
-	for p := range wantSum {
-		if d := math.Abs(shrunk.demandSum.sum[p] - wantSum[p]); d > 1e-12 {
-			t.Fatalf("demand sum rebuilt wrong at %d: %v vs %v", p, shrunk.demandSum.sum[p], wantSum[p])
+	shrunk.stateMu.Unlock()
+
+	runReplay(t, sc, shrunk, 9)
+	small, err := New(sc.Rt, Config{Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runReplay(t, sc, small, 9)
+	got, _ := shrunk.Latest()
+	want, _ := small.Latest()
+	if got.Interval != 8 || got.Window != 2 || want.Interval != 8 {
+		t.Fatalf("shrunk engine at interval %d window %d, want 8/2", got.Interval, got.Window)
+	}
+	for p := range want.Mean {
+		if math.Float64bits(got.Mean[p]) != math.Float64bits(want.Mean[p]) {
+			t.Fatalf("mean[%d] = %v after the shrinking restore, %v from a window-2 engine", p, got.Mean[p], want.Mean[p])
 		}
 	}
-	shrunk.stateMu.Unlock()
 }
 
 // TestRestoreCadenceAcrossConfigChange pins the config-migration rule

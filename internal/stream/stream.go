@@ -51,8 +51,9 @@ const (
 
 // Config tunes an Engine.
 type Config struct {
-	// Window is the sliding-window length in polling intervals. 0 means an
-	// expanding window (every consumed interval is kept).
+	// Window is the sliding-window length in polling intervals, at most
+	// MaxWindow; 0 selects 6. Every publication sums the window from its
+	// ring, so the window is always bounded.
 	Window int
 	// MinCoverage is the fraction of LSPs an interval must cover before it
 	// may be consumed once later intervals have closed it out. Intervals
@@ -134,6 +135,11 @@ type Config struct {
 	// would otherwise flag noise). Defaults to 0.05.
 	AnomalyMinDrift float64
 }
+
+// MaxWindow bounds Config.Window. Each consumed interval sums the whole
+// window, so its cost grows with the window; 1024 covers the longest
+// window the paper's experiments use (fig12's 800-sample Vardi series).
+const MaxWindow = 1024
 
 // maxDrift caps Snapshot.Drift. The relative L1 distance divides by the
 // previous window mean's L1 norm, which a window of near-zero or
@@ -305,17 +311,14 @@ type Engine struct {
 	// rt lives here too since SwapRouting replaces it mid-stream; the
 	// ingestion path reads it under the lock and re-solves pin the
 	// routing they were scheduled with (resolveWork.rt).
-	stateMu   sync.Mutex
-	rt        *topology.Routing
-	epoch     int           // active topology epoch tag (0 = as created)
-	swaps     []pendingSwap // scheduled hot-swaps, ordered by interval
-	ring      []windowEntry
-	loadSum   windowSum // Σ ring loads (L)
-	demandSum windowSum // Σ ring demands (P)
-	next      int       // next interval index to consume
-	consumed  int
-	skipped   int
-	prevMean  linalg.Vector // last window mean, for the drift signal
+	stateMu  sync.Mutex
+	rt       *topology.Routing
+	epoch    int           // active topology epoch tag (0 = as created)
+	swaps    []pendingSwap // scheduled hot-swaps, ordered by interval
+	ring     []windowEntry
+	next     int // next interval index to consume
+	skipped  int
+	prevMean linalg.Vector // last window mean, for the drift signal
 	// Adaptive cadence state: intervals since the last scheduled
 	// re-solve, the effective cadence, and the worst drift seen since
 	// the last re-solve (the steadiness judge for the back-off).
@@ -356,8 +359,11 @@ type Engine struct {
 
 // New creates an Engine estimating over the given routing.
 func New(rt *topology.Routing, cfg Config) (*Engine, error) {
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("stream: negative window %d", cfg.Window)
+	if cfg.Window < 0 || cfg.Window > MaxWindow {
+		return nil, fmt.Errorf("stream: window %d out of range [0, %d]", cfg.Window, MaxWindow)
+	}
+	if cfg.Window == 0 {
+		cfg.Window = 6
 	}
 	if cfg.MinCoverage <= 0 || cfg.MinCoverage > 1 {
 		cfg.MinCoverage = 1
@@ -411,20 +417,14 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 	}
 	// Presize the window ring (copy-down sliding keeps this its lifetime
 	// capacity) and the metrics log's first growth steps.
-	var ringCap int
-	if cfg.Window > 0 {
-		ringCap = cfg.Window + 1
-	}
 	return &Engine{
-		ring:      make([]windowEntry, 0, ringCap),
-		metrics:   make([]MetricPoint, 0, 64),
-		rt:        rt,
-		cfg:       cfg,
-		loadSum:   newWindowSum(rt.R.Rows()),
-		demandSum: newWindowSum(rt.Net.NumPairs()),
-		curEvery:  cfg.ResolveEvery,
-		teBuf:     linalg.NewVector(rt.Net.NumPoPs()),
-		txBuf:     linalg.NewVector(rt.Net.NumPoPs()),
+		ring:     make([]windowEntry, 0, cfg.Window+1),
+		metrics:  make([]MetricPoint, 0, 64),
+		rt:       rt,
+		cfg:      cfg,
+		curEvery: cfg.ResolveEvery,
+		teBuf:    linalg.NewVector(rt.Net.NumPoPs()),
+		txBuf:    linalg.NewVector(rt.Net.NumPoPs()),
 	}, nil
 }
 
@@ -443,21 +443,21 @@ func (e *Engine) Run(ctx context.Context, store *collector.Store) error {
 	}
 	wake, cancel := store.Subscribe()
 	defer cancel()
-	e.scan(store)
+	e.scan(store, false)
 	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case _, ok := <-wake:
+			// A closed subscription means the store shut down: the
+			// collection is over and no record is in flight anymore, so
+			// every remaining interval is final and the last scan drains
+			// them without the close-out grace, which would otherwise
+			// strand the last ones.
+			e.scan(store, !ok)
 			if !ok {
-				// The store shut down: the collection is over and no
-				// record is in flight anymore, so every remaining
-				// interval is final — drain them without the close-out
-				// grace, which would otherwise strand the last ones.
-				e.finalDrain(store)
 				return nil
 			}
-			e.scan(store)
 		}
 	}
 }
@@ -474,21 +474,6 @@ func (e *Engine) skip() {
 	e.stateMu.Unlock()
 }
 
-// finalDrain consumes or skips every interval still pending after the
-// collection has ended, applying MinCoverage alone (nothing can improve
-// coverage anymore).
-func (e *Engine) finalDrain(store *collector.Store) {
-	for latest := store.LatestInterval(); e.next <= latest; {
-		rates, covered, ok := store.Take(e.next)
-		if ok && e.meetsCoverage(store, covered) {
-			e.consume(e.next, rates, covered)
-		} else {
-			e.skip()
-		}
-	}
-	store.Prune(e.next)
-}
-
 // meetsCoverage reports whether an interval covering `covered` LSPs
 // meets Config.MinCoverage.
 func (e *Engine) meetsCoverage(store *collector.Store, covered int) bool {
@@ -499,8 +484,10 @@ func (e *Engine) meetsCoverage(store *collector.Store, covered int) bool {
 // consumed prefix from the store so an endless run holds O(window)
 // state. Wake-ups are coalesced edges,
 // not a reliable per-interval stream, so readiness is always re-derived
-// from the store itself.
-func (e *Engine) scan(store *collector.Store) {
+// from the store itself. final marks the scan after the collection has
+// ended: every stored interval is then closed, and MinCoverage alone
+// decides it (nothing can improve coverage anymore).
+func (e *Engine) scan(store *collector.Store, final bool) {
 	defer func() { store.Prune(e.next) }() // closure: e.next advances below
 	for {
 		latest := store.LatestInterval()
@@ -516,7 +503,7 @@ func (e *Engine) scan(store *collector.Store) {
 		// round-k+1 uploads — including a lagging backup poller's, which
 		// may trail the fastest poller by most of a round plus TCP
 		// buffering — have had a full polling interval to land.
-		closed := latest > e.next+1
+		closed := final || latest > e.next+1
 		full := ok && covered == store.NumLSPs()
 		switch {
 		case full, closed && ok && e.meetsCoverage(store, covered):
@@ -549,8 +536,9 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	net := rt.Net
 	loads := rt.LinkLoads(rates)
 	if !inRange(rates) || !inRange(loads) {
-		// A NaN would stay in the running sums for good (so would the
-		// Inf − Inf an Inf load leaves): skip it like an under-covered one.
+		// A NaN or Inf would poison every window mean it sits in, and a
+		// load past maxLoad overflows gravity's product: skip it like an
+		// under-covered one.
 		e.skipped++
 		e.next = interval + 1
 		e.stateMu.Unlock()
@@ -559,32 +547,33 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	te := linalg.Grow(&e.teBuf, net.NumPoPs())
 	tx := linalg.Grow(&e.txBuf, net.NumPoPs())
 	e.ring = append(e.ring, windowEntry{interval: interval, demand: rates, loads: loads})
-	e.loadSum.add(loads)
-	e.demandSum.add(rates)
-	if e.cfg.Window > 0 && len(e.ring) > e.cfg.Window {
+	if len(e.ring) > e.cfg.Window {
 		// Slide by copying down rather than re-slicing, so the ring keeps
 		// its full capacity forever (a re-sliced ring sheds one slot per
 		// interval and re-grows, allocating on an endless run).
-		old := e.ring[0]
 		copy(e.ring, e.ring[1:])
 		e.ring = e.ring[:len(e.ring)-1]
-		e.loadSum.evict(old.loads, e.ring, entryLoads)
-		e.demandSum.evict(old.demand, e.ring, entryDemand)
 	}
-	e.consumed++
 	e.next = interval + 1
 	windowLen := len(e.ring)
 	k := float64(windowLen)
 	skipped := e.skipped
 
-	// Incremental gravity inputs: te/tx are read off the running load
-	// sums, so the per-interval cost is O(L + P) plus the gravity product
-	// — no re-averaging of the window.
+	// The window mean and the gravity inputs te/tx are summed from the
+	// ring, oldest first, so a publication is a function of its window
+	// alone: a restored engine publishes the same bits as one that never
+	// stopped. The cost is O(window·P) per interval.
 	for pop := 0; pop < net.NumPoPs(); pop++ {
-		te[pop] = e.loadSum.sum[rt.IngressRow(pop)] / k
-		tx[pop] = e.loadSum.sum[rt.EgressRow(pop)] / k
+		in, out := rt.IngressRow(pop), rt.EgressRow(pop)
+		var sin, sout float64
+		for _, w := range e.ring {
+			sin += w.loads[in]
+			sout += w.loads[out]
+		}
+		te[pop] = sin / k
+		tx[pop] = sout / k
 	}
-	mean := e.demandSum.sum.Clone()
+	mean := demandTotal(e.ring, net.NumPairs())
 	mean.Scale(1 / k)
 
 	// Window drift and the re-solve schedule decision. A drift trigger
@@ -683,52 +672,14 @@ func inRange(v linalg.Vector) bool {
 	return true
 }
 
-// absorbRatio bounds how far a window sum may fall below its peak before
-// it is recomputed from the ring. Adding a rate to a sum rounds it to
-// the sum's precision, so a sum that once held 1e140 has absorbed every
-// rate of 100 added while it did, and evicting the 1e140 leaves them lost
-// (1e140 + 100 − 1e140 = 0), or a negative sum with uneven rates. A sum
-// within absorbRatio of its peak has lost at most 2^-33 of its value per
-// update, and no clean replay falls that far.
-const absorbRatio = 1 << 20
-
-// windowSum is a running per-coordinate sum of one vector of the window
-// ring, with the peak each coordinate has reached since it was last
-// summed exactly.
-type windowSum struct {
-	sum, peak linalg.Vector
-}
-
-func newWindowSum(n int) windowSum {
-	return windowSum{sum: linalg.NewVector(n), peak: linalg.NewVector(n)}
-}
-
-func (w *windowSum) add(v linalg.Vector) {
-	linalg.Axpy(1, v, w.sum)
-	for i, s := range w.sum {
-		w.peak[i] = max(w.peak[i], s)
+// demandTotal sums the ring's demand vectors, oldest first.
+func demandTotal(ring []windowEntry, n int) linalg.Vector {
+	sum := linalg.NewVector(n)
+	for _, w := range ring {
+		linalg.Axpy(1, w.demand, sum)
 	}
+	return sum
 }
-
-// evict subtracts an entry that left the window, then re-sums from the
-// remaining ring entries (of tells which of their vectors) every
-// coordinate that fell more than absorbRatio below its peak.
-func (w *windowSum) evict(v linalg.Vector, ring []windowEntry, of func(windowEntry) linalg.Vector) {
-	linalg.Axpy(-1, v, w.sum)
-	for i, s := range w.sum {
-		if w.peak[i] <= absorbRatio*s {
-			continue
-		}
-		s = 0
-		for _, we := range ring {
-			s += of(we)[i]
-		}
-		w.sum[i], w.peak[i] = s, s
-	}
-}
-
-func entryLoads(we windowEntry) linalg.Vector  { return we.loads }
-func entryDemand(we windowEntry) linalg.Vector { return we.demand }
 
 // detectAnomalyLocked advances the drift-anomaly detector by one
 // consumed interval (stateMu held, called from consume). The baseline

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,9 +100,9 @@ func matchBatch(t *testing.T, sc *netsim.Scenario, snap Snapshot, from, to int) 
 // TestNonFiniteIntervalsSkipped interleaves an interval with one NaN
 // rate and one with every rate at 1e308 (each link load overflows to
 // +Inf) with clean ones. Both must be skipped like under-covered
-// intervals: were either folded into the window's running sums, its NaN
-// would outlive the interval's stay in the window and poison every
-// later snapshot.
+// intervals: were either folded into the window, its NaN or Inf would
+// poison every snapshot published while it stayed there, and every
+// re-solve of those windows.
 func TestNonFiniteIntervalsSkipped(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -435,8 +436,11 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(sc.Rt, Config{Window: -1}); err == nil {
-		t.Fatal("negative window accepted")
+	for _, w := range []int{-1, 1025} {
+		_, err := New(sc.Rt, Config{Window: w})
+		if err == nil || !strings.Contains(err.Error(), "window") {
+			t.Fatalf("window %d: got %v, want a window error", w, err)
+		}
 	}
 	if _, err := New(sc.Rt, Config{Method: "nonsense"}); err == nil {
 		t.Fatal("unknown method accepted")
@@ -445,10 +449,11 @@ func TestConfigValidation(t *testing.T) {
 
 // TestHugeRateEvictionKeepsWindowSums passes one rate of 1e140 (below
 // maxLoad, so consumed) through a 2-interval window of 100s. While it sits
-// in the window it absorbs every rate added to its pair's sums; evicting
-// it must not lose them: once the spike has left, every snapshot's mean
-// and gravity match the exact window, and none is ever negative. Pair 1
-// carries uneven rates, which without the re-sum drove its sum negative.
+// in the window it absorbs every rate summed with it; evicting it must
+// not lose them: once the spike has left, every snapshot's mean and
+// gravity match the exact window, and none is ever negative. A running
+// sum that subtracts the evicted spike loses them (1e140 + 100 − 1e140
+// = 0), and on pair 1's uneven rates goes negative.
 func TestHugeRateEvictionKeepsWindowSums(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {

@@ -26,13 +26,13 @@ type pendingSwap struct {
 // how a restored tenant is moved onto its checkpointed epoch.
 //
 // An effective swap re-expands the window: every ring interval's link
-// loads and the running load sums are recomputed under rt (the
-// collected demand vectors are routing-independent), and the warm-start
-// iterate is remapped by iterative proportional fitting onto the
-// window's per-PoP traffic totals instead of being thrown away — the
-// post-reroute re-solve starts from the traffic matrix the engine
-// already believed in, rescaled to be consistent with the new access
-// rows, rather than from cold. A swap to a routing whose matrix is
+// loads are recomputed under rt (the collected demand vectors are
+// routing-independent), and the warm-start iterate is remapped by
+// iterative proportional fitting onto the window's per-PoP traffic
+// totals instead of being thrown away — the post-reroute re-solve
+// starts from the traffic matrix the engine already believed in,
+// rescaled to be consistent with the new access rows, rather than from
+// cold. A swap to a routing whose matrix is
 // identical to the active one is a complete no-op (no epoch change, no
 // state touched), so repeated announcements are harmless.
 //
@@ -100,15 +100,12 @@ func (e *Engine) applySwapLocked(sw pendingSwap) {
 		// that never saw the announcement.
 		return
 	}
-	loadSum := newWindowSum(sw.rt.R.Rows())
 	for i := range e.ring {
-		loads := sw.rt.LinkLoads(e.ring[i].demand)
-		e.ring[i].loads = loads
-		loadSum.add(loads)
+		e.ring[i].loads = sw.rt.LinkLoads(e.ring[i].demand)
 	}
-	e.loadSum = loadSum
 	if e.warmEst != nil && len(e.ring) > 0 {
-		e.warmEst = remapWarm(sw.rt.Net, e.warmEst, e.demandSum.sum, len(e.ring))
+		total := demandTotal(e.ring, sw.rt.Net.NumPairs())
+		e.warmEst = remapWarm(sw.rt.Net, e.warmEst, total, len(e.ring))
 	}
 	e.rt = sw.rt
 	e.epoch = sw.epoch
@@ -121,13 +118,13 @@ func (e *Engine) applySwapLocked(sw pendingSwap) {
 // exactly consistent with the access-link rows of the new routing
 // matrix, which read those totals back out. The input vector is never
 // mutated — it is shared with the published snapshot.
-func remapWarm(net *topology.Network, warm, demandSum linalg.Vector, k int) linalg.Vector {
+func remapWarm(net *topology.Network, warm, total linalg.Vector, k int) linalg.Vector {
 	n := net.NumPoPs()
 	te := linalg.NewVector(n)
 	tx := linalg.NewVector(n)
 	for p := 0; p < net.NumPairs(); p++ {
 		src, dst := net.PairFromIndex(p)
-		v := demandSum[p] / float64(k)
+		v := total[p] / float64(k)
 		te[src] += v
 		tx[dst] += v
 	}
