@@ -100,10 +100,12 @@ bench-module:
 
 # Docs gate: every package carries a package comment, the README flag
 # table matches the real flag sets, METHODS.md covers every estimation
-# method and experiment ID, docs/API.md lists every served route, and
-# docs/METRICS.md matches the live /metrics/prom registries.
+# method and experiment ID, docs/API.md lists every served route,
+# docs/METRICS.md matches the live /metrics/prom registries, and no
+# exported production declaration is reached only from tests
+# (TestReachability).
 docs:
-	$(GO) test -run 'TestPackageComments|TestREADMEFlagDrift|TestMETHODSCoverage|TestAPIDocDrift|TestMetricsDocDrift' .
+	$(GO) test -run 'TestPackageComments|TestREADMEFlagDrift|TestMETHODSCoverage|TestAPIDocDrift|TestMetricsDocDrift|TestReachability' .
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -41,9 +41,9 @@ func benchSuite(b *testing.B) *experiments.Suite {
 	if testing.Short() {
 		b.Skip("experiment benchmarks are slow; skipping in -short mode")
 	}
-	suiteOnce.Do(func() { suite, suiteErr = experiments.NewSuite(1) })
+	suiteOnce.Do(func() { suite, suiteErr = experiments.NewSuiteWithPool(1, runner.NewPool(0)) })
 	if suiteErr != nil {
-		b.Fatalf("NewSuite: %v", suiteErr)
+		b.Fatalf("NewSuiteWithPool: %v", suiteErr)
 	}
 	return suite
 }
@@ -60,7 +60,7 @@ func runDriver(b *testing.B, id string) {
 	b.ResetTimer()
 	var last *experiments.Report
 	for i := 0; i < b.N; i++ {
-		rep, err := d.RunOn(ctx, s)
+		rep, err := d.Run(s, ctx)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -147,9 +147,8 @@ func BenchmarkAblationBayesSolvers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEntropySolvers compares the forward-backward KL-prox
-// solver of eq. (6) against Krupp's multiplicative iterative scaling, which
-// solves the consistency-constrained limit of the same objective.
+// BenchmarkAblationEntropySolvers times the forward-backward KL-prox
+// solver of eq. (6).
 func BenchmarkAblationEntropySolvers(b *testing.B) {
 	s := benchSuite(b)
 	prior := core.Gravity(s.InstEU)
@@ -158,11 +157,6 @@ func BenchmarkAblationEntropySolvers(b *testing.B) {
 			if _, _, err := core.Entropy(s.InstEU, prior, 1000, core.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("iterative-scaling", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.KruithofGeneral(s.InstEU, prior, 3000)
 		}
 	})
 }

@@ -32,7 +32,7 @@ func TestGoldenReports(t *testing.T) {
 	// this test also exercises the determinism guarantee.
 	suite, err := experiments.NewSuiteWithPool(1, runner.NewPool(0))
 	if err != nil {
-		t.Fatalf("NewSuite: %v", err)
+		t.Fatalf("NewSuiteWithPool: %v", err)
 	}
 	for _, id := range goldenIDs {
 		id := id
@@ -41,7 +41,7 @@ func TestGoldenReports(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown driver %s", id)
 			}
-			rep, err := d.RunOn(context.Background(), suite)
+			rep, err := d.Run(suite, context.Background())
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}

@@ -15,7 +15,6 @@ package collector
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -153,7 +152,3 @@ func (a *Agent) serve() {
 		}
 	}
 }
-
-// ErrPollTimeout is returned when an agent does not answer within the
-// poller's per-attempt deadline (after retries).
-var ErrPollTimeout = errors.New("collector: poll timed out")

@@ -118,18 +118,13 @@ func (p *Poller) pollAgent(addr *net.UDPAddr) (map[int]counterSample, error) {
 	return out, nil
 }
 
-// Collect runs `cycles` polling rounds against all assigned agents and
-// streams rate records to sink. The first round only primes the counters
-// (a rate needs two reads). sink is called from the polling goroutine.
-func (p *Poller) Collect(cycles int, sink func(RateRecord)) error {
-	return p.CollectContext(context.Background(), cycles, sink)
-}
-
-// CollectContext is Collect with cooperative cancellation: it stops
-// between polling rounds (and between waits for the next nominal
-// timestamp) once ctx is done, returning ctx.Err(). A round that has
-// already started polling finishes first, so the store never sees a
-// half-reported cycle from this poller.
+// CollectContext runs `cycles` polling rounds against all assigned agents
+// and streams rate records to sink. The first round only primes the
+// counters (a rate needs two reads). sink is called from the polling
+// goroutine. It stops between polling rounds (and between waits for the
+// next nominal timestamp) once ctx is done, returning ctx.Err(). A round
+// that has already started polling finishes first, so the store never
+// sees a half-reported cycle from this poller.
 func (p *Poller) CollectContext(ctx context.Context, cycles int, sink func(RateRecord)) error {
 	for cycle := 0; cycle < cycles; cycle++ {
 		if err := ctx.Err(); err != nil {

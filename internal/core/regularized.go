@@ -121,11 +121,3 @@ func KruithofPairs(net *topology.Network, x, te, tx linalg.Vector, maxIter int, 
 	}
 	return out, nil
 }
-
-// KruithofGeneral applies Krupp's extension of Kruithof's projection to the
-// full linear system R·s = t: cyclic multiplicative scaling over every link
-// constraint. It minimizes D(s‖prior) over the solution set when the system
-// is consistent.
-func KruithofGeneral(in *Instance, prior linalg.Vector, maxIter int) (linalg.Vector, solver.IPFResult) {
-	return solver.IterativeScaling(in.Rt.R, in.Loads, prior, maxIter, 1e-9)
-}

@@ -128,7 +128,7 @@ func GravityWS(ws *Workspace, in *Instance) linalg.Vector {
 	net := in.Rt.Net
 	te := in.accessTotals(linalg.Grow(&ws.te, net.NumPoPs()), in.Rt.IngressRow)
 	tx := in.accessTotals(linalg.Grow(&ws.tx, net.NumPoPs()), in.Rt.EgressRow)
-	return GravityFromTotalsInto(linalg.Grow(&ws.prior, net.NumPairs()), net, te, tx, nil)
+	return GravityFromTotalsInto(linalg.Grow(&ws.prior, net.NumPairs()), net, te, tx)
 }
 
 // ShareThresholdWS is ShareThreshold ranking into workspace scratch (nil

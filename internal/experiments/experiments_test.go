@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 var (
@@ -16,9 +18,9 @@ var (
 
 func getSuite(t *testing.T) *Suite {
 	t.Helper()
-	suiteOnce.Do(func() { suite, suiteErr = NewSuite(1) })
+	suiteOnce.Do(func() { suite, suiteErr = NewSuiteWithPool(1, runner.NewPool(0)) })
 	if suiteErr != nil {
-		t.Fatalf("NewSuite: %v", suiteErr)
+		t.Fatalf("NewSuiteWithPool: %v", suiteErr)
 	}
 	return suite
 }
@@ -120,7 +122,7 @@ func TestAnalysisFigures(t *testing.T) {
 		if !ok {
 			t.Fatalf("driver %s missing", id)
 		}
-		rep, err := d.RunOn(context.Background(), s)
+		rep, err := d.Run(s, context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -145,7 +147,7 @@ func TestEstimationFiguresRun(t *testing.T) {
 	s := getSuite(t)
 	for _, id := range []string{"fig7", "fig9", "fig10", "fig14"} {
 		d, _ := DriverByID(id)
-		rep, err := d.RunOn(context.Background(), s)
+		rep, err := d.Run(s, context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -200,15 +200,27 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		}
 		set("Worst-case bound prior", core.MRE(wcb, reg.truth, reg.thresh))
 		set("Simple gravity prior", core.MRE(prior, reg.truth, reg.thresh))
-		set("Entropy w. gravity", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, int, error) {
-			return core.Entropy(reg.inst, prior, lam, core.SolveOptions{})
-		}, reg))
-		set("Bayes w. gravity", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, int, error) {
-			return core.Bayesian(reg.inst, prior, lam, core.SolveOptions{})
-		}, reg))
-		set("Bayes w. WCB prior", s.bestOverSweep(ctx, func(lam float64) (linalg.Vector, int, error) {
-			return core.Bayesian(reg.inst, wcb, lam, core.SolveOptions{})
-		}, reg))
+		sweeps := []struct {
+			name string
+			est  func(float64) (linalg.Vector, int, error)
+		}{
+			{"Entropy w. gravity", func(lam float64) (linalg.Vector, int, error) {
+				return core.Entropy(reg.inst, prior, lam, core.SolveOptions{})
+			}},
+			{"Bayes w. gravity", func(lam float64) (linalg.Vector, int, error) {
+				return core.Bayesian(reg.inst, prior, lam, core.SolveOptions{})
+			}},
+			{"Bayes w. WCB prior", func(lam float64) (linalg.Vector, int, error) {
+				return core.Bayesian(reg.inst, wcb, lam, core.SolveOptions{})
+			}},
+		}
+		for _, sw := range sweeps {
+			best, err := s.bestOverSweep(ctx, sw.name, sw.est, reg)
+			if err != nil {
+				return nil, err
+			}
+			set(sw.name, best)
+		}
 		// Fanout: best over a few window lengths.
 		fanWindows := []int{3, 10, 20, 40}
 		fanMRE := make([]float64, len(fanWindows))
@@ -265,27 +277,28 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 	return r, nil
 }
 
-// bestOverSweep returns the best MRE over the regularization sweep,
-// evaluating the sweep points concurrently on the suite's pool. Failed
-// sweep points are skipped, as in the serial loop it replaces.
-func (s *Suite) bestOverSweep(ctx context.Context, est func(float64) (linalg.Vector, int, error), reg region) float64 {
+// bestOverSweep returns the best MRE of method over the regularization
+// sweep, evaluating the sweep points concurrently on the suite's pool. A
+// sweep point that fails fails the sweep, naming the method, the region
+// and the reg, so a best-of never hides a point it did not score.
+func (s *Suite) bestOverSweep(ctx context.Context, method string, est func(float64) (linalg.Vector, int, error), reg region) (float64, error) {
 	mres := make([]float64, len(RegSweep))
-	for i := range mres {
-		mres[i] = math.Inf(1)
-	}
-	s.forEach(ctx, len(RegSweep), func(i int) error {
+	err := s.forEach(ctx, len(RegSweep), func(i int) error {
 		v, _, err := est(RegSweep[i])
 		if err != nil {
-			return nil // skip failed sweep points
+			return fmt.Errorf("%s on %s at reg %g: %w", method, reg.name, RegSweep[i], err)
 		}
 		mres[i] = core.MRE(v, reg.truth, reg.thresh)
 		return nil
 	})
+	if err != nil {
+		return 0, err
+	}
 	best := math.Inf(1)
 	for _, m := range mres {
 		if m < best {
 			best = m
 		}
 	}
-	return best
+	return best, nil
 }

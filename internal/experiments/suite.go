@@ -49,7 +49,7 @@ func (r *Report) addf(format string, args ...interface{}) {
 }
 
 // Suite holds the two evaluation scenarios and their busy-window snapshots,
-// shared across all experiment drivers. After NewSuite returns, the Suite
+// shared across all experiment drivers. After NewSuiteWithPool returns, the Suite
 // is read-only: drivers never mutate it, which is what makes it safe to
 // run many drivers concurrently against the same Suite.
 type Suite struct {
@@ -70,12 +70,6 @@ type Suite struct {
 	// schedules drivers on it and the sweep loops inside drivers borrow
 	// its free slots for their inner fan-out.
 	pool *runner.Pool
-}
-
-// NewSuite builds both scenarios with the given seed, using a pool sized
-// to the machine (runtime.GOMAXPROCS).
-func NewSuite(seed int64) (*Suite, error) {
-	return NewSuiteWithPool(seed, runner.NewPool(0))
 }
 
 // NewSuiteWithPool builds both scenarios with the given seed and runs all
@@ -143,11 +137,6 @@ type Driver struct {
 	ID    string
 	Title string
 	Run   func(*Suite, context.Context) (*Report, error)
-}
-
-// RunOn executes the driver against a suite.
-func (d Driver) RunOn(ctx context.Context, s *Suite) (*Report, error) {
-	return d.Run(s, ctx)
 }
 
 // RunResult is the outcome of one driver in a RunAll fan-out.

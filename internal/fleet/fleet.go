@@ -110,10 +110,6 @@ func (t *Tenant) Engine() *stream.Engine { return t.eng }
 // Scenario returns the subnetwork the tenant estimates over.
 func (t *Tenant) Scenario() *netsim.Scenario { return t.sc }
 
-// Timeline returns the compiled timeline of a scenario:script tenant,
-// nil for every other source.
-func (t *Tenant) Timeline() *timeline.Timeline { return t.tl }
-
 // noteSaved records a successful checkpoint write.
 func (t *Tenant) noteSaved() { t.lastSave.Store(time.Now().UnixNano()) }
 

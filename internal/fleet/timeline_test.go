@@ -46,7 +46,7 @@ func TestScriptTenantCheckpointAcrossSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := ten.Timeline()
+	tl := ten.tl
 	if tl == nil || len(tl.Epochs) != 3 {
 		t.Fatalf("script tenant compiled %v epochs, want 3", tl)
 	}
@@ -147,7 +147,7 @@ func TestScriptRestoreAtSwapBoundary(t *testing.T) {
 	if err := ten.armSwaps(); err != nil {
 		t.Fatal(err)
 	}
-	tl := ten.Timeline()
+	tl := ten.tl
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	store := collector.NewStore(ten.Scenario().Net.NumPairs())

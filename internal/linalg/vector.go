@@ -1,15 +1,15 @@
 // Package linalg provides the dense linear-algebra kernels used by the
-// traffic-matrix estimation library: vectors, row-major matrices,
-// Householder QR, Cholesky factorization and the associated solvers.
+// traffic-matrix estimation library: vectors and row-major matrices.
 // These are the primitives behind every estimator of the paper's §4 —
 // the gravity products of eq. (5), the regularized least-squares systems
 // of eqs. (6)–(7) and the moment systems of Vardi's method (§4.2.2) all
-// reduce to the dense operations defined here.
+// reduce to the dense operations defined here and the sparse routing
+// matrix of internal/sparse.
 //
 // The package is deliberately small and allocation-conscious: every routine
 // that can write into a caller-supplied destination does so, and the hot
-// kernels (Dot, Axpy, MulVec) are written as straight loops that the Go
-// compiler vectorizes well.
+// kernels (Dot, Axpy) are written as straight loops that the Go compiler
+// vectorizes well.
 package linalg
 
 import (

@@ -10,8 +10,8 @@
 // metric families (counter, gauge, histogram), each family a vector
 // over a fixed label set. Two registration styles exist:
 //
-//   - Counter/Gauge/Histogram return a *Vec whose children are
-//     updated imperatively (Inc/Add/Set/Observe) from hot paths;
+//   - Counter/Histogram return a *Vec whose children are updated
+//     imperatively (Inc/Add/Observe) from hot paths;
 //   - CounterFunc/GaugeFunc register a scrape-time collector that
 //     emits samples from live state (engine snapshots, hub stats,
 //     cluster reports) so the exporter never caches what the system
@@ -87,7 +87,7 @@ type child struct {
 	values []string
 
 	mu      sync.Mutex
-	val     float64  // counter/gauge value
+	val     float64  // counter value
 	bcounts []uint64 // histogram per-bucket (non-cumulative) counts
 	binf    uint64   // observations above the last bucket
 	sum     float64
@@ -102,11 +102,6 @@ func NewRegistry() *Registry {
 // Counter registers a counter family and returns its vector.
 func (r *Registry) Counter(name, help string, labels ...string) *Vec {
 	return &Vec{r.register(name, help, TypeCounter, labels, nil, nil)}
-}
-
-// Gauge registers a gauge family and returns its vector.
-func (r *Registry) Gauge(name, help string, labels ...string) *Vec {
-	return &Vec{r.register(name, help, TypeGauge, labels, nil, nil)}
 }
 
 // Histogram registers a histogram family with the given upper bounds
@@ -224,37 +219,27 @@ func childKey(values []string) string {
 	return strings.Join(values, "\xff")
 }
 
-// Metric is one child of a family: a single counter, gauge, or
-// histogram series.
+// Metric is one child of a family: a single counter or histogram
+// series.
 type Metric struct {
 	f *family
 	c *child
 }
 
-// Inc adds 1 to a counter or gauge.
+// Inc adds 1 to a counter.
 func (m *Metric) Inc() { m.Add(1) }
 
-// Add adds delta to a counter or gauge. Counters reject negative
-// deltas (panic — a programmer error the exposition format forbids).
+// Add adds delta to a counter. A negative delta panics (a programmer
+// error the exposition format forbids).
 func (m *Metric) Add(delta float64) {
-	if m.f.typ == TypeHistogram {
-		panic("obs: Add on histogram " + m.f.name)
+	if m.f.typ != TypeCounter {
+		panic("obs: Add on " + string(m.f.typ) + " " + m.f.name)
 	}
-	if m.f.typ == TypeCounter && delta < 0 {
+	if delta < 0 {
 		panic("obs: counter " + m.f.name + " decreased")
 	}
 	m.c.mu.Lock()
 	m.c.val += delta
-	m.c.mu.Unlock()
-}
-
-// Set sets a gauge's value.
-func (m *Metric) Set(v float64) {
-	if m.f.typ != TypeGauge {
-		panic("obs: Set on " + string(m.f.typ) + " " + m.f.name)
-	}
-	m.c.mu.Lock()
-	m.c.val = v
 	m.c.mu.Unlock()
 }
 
@@ -417,14 +402,10 @@ func lessValues(a, b []string) bool {
 
 // Handler returns the scrape endpoint: the full registry rendered
 // with the 0.0.4 content type and the same no-cache policy as every
-// other serving route.
+// other serving route (headers only for HEAD). The route that mounts
+// it checks the method.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
 		w.Header().Set("Content-Type", ContentType)
 		w.Header().Set("Cache-Control", "no-cache")
 		if req.Method == http.MethodHead {

@@ -137,16 +137,16 @@ func TestServerClusterEndpoints(t *testing.T) {
 	if rec = do(t, handler, "POST", "/v1/cluster/adopt", "{}"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing tenant: %d", rec.Code)
 	}
-	if rec = do(t, handler, "GET", "/v1/cluster/adopt", ""); rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET adopt: %d", rec.Code)
+	if rec = do(t, handler, "GET", "/v1/cluster/adopt", ""); rec.Code != http.StatusMethodNotAllowed || v1Code(t, rec) != "method_not_allowed" {
+		t.Fatalf("GET adopt: %d %s", rec.Code, rec.Body.String())
 	}
-	if rec = do(t, handler, "POST", "/v1/cluster/evict", "{}"); rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown cluster op: %d", rec.Code)
+	if rec = do(t, handler, "POST", "/v1/cluster/evict", "{}"); rec.Code != http.StatusNotFound || v1Code(t, rec) != "unknown_endpoint" {
+		t.Fatalf("unknown cluster op: %d %s", rec.Code, rec.Body.String())
 	}
 
 	// Every ClusterOnly row in the route table resolves on this server —
 	// the complement of TestRoutesAllServed's skip.
-	for _, rt := range Routes() {
+	for _, rt := range s.Routes() {
 		if !rt.ClusterOnly {
 			continue
 		}

@@ -57,15 +57,12 @@ func NewCoordinator(c *cluster.Coordinator, client *http.Client) *Coordinator {
 	return co
 }
 
-// Handler builds the coordinator mux over CoordinatorRoutes.
+// Handler builds the coordinator mux over the route table in Routes.
+// Its one {name} row proxies every tenant path.
 func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", co.handleHealthz)
-	mux.HandleFunc("/v1/tenants", co.handleTenants)
-	mux.HandleFunc("/v1/t/", co.handleTenant)
-	mux.HandleFunc("/v1/cluster/", co.handleCluster)
-	mux.Handle("/metrics/prom", co.metrics.Handler())
-	return mux
+	return mount(co.Routes(), func(w http.ResponseWriter, r *http.Request, rows []Route) {
+		rows[0].handle(w, r, nil)
+	})
 }
 
 // RegisterCoordinatorMetrics declares the coordinator's per-node
@@ -124,10 +121,6 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // from, plus the per-node health/routing report — the fleet-wide view
 // one node alone cannot give.
 func (co *Coordinator) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
 	report := co.c.Report()
 	var (
 		mu   sync.Mutex
@@ -184,9 +177,9 @@ func (co *Coordinator) getJSON(ctx context.Context, addr, path string, out any) 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// handleTenant proxies one tenant-scoped read to its owning node.
-func (co *Coordinator) handleTenant(w http.ResponseWriter, r *http.Request) {
-	name, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/t/"), "/")
+// proxyTenant proxies one tenant-scoped read to its owning node.
+func (co *Coordinator) proxyTenant(w http.ResponseWriter, r *http.Request) {
+	name, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, tenantPrefix), "/")
 	node, err := co.c.Route(name)
 	if err != nil {
 		switch {
@@ -209,20 +202,10 @@ func (co *Coordinator) handleTenant(w http.ResponseWriter, r *http.Request) {
 	co.proxy.ServeHTTP(w, r.WithContext(ctx))
 }
 
-// handleCluster is the coordinator's admin surface: POST
+// handleMigrate is the coordinator's admin route: POST
 // /v1/cluster/migrate?tenant=X&to=node moves a tenant by checkpoint
 // handoff.
-func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
-	op := strings.TrimPrefix(r.URL.Path, "/v1/cluster/")
-	if op != "migrate" {
-		writeV1Error(w, http.StatusNotFound, "unknown_endpoint",
-			fmt.Sprintf("unknown cluster endpoint %q (migrate)", op))
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return
-	}
+func (co *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	tenant, to := r.URL.Query().Get("tenant"), r.URL.Query().Get("to")
 	if tenant == "" || to == "" {
 		writeV1Error(w, http.StatusBadRequest, "bad_request", "migrate needs ?tenant=<name>&to=<node>")

@@ -116,12 +116,10 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 	if proxied != 1 {
 		t.Fatalf("proxied counter %d, want 1", proxied)
 	}
-	if rec := (func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tenants", nil))
-		return rec
-	})(); rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST listing: %d", rec.Code)
+	rec = httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tenants", nil))
+	if rec.Code != http.StatusMethodNotAllowed || v1Code(t, rec) != "method_not_allowed" {
+		t.Fatalf("POST listing: %d %s", rec.Code, rec.Body.String())
 	}
 
 	// Healthz names the coordinator and its nodes.
@@ -144,13 +142,13 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 	}
 	rec = httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/cluster/migrate?tenant=eu&to=n1", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET migrate: %d", rec.Code)
+	if rec.Code != http.StatusMethodNotAllowed || v1Code(t, rec) != "method_not_allowed" {
+		t.Fatalf("GET migrate: %d %s", rec.Code, rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/cluster/evict?tenant=eu", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown admin op: %d", rec.Code)
+	if rec.Code != http.StatusNotFound || v1Code(t, rec) != "unknown_endpoint" {
+		t.Fatalf("unknown admin op: %d %s", rec.Code, rec.Body.String())
 	}
 
 	// An owner that dies between probe and request is a 502 from the

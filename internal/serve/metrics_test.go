@@ -62,8 +62,8 @@ func TestMetricsPromEndpoint(t *testing.T) {
 	req := httptest.NewRequest("POST", "/metrics/prom", nil)
 	post := httptest.NewRecorder()
 	handler.ServeHTTP(post, req)
-	if post.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /metrics/prom: %d, want 405", post.Code)
+	if post.Code != http.StatusMethodNotAllowed || v1Code(t, post) != "method_not_allowed" || post.Header().Get("Allow") != "GET, HEAD" {
+		t.Errorf("POST /metrics/prom: %d %q Allow %q, want 405 method_not_allowed, Allow GET, HEAD", post.Code, post.Body.String(), post.Header().Get("Allow"))
 	}
 }
 

@@ -187,19 +187,16 @@ func (s *Server) Hub(name string) (*Hub, bool) {
 	return h, ok
 }
 
-// Handler builds the HTTP mux over the route table in Routes.
+// Handler builds the HTTP mux over the route table in Routes; the
+// ClusterOnly rows are mounted only with Options.Node.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/metrics/prom", s.metrics.Handler())
-	mux.HandleFunc("/v1/tenants", s.handleV1Tenants)
-	// Tenant-scoped routes. Path patterns with wildcards need Go 1.22's
-	// mux; this repo still builds on 1.21, so the prefix is split by hand.
-	mux.HandleFunc("/v1/t/", s.handleV1Tenant)
-	if s.opts.Node != nil {
-		mux.HandleFunc("/v1/cluster/", s.handleV1Cluster)
+	var rows []Route
+	for _, rt := range s.Routes() {
+		if !rt.ClusterOnly || s.opts.Node != nil {
+			rows = append(rows, rt)
+		}
 	}
-	return mux
+	return mount(rows, s.serveTenant)
 }
 
 // handleHealthz answers liveness plus every tenant's status.
@@ -279,10 +276,6 @@ type v1Tenant struct {
 }
 
 func (s *Server) handleV1Tenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
 	statuses := s.f.Statuses()
 	out := make([]v1Tenant, 0, len(statuses))
 	for _, st := range statuses {
@@ -295,74 +288,24 @@ func (s *Server) handleV1Tenants(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": out})
 }
 
-func (s *Server) handleV1Tenant(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+// serveCheckpoint serves the handoff document, only on cluster members:
+// a standby (or the coordinator, migrating) pulls it and restores it
+// warm on the new owner.
+func (s *Server) serveCheckpoint(w http.ResponseWriter, _ *http.Request, t fleet.Handle) {
+	cp, err := t.Checkpoint()
+	if err != nil {
+		writeV1Error(w, http.StatusBadGateway, "checkpoint_failed", err.Error())
 		return
 	}
-	name, endpoint, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/t/"), "/")
-	if !ok {
-		writeV1Error(w, http.StatusNotFound, "missing_endpoint",
-			fmt.Sprintf("missing endpoint: /v1/t/%s/{snapshot|events|metrics}", name))
-		return
-	}
-	t, have := s.f.Handle(name)
-	if !have {
-		writeV1Error(w, http.StatusNotFound, "unknown_tenant",
-			fmt.Sprintf("unknown tenant %q (see /v1/tenants)", name))
-		return
-	}
-	if s.opts.Node != nil {
-		// In cluster mode every tenant-scoped response names its serving
-		// node, whether reached directly or through the coordinator proxy.
-		w.Header().Set("X-Tenant-Node", s.opts.Node.NodeName())
-	}
-	unknown := func() {
-		writeV1Error(w, http.StatusNotFound, "unknown_endpoint",
-			fmt.Sprintf("unknown endpoint %q (snapshot, events or metrics)", endpoint))
-	}
-	switch endpoint {
-	case "snapshot":
-		s.serveV1Snapshot(w, r, s.hubFor(t))
-	case "events":
-		s.serveV1Events(w, r, s.hubFor(t))
-	case "metrics":
-		writeTenantMetrics(w, t)
-	case "checkpoint":
-		// The handoff document, served only by cluster members: a
-		// standby (or the coordinator, migrating) pulls it and restores
-		// it warm on the new owner.
-		if s.opts.Node == nil {
-			unknown()
-			return
-		}
-		cp, err := t.Checkpoint()
-		if err != nil {
-			writeV1Error(w, http.StatusBadGateway, "checkpoint_failed", err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, cp)
-	default:
-		unknown()
-	}
+	writeJSON(w, http.StatusOK, cp)
 }
 
-// handleV1Cluster is the cluster-member admin surface (mounted only
-// with Options.Node): POST /v1/cluster/adopt receives a checkpoint
-// handoff — the coordinator (or an operator) tells this node to start
-// hosting a tenant, optionally shipping the previous owner's
-// checkpoint in the request body.
-func (s *Server) handleV1Cluster(w http.ResponseWriter, r *http.Request) {
-	op := strings.TrimPrefix(r.URL.Path, "/v1/cluster/")
-	if op != "adopt" {
-		writeV1Error(w, http.StatusNotFound, "unknown_endpoint",
-			fmt.Sprintf("unknown cluster endpoint %q (adopt)", op))
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return
-	}
+// handleAdopt is the cluster-member admin route (mounted only with
+// Options.Node): POST /v1/cluster/adopt receives a checkpoint handoff —
+// the coordinator (or an operator) tells this node to start hosting a
+// tenant, optionally shipping the previous owner's checkpoint in the
+// request body.
+func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tenant     string             `json:"tenant"`
 		Checkpoint *stream.Checkpoint `json:"checkpoint,omitempty"`

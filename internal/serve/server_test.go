@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/collector"
 	"repro/internal/fleet"
 	"repro/internal/leakcheck"
@@ -128,7 +129,11 @@ func TestServerByteCompat(t *testing.T) {
 // fronts one tenant or several.
 func TestServerOnlyV1Routes(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	for _, rt := range append(Routes(), CoordinatorRoutes()...) {
+	tableCtx, tableCancel := context.WithCancel(context.Background())
+	rows := New(tableCtx, testFleet(t), Options{}).Routes()
+	rows = append(rows, NewCoordinator(cluster.NewCoordinator(cluster.Config{}, nil, nil), nil).Routes()...)
+	tableCancel()
+	for _, rt := range rows {
 		if !strings.HasPrefix(rt.Pattern, "/v1/") && rt.Pattern != "/metrics/prom" && rt.Pattern != "/healthz" {
 			t.Errorf("route table lists %s %s outside /v1", rt.Method, rt.Pattern)
 		}
@@ -444,14 +449,14 @@ func TestServerV1Events(t *testing.T) {
 }
 
 // TestRoutesAllServed: every pattern in the route table resolves to a
-// real handler (no drift between Routes() and the mux).
+// real handler.
 func TestRoutesAllServed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, src, handler := testServer(t, ctx, Options{})
+	s, src, handler := testServer(t, ctx, Options{})
 	src.Publish(serveSnap(1))
 	waitVersion(t, handler, 1)
-	for _, rt := range Routes() {
+	for _, rt := range s.Routes() {
 		if rt.ClusterOnly {
 			continue // mounted only with Options.Node; TestServerClusterEndpoints covers them
 		}

@@ -223,20 +223,3 @@ func newtonCertified(z, q, eta, g1, u1, tol float64) bool {
 	m := min(z, u1)
 	return 0.5*eta*(d/m)*(d/m)+0x1p-48*(1+z) <= tol
 }
-
-// GeneralizedKL returns D(x‖p) = Σ x·log(x/p) − x + p over the coordinates,
-// with the convention 0·log(0/p) = 0, and +Inf if x_i > 0 where p_i = 0.
-func GeneralizedKL(x, p linalg.Vector) float64 {
-	var d float64
-	for i := range x {
-		switch {
-		case x[i] == 0:
-			d += p[i]
-		case p[i] <= 0:
-			return math.Inf(1)
-		default:
-			d += x[i]*math.Log(x[i]/p[i]) - x[i] + p[i]
-		}
-	}
-	return d
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/linalg"
-	"repro/internal/sparse"
 )
 
 // IPFResult reports the outcome of an iterative-proportional-fitting run.
@@ -77,55 +76,4 @@ func KruithofBalance(prior *linalg.Matrix, rowSums, colSums linalg.Vector, maxIt
 		}
 	}
 	return x, res, nil
-}
-
-// IterativeScaling implements Krupp's generalization of Kruithof's method to
-// arbitrary non-negative linear constraints A·x = b: cyclic multiplicative
-// Bregman projections onto each constraint. For 0/1 constraint matrices
-// (routing matrices) the projection onto constraint l multiplies every
-// x_j with a_lj = 1 by b_l / (A·x)_l. The iterate stays on the prior's
-// support and converges to the KL projection of the prior onto the
-// constraint set when the system is consistent.
-func IterativeScaling(a *sparse.Matrix, b linalg.Vector, prior linalg.Vector, maxIter int, tol float64) (linalg.Vector, IPFResult) {
-	x := prior.Clone()
-	x.ClampNonNegative()
-	res := IPFResult{}
-	ax := linalg.NewVector(a.Rows())
-	for iter := 0; iter < maxIter; iter++ {
-		for l := 0; l < a.Rows(); l++ {
-			// Current value of constraint l.
-			var s float64
-			a.Row(l, func(c int, v float64) { s += v * x[c] })
-			if s <= 0 {
-				continue // constraint unreachable on this support
-			}
-			f := b[l] / s
-			if f <= 0 {
-				f = 0
-			}
-			// Multiplicative update on the support of row l, tempered for
-			// non-0/1 coefficients by exponent v (exact for v=1).
-			a.Row(l, func(c int, v float64) {
-				if v == 1 {
-					x[c] *= f
-				} else if v > 0 {
-					x[c] *= math.Pow(f, v)
-				}
-			})
-		}
-		res.Iterations = iter + 1
-		a.MulVec(ax, x)
-		res.MaxError = 0
-		for l := range ax {
-			denom := math.Max(math.Abs(b[l]), 1e-30)
-			if e := math.Abs(ax[l]-b[l]) / denom; e > res.MaxError {
-				res.MaxError = e
-			}
-		}
-		if res.MaxError <= tol {
-			res.Converged = true
-			break
-		}
-	}
-	return x, res
 }

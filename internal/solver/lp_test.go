@@ -116,7 +116,7 @@ func TestLPWarmStartConsistency(t *testing.T) {
 	for i := range xFeas {
 		xFeas[i] = rng.Float64()
 	}
-	b := a.MulVec(nil, xFeas)
+	b := denseMulVec(a, nil, xFeas)
 
 	warm, err := NewLP(a, b)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestLPSolutionFeasible(t *testing.T) {
 	for i := range xFeas {
 		xFeas[i] = rng.Float64()
 	}
-	b := a.MulVec(nil, xFeas)
+	b := denseMulVec(a, nil, xFeas)
 	lp, err := NewLP(a, b)
 	if err != nil {
 		t.Fatalf("NewLP: %v", err)
@@ -165,7 +165,7 @@ func TestLPSolutionFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Maximize: %v", err)
 	}
-	ax := a.MulVec(nil, x)
+	ax := denseMulVec(a, nil, x)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-6*(1+b[i]) {
 			t.Fatalf("constraint %d violated: %v vs %v", i, ax[i], b[i])
@@ -192,7 +192,7 @@ func TestLPBoundsSandwichTruth(t *testing.T) {
 		for i := range truth {
 			truth[i] = rng.Float64() * 10
 		}
-		b := a.MulVec(nil, truth)
+		b := denseMulVec(a, nil, truth)
 		lp, err := NewLP(a, b)
 		if err != nil {
 			t.Fatalf("NewLP: %v", err)
@@ -251,7 +251,7 @@ func BenchmarkLPWarmVsCold(b *testing.B) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	rhs := a.MulVec(nil, x)
+	rhs := denseMulVec(a, nil, x)
 	b.Run("warm", func(b *testing.B) {
 		lp, err := NewLP(a, rhs)
 		if err != nil {

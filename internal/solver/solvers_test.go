@@ -22,11 +22,34 @@ func fromRows(rows [][]float64) *linalg.Matrix {
 	return m
 }
 
+// denseMulVec computes dst = m·x and returns dst, allocating it when nil.
+func denseMulVec(m *linalg.Matrix, dst, x linalg.Vector) linalg.Vector {
+	if dst == nil {
+		dst = linalg.NewVector(m.Rows)
+	}
+	for i := range dst {
+		dst[i] = linalg.Dot(m.Row(i), x)
+	}
+	return dst
+}
+
+// denseMulVecT computes dst = mᵀ·x and returns dst, allocating it when nil.
+func denseMulVecT(m *linalg.Matrix, dst, x linalg.Vector) linalg.Vector {
+	if dst == nil {
+		dst = linalg.NewVector(m.Cols)
+	}
+	dst.Zero()
+	for i := 0; i < m.Rows; i++ {
+		linalg.Axpy(x[i], m.Row(i), dst)
+	}
+	return dst
+}
+
 // MulVec computes dst = M·x.
-func (o DenseOp) MulVec(dst, x linalg.Vector) linalg.Vector { return o.M.MulVec(dst, x) }
+func (o DenseOp) MulVec(dst, x linalg.Vector) linalg.Vector { return denseMulVec(o.M, dst, x) }
 
 // MulVecT computes dst = Mᵀ·x.
-func (o DenseOp) MulVecT(dst, x linalg.Vector) linalg.Vector { return o.M.MulVecT(dst, x) }
+func (o DenseOp) MulVecT(dst, x linalg.Vector) linalg.Vector { return denseMulVecT(o.M, dst, x) }
 
 // Rows returns the row count.
 func (o DenseOp) Rows() int { return o.M.Rows }
@@ -59,7 +82,7 @@ func TestNNLSUnconstrainedInterior(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randDense(rng, 12, 4)
 	xTrue := linalg.Vector{1, 2, 0.5, 3}
-	b := a.MulVec(nil, xTrue)
+	b := denseMulVec(a, nil, xTrue)
 	x := NNLS(a, b)
 	for i := range xTrue {
 		if math.Abs(x[i]-xTrue[i]) > 1e-6 {
@@ -89,8 +112,8 @@ func TestNNLSActiveConstraint(t *testing.T) {
 
 func checkNNLSKKT(t *testing.T, a *linalg.Matrix, b, x linalg.Vector) {
 	t.Helper()
-	r := linalg.Sub(linalg.NewVector(len(b)), b, a.MulVec(nil, x))
-	w := a.MulVecT(nil, r) // gradient of -0.5‖Ax-b‖² wrt x
+	r := linalg.Sub(linalg.NewVector(len(b)), b, denseMulVec(a, nil, x))
+	w := denseMulVecT(a, nil, r) // gradient of -0.5‖Ax-b‖² wrt x
 	for j := range x {
 		if x[j] < 0 {
 			t.Fatalf("x[%d] = %v negative", j, x[j])
@@ -239,8 +262,8 @@ func TestLeastSquaresNonnegMatchesNNLS(t *testing.T) {
 			t.Fatalf("FISTA did not converge")
 		}
 		// Compare objective values (solutions may differ in a null space).
-		fe := linalg.Sub(linalg.NewVector(m), a.MulVec(nil, exact), b).Norm2()
-		fa := linalg.Sub(linalg.NewVector(m), a.MulVec(nil, approx), b).Norm2()
+		fe := linalg.Sub(linalg.NewVector(m), denseMulVec(a, nil, exact), b).Norm2()
+		fa := linalg.Sub(linalg.NewVector(m), denseMulVec(a, nil, approx), b).Norm2()
 		if fa > fe+1e-5*(1+fe) {
 			t.Fatalf("trial %d: FISTA objective %v worse than NNLS %v", trial, fa, fe)
 		}
@@ -300,11 +323,11 @@ func TestEntropyRegularizedRecoversConsistent(t *testing.T) {
 	for i := range xTrue {
 		xTrue[i] = 0.5 + rng.Float64()
 	}
-	b := a.MulVec(nil, xTrue)
+	b := denseMulVec(a, nil, xTrue)
 	prior := linalg.NewVector(n)
 	prior.Fill(1)
 	x, _ := EntropyRegularized(nil, sparseOf(a), b, prior, 1e-6, nil, 50000, 1e-12)
-	r := linalg.Sub(linalg.NewVector(m), a.MulVec(nil, x), b)
+	r := linalg.Sub(linalg.NewVector(m), denseMulVec(a, nil, x), b)
 	if r.Norm2() > 1e-3*b.Norm2() {
 		t.Fatalf("residual too large: %v", r.Norm2())
 	}
@@ -392,19 +415,6 @@ func TestKLProxNonpositiveInput(t *testing.T) {
 	}
 }
 
-func TestGeneralizedKL(t *testing.T) {
-	x := linalg.Vector{1, 2}
-	if d := GeneralizedKL(x, x); math.Abs(d) > 1e-12 {
-		t.Fatalf("KL(x,x) = %v", d)
-	}
-	if !math.IsInf(GeneralizedKL(linalg.Vector{1}, linalg.Vector{0}), 1) {
-		t.Fatal("KL with zero prior should be +Inf")
-	}
-	if d := GeneralizedKL(linalg.Vector{0}, linalg.Vector{2}); d != 2 {
-		t.Fatalf("KL(0,p) = %v, want p", d)
-	}
-}
-
 func TestKruithofBalanceMatchesMarginals(t *testing.T) {
 	prior := fromRows([][]float64{
 		{1, 1, 1},
@@ -426,8 +436,12 @@ func TestKruithofBalanceMatchesMarginals(t *testing.T) {
 		}
 	}
 	for j := 0; j < 3; j++ {
-		if math.Abs(x.Col(j).Sum()-cols[j]) > 1e-6 {
-			t.Fatalf("col %d sum %v", j, x.Col(j).Sum())
+		var sum float64
+		for i := 0; i < 3; i++ {
+			sum += x.At(i, j)
+		}
+		if math.Abs(sum-cols[j]) > 1e-6 {
+			t.Fatalf("col %d sum %v", j, sum)
 		}
 	}
 }
@@ -456,56 +470,6 @@ func TestKruithofBalanceEmptyRowError(t *testing.T) {
 	}
 }
 
-func TestIterativeScalingConsistentSystem(t *testing.T) {
-	// 0/1 constraints with a consistent rhs: must converge to Ax = b.
-	rng := rand.New(rand.NewSource(9))
-	m, n := 5, 12
-	bld := sparse.NewBuilder(m, n)
-	dense := linalg.NewMatrix(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if rng.Float64() < 0.4 {
-				bld.Add(i, j, 1)
-				dense.Set(i, j, 1)
-			}
-		}
-	}
-	a := bld.Build()
-	xTrue := linalg.NewVector(n)
-	for i := range xTrue {
-		xTrue[i] = 0.5 + 2*rng.Float64()
-	}
-	b := dense.MulVec(nil, xTrue)
-	prior := linalg.NewVector(n)
-	prior.Fill(1)
-	x, res := IterativeScaling(a, b, prior, 5000, 1e-9)
-	if !res.Converged {
-		t.Fatalf("IterativeScaling did not converge: %+v", res)
-	}
-	ax := dense.MulVec(nil, x)
-	for i := range b {
-		if math.Abs(ax[i]-b[i]) > 1e-6*(1+b[i]) {
-			t.Fatalf("constraint %d: %v vs %v", i, ax[i], b[i])
-		}
-	}
-}
-
-func TestIterativeScalingKeepsSupport(t *testing.T) {
-	bld := sparse.NewBuilder(1, 3)
-	bld.Add(0, 0, 1)
-	bld.Add(0, 1, 1)
-	bld.Add(0, 2, 1)
-	a := bld.Build()
-	prior := linalg.Vector{0, 1, 1}
-	x, _ := IterativeScaling(a, linalg.Vector{10}, prior, 100, 1e-10)
-	if x[0] != 0 {
-		t.Fatalf("zero-prior coordinate moved: %v", x[0])
-	}
-	if math.Abs(x[1]+x[2]-10) > 1e-6 {
-		t.Fatalf("constraint not met: %v", x)
-	}
-}
-
 func BenchmarkNNLS(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	a := randDense(rng, 72, 132)
@@ -513,7 +477,7 @@ func BenchmarkNNLS(b *testing.B) {
 	for i := range x {
 		x[i] = math.Abs(rng.NormFloat64())
 	}
-	rhs := a.MulVec(nil, x)
+	rhs := denseMulVec(a, nil, x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -528,7 +492,7 @@ func BenchmarkFISTANonneg(b *testing.B) {
 	for i := range x {
 		x[i] = math.Abs(rng.NormFloat64())
 	}
-	rhs := a.MulVec(nil, x)
+	rhs := denseMulVec(a, nil, x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -69,13 +69,19 @@ func TestCovarianceMatrixSymmetricPSD(t *testing.T) {
 			t.Fatal("negative diagonal variance")
 		}
 	}
-	// PSD check via Cholesky of C + tiny ridge.
-	r := c.Clone()
-	for i := 0; i < 5; i++ {
-		r.Add(i, i, 1e-9)
-	}
-	if _, err := linalg.NewCholesky(r); err != nil {
-		t.Fatalf("covariance not PSD: %v", err)
+	// PSD check: vᵀ·C·v >= 0 for random directions v.
+	for k := 0; k < 200; k++ {
+		v := linalg.NewVector(5)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		var q float64
+		for i := range v {
+			q += v[i] * linalg.Dot(c.Row(i), v)
+		}
+		if q < -1e-9*v.Norm2()*v.Norm2() {
+			t.Fatalf("covariance not PSD: vᵀCv = %v for v = %v", q, v)
+		}
 	}
 }
 

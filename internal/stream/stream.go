@@ -630,7 +630,7 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	}
 	e.stateMu.Unlock()
 
-	gravity := core.GravityFromTotals(net, te, tx, nil)
+	gravity := core.GravityFromTotalsInto(nil, net, te, tx)
 	thresh := core.ShareThresholdWS(&e.ingestWS, mean, 0.9)
 	snap := Snapshot{
 		Interval:      interval,
