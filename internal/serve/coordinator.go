@@ -58,10 +58,12 @@ func NewCoordinator(c *cluster.Coordinator, client *http.Client) *Coordinator {
 }
 
 // Handler builds the coordinator mux over the route table in Routes.
-// Its one {name} row proxies every tenant path.
+// Its one {name} row proxies every tenant path whatever the method: the
+// owner's row checks it, so a wrong method gets the owner's 405 with
+// X-Tenant-Node, and an unknown tenant still gets 404 unknown_tenant.
 func (co *Coordinator) Handler() http.Handler {
 	return mount(co.Routes(), func(w http.ResponseWriter, r *http.Request, rows []Route) {
-		rows[0].handle(w, r, nil)
+		rows[0].serve(w, r, nil)
 	})
 }
 

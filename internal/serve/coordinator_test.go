@@ -122,6 +122,19 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 		t.Fatalf("POST listing: %d %s", rec.Code, rec.Body.String())
 	}
 
+	// A tenant request of any method is proxied: the owner checks the
+	// method, and an unknown tenant is still the coordinator's 404.
+	rec = httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/t/eu/snapshot", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Tenant-Node") != "n1" {
+		t.Fatalf("POST tenant path: %d via %q", rec.Code, rec.Header().Get("X-Tenant-Node"))
+	}
+	rec = httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/t/ghost/snapshot", nil))
+	if rec.Code != http.StatusNotFound || v1Code(t, rec) != "unknown_tenant" {
+		t.Fatalf("POST unknown tenant: %d %s", rec.Code, rec.Body.String())
+	}
+
 	// Healthz names the coordinator and its nodes.
 	rec = httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

@@ -9,14 +9,12 @@ import (
 )
 
 // Route is one row of an HTTP surface: the method and path pattern a
-// Server or Coordinator answers, what it does, and the handler that
-// answers it. Each mode's Handler mounts its own table, so a row is what
+// Server or Coordinator answers, and the handler that answers it. Each mode's Handler mounts its own table, so a row is what
 // serves its path: a path no row names answers 404. docs/API.md is
 // drift-tested against both tables.
 type Route struct {
 	Method  string
 	Pattern string // {name} marks the tenant path segment
-	Summary string
 	// ClusterOnly rows are mounted only on cluster member nodes
 	// (Options.Node set): the checkpoint-handoff admin surface.
 	ClusterOnly bool
@@ -41,51 +39,38 @@ func plain(h http.HandlerFunc) func(http.ResponseWriter, *http.Request, fleet.Ha
 // Routes returns the server's route table, cluster-only rows included.
 func (s *Server) Routes() []Route {
 	return []Route{
-		{Method: "GET", Pattern: "/v1/tenants", serve: plain(s.handleV1Tenants),
-			Summary: "every tenant's status plus its serving statistics (waiters, subscribers, cached versions)"},
-		{Method: "GET", Pattern: "/v1/t/{name}/checkpoint", ClusterOnly: true, serve: s.serveCheckpoint,
-			Summary: "tenant's current engine checkpoint — the migration handoff document a standby syncs and a new owner restores warm"},
-		{Method: "POST", Pattern: "/v1/cluster/adopt", ClusterOnly: true, serve: plain(s.handleAdopt),
-			Summary: "start hosting a tenant here: body {\"tenant\",\"checkpoint\"?}; a missing checkpoint restores the node's synced standby copy, else adopts cold"},
+		{Method: "GET", Pattern: "/v1/tenants", serve: plain(s.handleV1Tenants)},
+		{Method: "GET", Pattern: "/v1/t/{name}/checkpoint", ClusterOnly: true, serve: s.serveCheckpoint},
+		{Method: "POST", Pattern: "/v1/cluster/adopt", ClusterOnly: true, serve: plain(s.handleAdopt)},
 		{Method: "GET", Pattern: "/v1/t/{name}/snapshot",
 			serve: func(w http.ResponseWriter, r *http.Request, t fleet.Handle) {
 				s.serveV1Snapshot(w, r, s.hubFor(t))
-			},
-			Summary: "latest snapshot: ETag/If-None-Match conditional get, ?min_version=N long-poll, delta via Accept: application/vnd.tmserve.delta+json with ?since=V, gzip via Accept-Encoding"},
+			}},
 		{Method: "GET", Pattern: "/v1/t/{name}/events",
 			serve: func(w http.ResponseWriter, r *http.Request, t fleet.Handle) {
 				s.serveV1Events(w, r, s.hubFor(t))
-			},
-			Summary: "Server-Sent Events stream of version announcements and deltas"},
+			}},
 		{Method: "GET", Pattern: "/v1/t/{name}/metrics",
 			serve: func(w http.ResponseWriter, _ *http.Request, t fleet.Handle) {
 				writeTenantMetrics(w, t)
-			},
-			Summary: "tenant's estimation-error history"},
-		{Method: "GET", Pattern: "/metrics/prom", serve: plain(s.metrics.Handler().ServeHTTP),
-			Summary: "Prometheus text-format telemetry: estimation, SLO and serving families for every hosted tenant"},
-		{Method: "GET", Pattern: "/healthz", serve: plain(s.handleHealthz),
-			Summary: "liveness plus per-tenant state and SLO degradation causes"},
+			}},
+		{Method: "GET", Pattern: "/metrics/prom", serve: plain(s.metrics.Handler().ServeHTTP)},
+		{Method: "GET", Pattern: "/healthz", serve: plain(s.handleHealthz)},
 	}
 }
 
 // Routes returns the route table of coordinator mode — the cluster's
-// front door. Tenant-scoped reads are not answered locally: every path
-// under /v1/t/{name}/ is proxied to the owning node, with the error
-// envelope and ETag/delta/SSE semantics passing through unchanged and
-// the X-Tenant-Node header naming the owner.
+// front door. Tenant-scoped requests are not answered locally: every
+// path under /v1/t/{name}/ is proxied to the owning node whatever its
+// method, with the error envelope and ETag/delta/SSE semantics passing
+// through unchanged and the X-Tenant-Node header naming the owner.
 func (co *Coordinator) Routes() []Route {
 	return []Route{
-		{Method: "GET", Pattern: "/v1/tenants", serve: plain(co.handleTenants),
-			Summary: "fleet-wide tenant listing aggregated across member nodes, each row annotated with its node, plus per-node health and proxied-request counters"},
-		{Method: "GET", Pattern: "/v1/t/{name}/{endpoint}", serve: plain(co.proxyTenant),
-			Summary: "proxied to the owning node: snapshot (conditional gets, long-polls and delta negotiation pass through unchanged), events (SSE, unbuffered), metrics and checkpoint"},
-		{Method: "GET", Pattern: "/metrics/prom", serve: plain(co.metrics.Handler().ServeHTTP),
-			Summary: "Prometheus text-format telemetry: per-node health, probe-failure and proxied-request counters"},
-		{Method: "POST", Pattern: "/v1/cluster/migrate", serve: plain(co.handleMigrate),
-			Summary: "move a tenant via checkpoint handoff: ?tenant=X&to=node pulls the owner's checkpoint, ships it to the target's adopt endpoint and repoints routing"},
-		{Method: "GET", Pattern: "/healthz", serve: plain(co.handleHealthz),
-			Summary: "coordinator liveness plus per-node probe state"},
+		{Method: "GET", Pattern: "/v1/tenants", serve: plain(co.handleTenants)},
+		{Method: "GET", Pattern: "/v1/t/{name}/{endpoint}", serve: plain(co.proxyTenant)},
+		{Method: "GET", Pattern: "/metrics/prom", serve: plain(co.metrics.Handler().ServeHTTP)},
+		{Method: "POST", Pattern: "/v1/cluster/migrate", serve: plain(co.handleMigrate)},
+		{Method: "GET", Pattern: "/healthz", serve: plain(co.handleHealthz)},
 	}
 }
 

@@ -69,20 +69,36 @@ func TestCovarianceMatrixSymmetricPSD(t *testing.T) {
 			t.Fatal("negative diagonal variance")
 		}
 	}
-	// PSD check: vᵀ·C·v >= 0 for random directions v.
-	for k := 0; k < 200; k++ {
-		v := linalg.NewVector(5)
-		for i := range v {
-			v[i] = rng.NormFloat64()
+	// PSD check: a Cholesky factorisation of C + 1e-9·I succeeds, so C
+	// has no eigenvalue below about -1e-9.
+	if i, ok := choleskyPivots(c, 1e-9); !ok {
+		t.Fatalf("covariance not PSD: Cholesky pivot %d of C+1e-9·I is not positive", i)
+	}
+}
+
+// choleskyPivots runs a Cholesky factorisation of a + shift·I and reports
+// the first non-positive pivot, or ok when every pivot is positive.
+func choleskyPivots(a *linalg.Matrix, shift float64) (int, bool) {
+	n := a.Rows
+	l := linalg.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j) + shift
+		for k := 0; k < j; k++ {
+			d -= l.At(j, k) * l.At(j, k)
 		}
-		var q float64
-		for i := range v {
-			q += v[i] * linalg.Dot(c.Row(i), v)
+		if !(d > 0) { // NaN fails too
+			return j, false
 		}
-		if q < -1e-9*v.Norm2()*v.Norm2() {
-			t.Fatalf("covariance not PSD: vᵀCv = %v for v = %v", q, v)
+		l.Set(j, j, math.Sqrt(d))
+		for i := j + 1; i < n; i++ {
+			v := a.At(i, j)
+			for k := 0; k < j; k++ {
+				v -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, v/l.At(j, j))
 		}
 	}
+	return 0, true
 }
 
 func TestFitPowerLawRecoversParameters(t *testing.T) {

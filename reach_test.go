@@ -25,13 +25,26 @@ var testOnlyAllowed = map[string]string{
 	"leakcheck.Check":       "internal/leakcheck is a test-support package; the stream, fleet, serve and cluster tests call it",
 }
 
+// reachableInterfaces names, as "importpath.Name", the interfaces whose
+// implementing methods count as reachable: production code calls them
+// through the interface (serve.NodeAdmin is how the server reaches
+// cluster.Node).
+var reachableInterfaces = []string{
+	"error",
+	"fmt.Stringer",
+	"container/heap.Interface",
+	"repro/internal/serve.Backend",
+	"repro/internal/serve.NodeAdmin",
+	"repro/internal/fleet.Handle",
+	"repro/internal/collector.CounterSource",
+}
+
 // TestReachability fails on every exported production declaration
 // (function, method, type, var or const) in this module that no non-test
 // file references outside the declaration's own body: code that only
 // tests run. The frozen bench/ module counts as production. A method
-// that satisfies an interface the program declares or imports (error,
-// fmt.Stringer, sort.Interface, serve.Backend, …) counts as reachable,
-// and so does everything on testOnlyAllowed. A reference from inside a
+// that satisfies one of reachableInterfaces counts as reachable, and so
+// does everything on testOnlyAllowed. A reference from inside a
 // declaration this test reports does not keep another one alive.
 //
 // The test type-checks every package from source, the standard library
@@ -42,28 +55,11 @@ func TestReachability(t *testing.T) {
 	}
 	prog := loadProgram(t)
 
-	// Interfaces whose methods count as reachable: every non-empty
-	// interface a checked package declares or directly imports.
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
-	seen := map[*types.Package]bool{}
-	addIfaces := func(p *types.Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
-	}
-	for _, p := range prog.pkgs {
-		addIfaces(p.types)
-		for _, imp := range p.types.Imports() {
-			addIfaces(imp)
-		}
+	// Interfaces whose methods count as reachable: a method that
+	// implements one is called through it, not by name.
+	var ifaces []*types.Interface
+	for _, name := range reachableInterfaces {
+		ifaces = append(ifaces, prog.lookup(t, name).Type().Underlying().(*types.Interface))
 	}
 	satisfiesInterface := func(fn *types.Func) bool {
 		recv := fn.Type().(*types.Signature).Recv().Type()
@@ -193,6 +189,25 @@ type program struct {
 	fset *token.FileSet
 	pkgs []*checkedPackage
 	uses map[types.Object][]token.Pos
+	imp  types.Importer
+}
+
+// lookup finds "importpath.Name", or a universe name such as "error".
+func (prog *program) lookup(t *testing.T, name string) types.Object {
+	t.Helper()
+	scope := types.Universe
+	if i := strings.LastIndex(name, "."); i >= 0 {
+		p, err := prog.imp.Import(name[:i])
+		if err != nil {
+			t.Fatalf("lookup %s: %v", name, err)
+		}
+		scope, name = p.Scope(), name[i+1:]
+	}
+	obj := scope.Lookup(name)
+	if obj == nil {
+		t.Fatalf("lookup %s: not declared", name)
+	}
+	return obj
 }
 
 type checkedPackage struct {
@@ -310,6 +325,7 @@ func loadProgram(t *testing.T) *program {
 			prog.uses[obj] = append(prog.uses[obj], id.Pos())
 		}
 	}
+	prog.imp = imp
 	return prog
 }
 
