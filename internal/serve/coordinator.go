@@ -47,6 +47,14 @@ func NewCoordinator(c *cluster.Coordinator, client *http.Client) *Coordinator {
 			addr := r.Context().Value(proxyTargetKey{}).(string)
 			r.URL.Scheme = "http"
 			r.URL.Host = addr
+			// A request that names no encoding goes upstream as one that
+			// refuses compression. Otherwise the transport would ask the
+			// node for gzip and inflate the reply itself: the node's gzip
+			// CPU spent for nothing, and its Vary passed to a client that
+			// negotiated nothing.
+			if r.Header.Get("Accept-Encoding") == "" {
+				r.Header.Set("Accept-Encoding", "identity")
+			}
 		},
 		// Flush immediately: SSE streams must not sit in a proxy buffer.
 		FlushInterval: -1,

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -180,5 +182,73 @@ func TestCoordinatorProxyAndAggregate(t *testing.T) {
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/t/eu/snapshot", nil))
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Tenant-Node") != "n1" {
 		t.Fatalf("read after failover back: %d via %q", rec.Code, rec.Header().Get("X-Tenant-Node"))
+	}
+}
+
+// TestCoordinatorProxyEncoding: a read that names no encoding reaches
+// the owner as identity and comes back plain, with no Content-Encoding
+// and no Vary; a gzip read still gets the owner's gzip body and Vary.
+func TestCoordinatorProxyEncoding(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	entry, err := NewEntry(hubSnap(3), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(chan string, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/v1/t/", func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get("Accept-Encoding")
+		writeEntry(w, entry, r)
+	})
+	node := httptest.NewServer(mux)
+	t.Cleanup(node.Close)
+	c := cluster.NewCoordinator(stubConfig(t, node, node), nil, t.Logf)
+	c.Registry().Sweep(context.Background())
+	srv := httptest.NewServer(NewCoordinator(c, nil).Handler())
+	t.Cleanup(srv.Close)
+	// A transport of its own that adds no Accept-Encoding, so each
+	// request carries exactly the header the case sets.
+	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	t.Cleanup(client.CloseIdleConnections)
+
+	for _, tc := range []struct {
+		accept, upstream, encoding, vary string
+	}{
+		{"", "identity", "", ""},
+		{"gzip", "gzip", "gzip", "Accept-Encoding"},
+	} {
+		req, err := http.NewRequest("GET", srv.URL+"/v1/t/eu/snapshot", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.accept != "" {
+			req.Header.Set("Accept-Encoding", tc.accept)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := <-seen; got != tc.upstream {
+			t.Errorf("Accept-Encoding %q reached the node as %q, want %q", tc.accept, got, tc.upstream)
+		}
+		if got := resp.Header.Get("Content-Encoding"); got != tc.encoding {
+			t.Errorf("Accept-Encoding %q: Content-Encoding %q, want %q", tc.accept, got, tc.encoding)
+		}
+		if got := resp.Header.Get("Vary"); got != tc.vary {
+			t.Errorf("Accept-Encoding %q: Vary %q, want %q", tc.accept, got, tc.vary)
+		}
+		want := entry.JSON
+		if tc.encoding == "gzip" {
+			want = entry.Gzip()
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("Accept-Encoding %q: body of %d bytes is not the node's %d", tc.accept, len(body), len(want))
+		}
 	}
 }

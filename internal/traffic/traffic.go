@@ -25,14 +25,21 @@
 // scored; link loads are always derived from it via t = R·s, so routing,
 // demands and loads are consistent exactly as in the paper's evaluation
 // protocol (§5.1.4).
+//
+// Generate's output is a function of its Config alone: deterministic in
+// Config.Seed and bit-identical at any GOMAXPROCS. Every random draw is
+// made on the calling goroutine in one fixed serial order; only the
+// deterministic per-element math between the draws runs across cores.
 package traffic
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/linalg"
+	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -135,8 +142,17 @@ func pairIndex(n, src, dst int) int {
 	return src*(n-1) + d
 }
 
-// Generate produces a demand series from cfg. It is deterministic in
-// cfg.Seed.
+// genPool runs Generate's per-interval math across the process's cores.
+// Its ForEach always works on the calling goroutine too, so a Generate
+// nested inside jobs already running on another pool (tmbench's
+// experiment drivers, a fleet building several tenants) cannot deadlock.
+var genPool = runner.NewPool(0)
+
+// Generate produces a demand series from cfg. The series is a function of
+// cfg alone: deterministic in cfg.Seed and bit-identical at any
+// GOMAXPROCS. Every random draw is made on the calling goroutine in one
+// fixed serial order; only the deterministic math in between fans out
+// over intervals.
 func Generate(cfg Config) (*Series, error) {
 	if cfg.NumPoPs < 2 {
 		return nil, fmt.Errorf("traffic: need >= 2 PoPs, got %d", cfg.NumPoPs)
@@ -210,58 +226,110 @@ func Generate(cfg Config) (*Series, error) {
 	s.Times = make([]float64, cfg.Samples)
 	s.Demands = make([]linalg.Vector, cfg.Samples)
 	s0 := cfg.TotalPeakMbps // normalization scale for the variance law
-	for k := 0; k < cfg.Samples; k++ {
-		tm := float64(k) * cfg.StepMinutes
-		s.Times[k] = tm
-		d := diurnal(tm, cfg)
-		sk := linalg.NewVector(p)
-		// Time-varying fanouts for this interval.
-		for src := 0; src < n; src++ {
-			ingress := w[src] * cfg.TotalPeakMbps * d *
-				(1 + cfg.NodeWobble*math.Sin(2*math.Pi*tm/MinutesPerDay+nodePhase[src]))
-			// Source-common fluctuation: shared by every demand of this
-			// source, so it moves the demands but cancels out of the
-			// fanouts — the mechanism behind the paper's Figs. 4–5.
-			s2 := cfg.SourceNoise * cfg.SourceNoise
-			common := math.Exp(cfg.SourceNoise*rng.NormFloat64() - s2/2)
-			var rowSum float64
-			row := make([]float64, 0, n-1)
-			idx := make([]int, 0, n-1)
-			for dst := 0; dst < n; dst++ {
-				if dst == src {
-					continue
+	s2 := cfg.SourceNoise * cfg.SourceNoise
+	// The intervals run in blocks of genBlock, three passes each. Passes 1
+	// and 3 hold the transcendental math and fan out over the block's
+	// intervals on genPool; pass 2 makes the block's RNG draws on this
+	// goroutine, in the order a single loop over intervals, sources and
+	// destinations would. zSrc and zPair hold those draws between passes
+	// 2 and 3, so scratch stays one block of vectors, not a second series.
+	zSrc := make([]float64, genBlock*n)
+	zPair := make([]float64, genBlock*p)
+	// The pairs of source src are the contiguous run
+	// [src*(n-1), (src+1)*(n-1)) in destination order (see pairIndex).
+	m := n - 1
+	for k0 := 0; k0 < cfg.Samples; k0 += genBlock {
+		k1 := min(k0+genBlock, cfg.Samples)
+
+		// Pass 1: each pair's mean rate λ under the time-varying fanouts,
+		// written into the interval's output vector.
+		forEachInterval(k0, k1, func(k int) {
+			tm := float64(k) * cfg.StepMinutes
+			s.Times[k] = tm
+			d := diurnal(tm, cfg)
+			sk := linalg.NewVector(p)
+			for src := 0; src < n; src++ {
+				ingress := w[src] * cfg.TotalPeakMbps * d *
+					(1 + cfg.NodeWobble*math.Sin(2*math.Pi*tm/MinutesPerDay+nodePhase[src]))
+				row := sk[src*m : (src+1)*m]
+				var rowSum float64
+				for i := range row {
+					pi := src*m + i
+					row[i] = alpha[pi] * (1 + cfg.FanoutDrift*math.Sin(2*math.Pi*tm/period[pi]+phase[pi]))
+					rowSum += row[i]
 				}
-				pi := pairIndex(n, src, dst)
-				a := alpha[pi] * (1 + cfg.FanoutDrift*math.Sin(2*math.Pi*tm/period[pi]+phase[pi]))
-				row = append(row, a)
-				idx = append(idx, pi)
-				rowSum += a
+				for i, a := range row {
+					row[i] = ingress * a / rowSum
+				}
 			}
-			for i, a := range row {
-				lambda := ingress * a / rowSum
-				if lambda <= 0 {
-					sk[idx[i]] = 0
-					continue
+			s.Demands[k] = sk
+		})
+
+		// Pass 2: the draws. Each source takes one for its common factor,
+		// then one per pair with λ > 0; a pair with λ <= 0 draws nothing.
+		for k := k0; k < k1; k++ {
+			sk := s.Demands[k]
+			zs, zp := zSrc[(k-k0)*n:], zPair[(k-k0)*p:]
+			for src := 0; src < n; src++ {
+				zs[src] = rng.NormFloat64()
+				for pi := src * m; pi < (src+1)*m; pi++ {
+					if sk[pi] <= 0 {
+						continue
+					}
+					zp[pi] = rng.NormFloat64()
 				}
-				// Mean–variance law on normalized demands:
-				// Var{s/s0} = φ·(λ/s0)^c. Realized with mean-preserving
-				// lognormal noise, s = λ·common·pair, where the total
-				// log-variance σ² = log(1 + φ·(λ/s0)^{c−2}) hits the law
-				// exactly (no zero-censoring as an additive Gaussian would
-				// need). The source-common factor's share σ0² is removed
-				// from the per-pair share so the product keeps the law.
-				relVar := cfg.Phi * math.Pow(lambda/s0, cfg.C-2)
-				sp2 := math.Log1p(relVar) - s2
-				if sp2 < 0 {
-					sp2 = 0
-				}
-				sigma := math.Sqrt(sp2)
-				sk[idx[i]] = lambda * common * math.Exp(sigma*rng.NormFloat64()-sp2/2)
 			}
 		}
-		s.Demands[k] = sk
+
+		// Pass 3: the noise, applied in place.
+		forEachInterval(k0, k1, func(k int) {
+			sk := s.Demands[k]
+			zs, zp := zSrc[(k-k0)*n:], zPair[(k-k0)*p:]
+			for src := 0; src < n; src++ {
+				// Source-common fluctuation: shared by every demand of this
+				// source, so it moves the demands but cancels out of the
+				// fanouts — the mechanism behind the paper's Figs. 4–5.
+				common := math.Exp(cfg.SourceNoise*zs[src] - s2/2)
+				for pi := src * m; pi < (src+1)*m; pi++ {
+					lambda := sk[pi]
+					if lambda <= 0 {
+						sk[pi] = 0
+						continue
+					}
+					// Mean–variance law on normalized demands:
+					// Var{s/s0} = φ·(λ/s0)^c. Realized with mean-preserving
+					// lognormal noise, s = λ·common·pair, where the total
+					// log-variance σ² = log(1 + φ·(λ/s0)^{c−2}) hits the law
+					// exactly (no zero-censoring as an additive Gaussian would
+					// need). The source-common factor's share σ0² is removed
+					// from the per-pair share so the product keeps the law.
+					relVar := cfg.Phi * math.Pow(lambda/s0, cfg.C-2)
+					sp2 := math.Log1p(relVar) - s2
+					if sp2 < 0 {
+						sp2 = 0
+					}
+					sigma := math.Sqrt(sp2)
+					sk[pi] = lambda * common * math.Exp(sigma*zp[pi]-sp2/2)
+				}
+			}
+		})
 	}
 	return s, nil
+}
+
+// genBlock is how many intervals Generate carries through its three
+// passes at a time: enough to keep every worker busy in passes 1 and 3,
+// few enough that the block's draws stay a small fraction of the series.
+const genBlock = 16
+
+// forEachInterval runs fn(k) for k in [k0, k1) on genPool.
+func forEachInterval(k0, k1 int, fn func(k int)) {
+	// fn cannot fail and the context is never cancelled, so ForEach
+	// always returns nil.
+	_ = genPool.ForEach(context.Background(), k1-k0, func(i int) error {
+		fn(k0 + i)
+		return nil
+	})
 }
 
 // diurnal is the raised-cosine daily shape, 1 at the peak and OffPeakLevel
